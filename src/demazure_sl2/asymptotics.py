@@ -43,14 +43,9 @@ class RescaledSummary:
 
 def _summarize(mu: WeightDistribution, N: int) -> RescaledSummary:
     hw = mu.hw
-    max_deg = 0
-    max_fw = 0
-    for (a, b), _ in mu.items():
-        if a > max_deg:
-            max_deg = a
-        w = abs(hw.n + 2 * (a - b))
-        if w > max_fw:
-            max_fw = w
+    # a column's last entry is its highest degree; its finite weight is n + 2d
+    max_deg = max([0] + [a0 + len(vals) - 1 for _, (a0, vals) in mu.columns()])
+    max_fw = max([0] + [abs(hw.n + 2 * d) for d, _ in mu.columns()])
     # constant coordinates get scale 1 rather than a zero division; their
     # rescaled mean and variance are exact zeros either way
     dscale = max_deg if max_deg else 1

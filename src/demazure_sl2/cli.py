@@ -9,8 +9,9 @@ Subcommands:
   render      SVG heatmap, degree histogram or covariance ellipse
 
 Exit status: 0 on success (and all identities passing), 1 when a
-verification fails, 2 for usage errors.  All configuration comes from
-flags; there are no config files or environment variables.
+verification fails, 2 for usage errors and unwritable --out paths.  All
+configuration comes from flags; there are no config files or environment
+variables.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .demazure import WeylWord, weight_distribution
 from .lattice import HighestWeight, degree_functional, finite_weight_functional
 from .moments import covariance_matrix, expectation
 from .render import (
-    DegenerateCovarianceError,
     Ellipse,
     degree_histogram,
     ellipse_document,
@@ -197,10 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     except FitMismatchError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except DegenerateCovarianceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (ValueError, OSError) as err:  # bad input, or an --out path that cannot be written
         print(f"error: {err}", file=sys.stderr)
         return 2
 

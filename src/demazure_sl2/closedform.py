@@ -131,15 +131,13 @@ def level1_distribution(N: int) -> WeightDistribution:
         return WeightDistribution.delta(hw)
     if N % 2:
         return apply_demazure(0, level1_distribution(N - 1))
-    row = _pascal_row(N)
+    # column d = k - N/2 holds [N k]_q with q^i at degree a = N^2/4 - i
     peak = N * N // 4
-    half = N // 2
-    entries: dict[LatticePoint, int] = {}
-    for k in range(N + 1):
-        for i, c in enumerate(row[k]):
-            a = peak - i
-            entries[LatticePoint(a, a - k + half)] = c
-    return WeightDistribution._from_raw(hw, entries)
+    cols = {
+        k - N // 2: (peak + 1 - len(cs), list(reversed(cs)))
+        for k, cs in enumerate(_pascal_row(N))
+    }
+    return WeightDistribution._from_columns(hw, cols)
 
 
 def string_symmetry_shift(N: int, p: LatticePoint) -> int:

@@ -12,22 +12,25 @@ weight yields the weight multiplicity distribution of the corresponding
 Demazure module; for genuine words all intermediate measures stay
 nonnegative.
 
-Implementation note: D_j is applied string-by-string.  Points sharing the
-coordinate not moved by alpha_j lie on one alpha_j-string, where the
-pairing is k(x) = C - 2x for a per-string constant C.  The operator output
-at position y on the string is
+Implementation note: a measure is stored as columns of fixed d = a - b
+over consecutive degrees a.  Both pairings depend on d alone, so D_j maps
+whole columns: a D_1 string is a row of fixed a, a D_0 string one of fixed
+b.  With s = d (j = 1), or s = -d and rows indexed by b (j = 0), the
+pairing is k = 2s - C for C = -n resp. -m, and output column e (2e >= C),
+equal to output column C - e, is
 
-    sum of masses at x <= min(y, C - y)  minus  sum of masses at x >= max(y, C - y) + 1,
+    sum of columns s >= e with k >= 0  minus  sum of columns s <= C - 1 - e with k <= -2.
 
-which is symmetric under y <-> C - y, so one pass with a prefix pointer
-(dominant side) and a suffix pointer (antidominant side) over the half
-interval produces the whole string in O(input + output).  The definitional
+A downward sweep over e keeps both running sums, so one application costs
+O(columns x rows) integer operations, all inside map().  The definitional
 per-point expansion is kept in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import add, itemgetter, neg, sub
 from typing import Iterable, Iterator, Mapping
 
 from .lattice import Functional, HighestWeight, LatticePoint, Scalar
@@ -57,24 +60,46 @@ class WeylWord:
             yield self.first if i % 2 == 0 else 1 - self.first
 
 
+# Column storage: d -> (a0, vals) with vals[i] the mass at (a0 + i, a0 + i - d).
+# Both ends of vals are nonzero and empty columns are absent, so equal
+# measures have equal column dicts; interior zeros are allowed.  Vectors
+# are shared between columns and distributions and never mutated.
+Column = tuple[int, list[int]]
+
+
+# builds a LatticePoint from an (a, b) pair in C, skipping the Python-level
+# namedtuple constructor; the read paths make one per support point
+_new_tuple = tuple.__new__
+
+
+def _trim(lo: int, vals: list[int]) -> Column | None:
+    """Strip zero ends; None for an all-zero vector."""
+    if vals[0] and vals[-1]:
+        return lo, vals
+    nonzero = [i for i, c in enumerate(vals) if c]
+    return (lo + nonzero[0], vals[nonzero[0] : nonzero[-1] + 1]) if nonzero else None
+
+
 class WeightDistribution:
     """Finitely supported integer measure on the (a, b) lattice.
 
-    Entries with value 0 are never stored.  For genuine Demazure words all
-    entries are positive multiplicities; signed values are permitted so the
-    operators can be probed on arbitrary inputs.
+    Entries with value 0 are not part of the support.  For genuine Demazure
+    words all entries are positive multiplicities; signed values are
+    permitted so the operators can be probed on arbitrary inputs.
     """
 
-    __slots__ = ("hw", "_data")
+    __slots__ = ("hw", "_cols")
 
     def __init__(self, hw: HighestWeight, entries: Mapping[tuple[int, int], int] | None = None):
         self.hw = hw
-        data: dict[LatticePoint, int] = {}
-        if entries:
-            for key, c in entries.items():
-                if c:
-                    data[LatticePoint(*key)] = c
-        self._data = data
+        by_d: dict[int, dict[int, int]] = {}
+        for (a, b), c in (entries or {}).items():
+            if c:
+                by_d.setdefault(a - b, {})[a] = c
+        self._cols = {}
+        for d, masses in by_d.items():
+            a0 = min(masses)
+            self._cols[d] = (a0, [masses.get(a, 0) for a in range(a0, max(masses) + 1)])
 
     @classmethod
     def delta(cls, hw: HighestWeight) -> "WeightDistribution":
@@ -82,110 +107,123 @@ class WeightDistribution:
         return cls(hw, {(0, 0): 1})
 
     @classmethod
-    def _from_raw(cls, hw: HighestWeight, data: dict[LatticePoint, int]) -> "WeightDistribution":
-        # internal: caller guarantees no zero entries and LatticePoint keys
+    def _from_columns(cls, hw: HighestWeight, cols: dict[int, Column]) -> "WeightDistribution":
+        # internal: caller guarantees trimmed, nonempty columns
         mu = cls.__new__(cls)
         mu.hw = hw
-        mu._data = data
+        mu._cols = cols
         return mu
 
+    def columns(self) -> Iterable[tuple[int, Column]]:
+        """(d, (a0, vals)) per column of fixed d = a - b; vals is read-only."""
+        return self._cols.items()
+
     def mass(self, p: tuple[int, int]) -> int:
-        return self._data.get(LatticePoint(*p), 0)
+        a, b = p
+        a0, vals = self._cols.get(a - b, (a, ()))
+        return vals[a - a0] if 0 <= a - a0 < len(vals) else 0
+
+    def _column_items(self, d: int) -> Iterator[tuple[LatticePoint, int]]:
+        a0, vals = self._cols[d]
+        pairs = zip(range(a0, a0 + len(vals)), range(a0 - d, a0 - d + len(vals)))
+        return compress(zip(map(_new_tuple, repeat(LatticePoint), pairs), vals), vals)
 
     def items(self) -> Iterator[tuple[LatticePoint, int]]:
-        return iter(self._data.items())
+        return chain.from_iterable(map(self._column_items, self._cols))
 
     def sorted_items(self) -> list[tuple[LatticePoint, int]]:
         """Entries ordered by (a, b); the canonical export order."""
-        return sorted(self._data.items())
+        # columns by descending d are runs already ordered by (a, b)
+        runs = chain.from_iterable(map(self._column_items, sorted(self._cols, reverse=True)))
+        return sorted(runs, key=itemgetter(0))
 
     def string_items(self) -> list[tuple[LatticePoint, int]]:
         """Entries ordered by (a - b, a): delta strings come out contiguous."""
-        return sorted(self._data.items(), key=lambda kv: (kv[0][0] - kv[0][1], kv[0][0]))
+        return list(chain.from_iterable(map(self._column_items, sorted(self._cols))))
 
     def as_dict(self) -> dict[LatticePoint, int]:
-        return dict(self._data)
+        return dict(self.items())
 
     @property
     def support_size(self) -> int:
-        return len(self._data)
+        return sum(len(vals) - vals.count(0) for _, vals in self._cols.values())
 
     def total_mass(self) -> int:
-        return sum(self._data.values())
+        return sum(sum(vals) for _, vals in self._cols.values())
 
     def is_nonnegative(self) -> bool:
-        return all(c > 0 for c in self._data.values())
+        return all(min(vals) >= 0 for _, vals in self._cols.values())
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self.support_size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightDistribution):
             return NotImplemented
-        return self.hw == other.hw and self._data == other._data
+        return self.hw == other.hw and self._cols == other._cols
 
     def __repr__(self) -> str:
-        return f"WeightDistribution(hw={self.hw}, support={len(self._data)}, mass={self.total_mass()})"
+        return f"WeightDistribution(hw={self.hw}, support={len(self)}, mass={self.total_mass()})"
 
 
-def _fold_string(C: int, items: list[tuple[int, int]], emit) -> None:
-    """Apply the one-string operator with pairing k(x) = C - 2x.
+def _spread(col: Column, lo: int, hi: int) -> list[int]:
+    """The column's vector padded with zeros onto rows lo .. hi - 1."""
+    r0, vals = col
+    if r0 == lo and r0 + len(vals) == hi:
+        return vals
+    return [0] * (r0 - lo) + vals + [0] * (hi - r0 - len(vals))
 
-    ``items`` is a list of (position, mass); ``emit(y, value)`` receives the
-    nonzero output masses.  Positions with k = -1 (2x = C + 1) contribute
-    nothing and output is symmetric under y <-> C - y.
+
+def _combine(x: Column, y: Column, op) -> Column:
+    lo = min(x[0], y[0])
+    hi = max(x[0] + len(x[1]), y[0] + len(y[1]))
+    return lo, list(map(op, _spread(x, lo, hi), _spread(y, lo, hi)))
+
+
+def _fold(cols: dict[int, Column], C: int) -> dict[int, Column]:
+    """D_j on columns keyed by string coordinate s, pairing k = 2s - C.
+
+    Vectors run over rows that D_j does not move.  Dominant columns
+    (k >= 0) are summed from the top down, antidominant ones (k <= -2)
+    from the bottom up; k = -1 columns contribute nothing.
     """
-    items.sort()
-    doms = [(x, c) for x, c in items if 2 * x <= C]
-    antis = [(x, c) for x, c in items if 2 * x >= C + 2]
-    if not doms and not antis:
-        return
-    lo_candidates = []
-    if doms:
-        lo_candidates.append(doms[0][0])
-    if antis:
-        lo_candidates.append(C - antis[-1][0] + 1)
-    lo = min(lo_candidates)
-    di, ai = 0, len(antis)
-    psum = asum = 0
-    for y in range(lo, C // 2 + 1):
-        while di < len(doms) and doms[di][0] <= y:
-            psum += doms[di][1]
-            di += 1
-        while ai > 0 and antis[ai - 1][0] >= C - y + 1:
-            asum += antis[ai - 1][1]
-            ai -= 1
-        v = psum - asum
-        if v:
-            emit(y, v)
-            mirror = C - y
-            if mirror != y:
-                emit(mirror, v)
+    dom = {s: col for s, col in cols.items() if 2 * s >= C}
+    anti = {s: col for s, col in cols.items() if 2 * s <= C - 2}
+    out: dict[int, Column] = {}
+    stop = (C - 1) // 2  # the last e with 2e < C
+    top = max(max(dom, default=stop), C - 1 - min(anti, default=C - 1 - stop))
+    psum = qsum = None
+    for e in range(top, stop, -1):
+        if e in dom:
+            psum = dom[e] if psum is None else _combine(psum, dom[e], add)
+        if C - 1 - e in anti:
+            col = anti[C - 1 - e]
+            qsum = col if qsum is None else _combine(qsum, col, add)
+        if qsum is None:
+            res = _trim(*psum)
+        elif psum is None:
+            res = _trim(qsum[0], list(map(neg, qsum[1])))
+        else:
+            res = _trim(*_combine(psum, qsum, sub))
+        if res is not None:
+            out[e] = out[C - e] = res
+    return out
+
+
+def _flip(cols: dict[int, Column]) -> dict[int, Column]:
+    """Re-key columns by -d and their vectors by b = a - d, and back."""
+    return {-s: (r0 - s, vals) for s, (r0, vals) in cols.items()}
 
 
 def apply_demazure(j: int, mu: WeightDistribution) -> WeightDistribution:
     """One application of D_j; input is not modified."""
     if j not in (0, 1):
         raise ValueError("generator index must be 0 or 1")
-    hw = mu.hw
-    const = hw.m if j == 0 else hw.n
-    strings: dict[int, list[tuple[int, int]]] = {}
-    if j == 0:
-        # alpha0 moves a; a string is a fixed b, with k(a) = (m + 2b) - 2a
-        for (a, b), c in mu._data.items():
-            strings.setdefault(b, []).append((a, c))
+    if j == 1:
+        cols = _fold(mu._cols, -mu.hw.n)
     else:
-        # alpha1 moves b; a string is a fixed a, with k(b) = (n + 2a) - 2b
-        for (a, b), c in mu._data.items():
-            strings.setdefault(a, []).append((b, c))
-    out: dict[LatticePoint, int] = {}
-    for fixed, items in strings.items():
-        C = const + 2 * fixed
-        if j == 0:
-            _fold_string(C, items, lambda y, v: out.__setitem__(LatticePoint(y, fixed), v))
-        else:
-            _fold_string(C, items, lambda y, v: out.__setitem__(LatticePoint(fixed, y), v))
-    return WeightDistribution._from_raw(hw, out)
+        cols = _flip(_fold(_flip(mu._cols), -mu.hw.m))
+    return WeightDistribution._from_columns(mu.hw, cols)
 
 
 def weight_distribution(hw: HighestWeight, word: WeylWord) -> WeightDistribution:
@@ -218,7 +256,7 @@ def total_mass(mu: WeightDistribution) -> int:
 def marginal(mu: WeightDistribution, f: Functional) -> dict[Scalar, int]:
     """Pushforward of mu along a scalar functional: value -> total mass."""
     out: dict[Scalar, int] = {}
-    for p, c in mu._data.items():
+    for p, c in mu.items():
         v = f.evaluate(p)
         s = out.get(v, 0) + c
         if s:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import mul
 from typing import Callable, Mapping
 
 from .demazure import WeightDistribution
@@ -30,17 +32,21 @@ class EmptyDistributionError(ValueError):
 
 
 def raw_moments(mu: WeightDistribution, degree: int) -> tuple[int, dict[tuple[int, int], int]]:
-    """Total mass and the power sums sum(c * a^i * b^j) for i + j <= degree."""
+    """Total mass and the power sums sum(c * a^i * b^j) for i + j <= degree.
+
+    Per column of fixed d = a - b the sums s_p = sum(c * a^p) are taken
+    over the column vector, then b^j = (a - d)^j is expanded binomially.
+    """
     keys = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
     sums = dict.fromkeys(keys, 0)
-    for (a, b), c in mu.items():
-        pa = [1]
-        pb = [1]
+    for d, (a0, vals) in mu.columns():
+        heights = range(a0, a0 + len(vals))
+        s = [sum(vals)]
         for _ in range(degree):
-            pa.append(pa[-1] * a)
-            pb.append(pb[-1] * b)
-        for key in keys:
-            sums[key] += c * pa[key[0]] * pb[key[1]]
+            vals = list(map(mul, vals, heights))
+            s.append(sum(vals))
+        for i, j in keys:
+            sums[(i, j)] += sum(comb(j, k) * (-d) ** (j - k) * s[i + k] for k in range(j + 1))
     return sums[(0, 0)], sums
 
 

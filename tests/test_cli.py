@@ -22,6 +22,16 @@ def test_dist_json_to_file(tmp_path, capsys):
     assert doc["word"] == {"length": 6, "first": 0}
 
 
+def test_dist_unwritable_out_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "x.csv"
+    assert main(["dist", "--m", "1", "--n", "0", "--N", "4", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_dist_rejects_bad_flags(capsys):
     assert main(["dist", "--m", "1", "--n", "0"]) == 2  # missing --N
     assert main(["dist", "--m", "1", "--n", "0", "--N", "2", "--first", "3"]) == 2

@@ -46,6 +46,67 @@ def test_distribution_basics():
     assert WeightDistribution.delta(L0).as_dict() == {LatticePoint(0, 0): 1}
 
 
+def test_column_with_interior_gap():
+    # one column d = 0 with a gap at a = 1, plus a lone point in column d = 3
+    mu = WeightDistribution(L0, {(0, 0): 2, (2, 2): 5, (3, 0): -1})
+    assert len(mu) == mu.support_size == 3
+    assert mu.mass((1, 1)) == 0
+    assert mu.as_dict() == {LatticePoint(0, 0): 2, LatticePoint(2, 2): 5, LatticePoint(3, 0): -1}
+    assert [tuple(p) for p, _ in mu.string_items()] == [(0, 0), (2, 2), (3, 0)]
+    assert apply_demazure(0, mu) == apply_demazure_pointwise(0, mu)
+    assert apply_demazure(1, mu) == apply_demazure_pointwise(1, mu)
+
+
+def test_len_counts_nonzero_entries_after_cancellation():
+    # under D_1 at L0, (1, 2) has k = -2 and sends -1 onto (1, 1), which
+    # cancels the fixed point there: column d = 0 keeps a = 0 and a = 2
+    mu = WeightDistribution(L0, {(0, 0): 1, (1, 1): 1, (1, 2): 1, (2, 2): 1})
+    out = apply_demazure(1, mu)
+    assert out == apply_demazure_pointwise(1, mu)
+    assert out.as_dict() == {LatticePoint(0, 0): 1, LatticePoint(2, 2): 1}
+    assert any(0 in vals for _, (_, vals) in out.columns())  # the gap is stored
+    assert len(out) == out.support_size == 2
+    assert out.mass((1, 1)) == 0
+
+
+def test_empty_distribution():
+    empty = WeightDistribution(L0, {})
+    assert empty == WeightDistribution(L0, {(4, 1): 0}) == WeightDistribution(L0)
+    assert len(empty) == empty.support_size == 0
+    assert empty.total_mass() == 0 and list(empty.items()) == []
+    assert empty.sorted_items() == [] and empty.string_items() == []
+    assert empty.mass((0, 0)) == 0
+    assert apply_demazure(0, empty) == empty
+    assert apply_demazure(1, empty) == empty
+    # k = -1 everywhere: the output is empty too
+    assert apply_demazure(0, WeightDistribution(L0, {(1, 0): 3, (5, 4): 1})) == empty
+
+
+def test_mass_outside_column_range_is_zero():
+    mu = weight_distribution(L0, WeylWord(6, 0))
+    for (a, b), c in mu.items():
+        assert mu.mass((a, b)) == c
+    d_values = {a - b for (a, b), _ in mu.items()}
+    for d in d_values:
+        degrees = [a for (a, b), _ in mu.items() if a - b == d]
+        assert mu.mass((min(degrees) - 1, min(degrees) - 1 - d)) == 0
+        assert mu.mass((max(degrees) + 1, max(degrees) + 1 - d)) == 0
+    assert mu.mass((0, 100)) == 0  # column absent
+
+
+def test_rebuilt_distribution_equals_kernel_output():
+    import random
+
+    rng = random.Random(77)
+    for _ in range(40):
+        mu = random_signed_measure(rng)
+        out = apply_demazure(rng.randint(0, 1), mu)
+        assert WeightDistribution(out.hw, dict(out.items())) == out
+    for first in (0, 1):
+        mu = weight_distribution(HighestWeight(2, 1), WeylWord(9, first))
+        assert WeightDistribution(mu.hw, dict(mu.items())) == mu
+
+
 def test_sorted_and_string_orders():
     mu = WeightDistribution(L0, {(2, 0): 1, (0, 0): 1, (1, 2): 1, (1, 0): 1})
     assert [tuple(p) for p, _ in mu.sorted_items()] == [(0, 0), (1, 0), (1, 2), (2, 0)]

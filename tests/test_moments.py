@@ -149,6 +149,22 @@ def test_moments_match_brute_force_sweep():
             assert covariance(mu, f, g) == brute_covariance(mu, f, g)
 
 
+def test_raw_moments_degree4_match_pointwise_sums():
+    # per-column power sums expanded binomially in b = a - d, against the
+    # definition sum(c * a^i * b^j) point by point
+    rng = random.Random(4)
+    negative_points = 0
+    for _ in range(60):
+        mu = random_signed_measure(rng)
+        negative_points += sum(1 for (a, b), _ in mu.items() if a < 0 or b < 0)
+        mass, table = raw_moments(mu, 4)
+        assert mass == sum(c for _, c in mu.items())
+        assert set(table) == {(i, j) for i in range(5) for j in range(5 - i)}
+        for (i, j), value in table.items():
+            assert value == sum(c * a**i * b**j for (a, b), c in mu.items()), (i, j)
+    assert negative_points > 0
+
+
 @given(
     pairs=st.integers(0, 2**30).map(
         lambda seed: random_mirror_symmetric_pairs(random.Random(seed))
