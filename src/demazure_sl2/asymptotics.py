@@ -43,8 +43,8 @@ class RescaledSummary:
 
 def _summarize(mu: WeightDistribution, N: int) -> RescaledSummary:
     hw = mu.hw
-    # a column's last entry is its highest degree; its finite weight is n + 2d
-    max_deg = max([0] + [a0 + len(vals) - 1 for _, (a0, vals) in mu.columns()])
+    max_deg = max(0, mu.degree_range()[1] - 1)
+    # a column's finite weight is n + 2d
     max_fw = max([0] + [abs(hw.n + 2 * d) for d, _ in mu.columns()])
     # constant coordinates get scale 1 rather than a zero division; their
     # rescaled mean and variance are exact zeros either way
@@ -210,7 +210,7 @@ def conjecture_check(m: int, N_list: Iterable[int]) -> ConjectureReport:
             mass, table = raw_moments(mu, 2)
             ed = _expect_from(table, mass, d)
             var = _expect_from(table, mass, d * d) - ed * ed
-            samples[t] = (var, max(a for (a, _), _ in mu.items()))
+            samples[t] = (var, mu.degree_range()[1] - 1)
     fit = fit_polynomial([(n, samples[n][0]) for n in ns[:4]], degree=3)
     witnesses = [
         (n, samples[n][0], fit.evaluate(n))

@@ -27,6 +27,7 @@ b = ((N^2-1)/4 + (a-b)^2 - (a-b)) / 2 for odd N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .demazure import WeightDistribution, apply_demazure
 from .lattice import HighestWeight, LatticePoint
@@ -92,10 +93,8 @@ def _pascal_row(N: int) -> tuple[tuple[int, ...], ...]:
             left = row[k - 1]
             right = row[k]
             # [n k] = [n-1 k-1] + q^k [n-1 k]; length k*(n-k)+1
-            cs = [0] * (k * (n - k) + 1)
-            cs[: len(left)] = left
-            for i, c in enumerate(right):
-                cs[k + i] += c
+            cs = left + [0] * (k * (n - k) + 1 - len(left))
+            cs[k:] = map(add, cs[k:], right)
             new.append(cs)
         new.append([1])
         row = new
@@ -163,14 +162,15 @@ class PalindromeResult:
 
 
 def palindromicity_check(mu: WeightDistribution, N: int) -> PalindromeResult:
-    """Check every support point against its shifted mirror partner.
+    """Check every delta string (column of fixed a - b) against its reversal.
 
     Expects mu to be the level-1 distribution for the word (N, first=0);
-    on such input the scan succeeds, and the first point whose mirror
-    carries a different mass is reported otherwise.
+    on such input the scan succeeds, and the first point (in string order)
+    whose mirror carries a different mass is reported otherwise.
     """
-    for p, c in mu.string_items():
-        s = string_symmetry_shift(N, p)
-        if mu.mass((p[0] + s, p[1] + s)) != c:
-            return PalindromeResult(False, p)
+    for d, (a0, vals) in sorted(mu.columns()):
+        t = string_symmetry_shift(N, LatticePoint(a0, a0 - d))  # row a0 + i mirrors to a0 + t - i
+        if t != len(vals) - 1 or vals != vals[::-1]:
+            i = next(i for i, c in enumerate(vals) if c and c != mu.mass((a0 + t - i, a0 + t - i - d)))
+            return PalindromeResult(False, LatticePoint(a0 + i, a0 + i - d))
     return PalindromeResult(True)

@@ -29,9 +29,10 @@ per-point expansion is kept in the test suite as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import add, itemgetter, neg, sub
-from typing import Iterable, Iterator, Mapping
+from operator import add, neg, sub
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .lattice import Functional, HighestWeight, LatticePoint, Scalar
 
@@ -70,6 +71,10 @@ Column = tuple[int, list[int]]
 # builds a LatticePoint from an (a, b) pair in C, skipping the Python-level
 # namedtuple constructor; the read paths make one per support point
 _new_tuple = tuple.__new__
+
+
+def _triples(d: int, a0: int, vals: list[int]) -> Iterator[tuple[int, int, int]]:
+    return zip(range(a0, a0 + len(vals)), range(a0 - d, a0 - d + len(vals)), vals)
 
 
 def _trim(lo: int, vals: list[int]) -> Column | None:
@@ -131,11 +136,26 @@ class WeightDistribution:
     def items(self) -> Iterator[tuple[LatticePoint, int]]:
         return chain.from_iterable(map(self._column_items, self._cols))
 
+    def canonical(self, cells: Callable[[int, int, list[int]], Iterable] = _triples) -> Iterator:
+        """One cell per support point in (a, b) order, the export order.
+
+        ``cells(d, a0, vals)`` gives a truthy cell per column entry, by default
+        (a, b, mult).  Columns by descending d, padded with None onto the common
+        rows, are read row by row: each row of fixed a runs by ascending b.
+        """
+        lo, hi = self.degree_range()
+        padded = []
+        for d in sorted(self._cols, reverse=True):
+            a0, vals = self._cols[d]
+            col = list(cells(d, a0, vals))
+            if 0 in vals:  # interior zeros are not support points
+                col = [t if c else None for t, c in zip(col, vals)]
+            padded.append([None] * (a0 - lo) + col + [None] * (hi - a0 - len(vals)))
+        return filter(None, chain.from_iterable(zip(*padded)))
+
     def sorted_items(self) -> list[tuple[LatticePoint, int]]:
         """Entries ordered by (a, b); the canonical export order."""
-        # columns by descending d are runs already ordered by (a, b)
-        runs = chain.from_iterable(map(self._column_items, sorted(self._cols, reverse=True)))
-        return sorted(runs, key=itemgetter(0))
+        return [(LatticePoint(a, b), c) for a, b, c in self.canonical()]
 
     def string_items(self) -> list[tuple[LatticePoint, int]]:
         """Entries ordered by (a - b, a): delta strings come out contiguous."""
@@ -143,6 +163,11 @@ class WeightDistribution:
 
     def as_dict(self) -> dict[LatticePoint, int]:
         return dict(self.items())
+
+    def degree_range(self) -> tuple[int, int]:
+        """(lo, hi) with every support degree in range(lo, hi); (0, 0) when empty."""
+        lo = min((a0 for a0, _ in self._cols.values()), default=0)
+        return lo, max((a0 + len(vals) for a0, vals in self._cols.values()), default=0)
 
     @property
     def support_size(self) -> int:
@@ -253,14 +278,25 @@ def total_mass(mu: WeightDistribution) -> int:
     return mu.total_mass()
 
 
+def image_measure(mu: WeightDistribution, fs: Sequence[Functional]) -> dict[tuple[Scalar, ...], int]:
+    """Pushforward of mu along p -> (f(p) for f in fs); cancels to 0 are dropped.
+
+    Sums over the int numerators of Functional.on_column, then divides once
+    per distinct value.
+    """
+    acc, qs = {}, ()
+    for d, (a0, vals) in mu.columns():
+        qs, nums = zip(*(f.on_column(d, range(a0, a0 + len(vals))) for f in fs))
+        for key, c in zip(zip(*nums), vals):
+            acc[key] = acc.get(key, 0) + c
+    out = {key: c for key, c in acc.items() if c}
+    axes = [
+        axis if q == 1 else map({n: Fraction(n, q) for n in set(axis)}.__getitem__, axis)
+        for q, axis in zip(qs, zip(*out))
+    ]
+    return dict(zip(zip(*axes), out.values()))
+
+
 def marginal(mu: WeightDistribution, f: Functional) -> dict[Scalar, int]:
     """Pushforward of mu along a scalar functional: value -> total mass."""
-    out: dict[Scalar, int] = {}
-    for p, c in mu.items():
-        v = f.evaluate(p)
-        s = out.get(v, 0) + c
-        if s:
-            out[v] = s
-        else:
-            out.pop(v, None)
-    return out
+    return {v: c for (v,), c in image_measure(mu, (f,)).items()}

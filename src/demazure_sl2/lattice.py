@@ -27,6 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import comb, lcm
+from operator import add, mul
 from typing import Iterator, Mapping, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
@@ -147,6 +150,22 @@ class Functional:
         for (i, j), c in self._terms.items():
             acc += c * a**i * b**j
         return acc
+
+    def on_column(self, d: int, rows: range) -> tuple[int, Iterator[int]]:
+        """(q, q * f(a, a - d) for a in rows), with q the lcm of the denominators.
+
+        On the column b = a - d, f is a polynomial in a (b expanded binomially),
+        evaluated in ints by Horner's rule over all rows at once.
+        """
+        q = lcm(*(c.denominator for c in self._terms.values()))
+        poly = [0] * (self.total_degree + 1)
+        for (i, j), c in self._terms.items():
+            for k in range(j + 1):
+                poly[i + k] += (c * q).numerator * comb(j, k) * (-d) ** (j - k)
+        vals = repeat(poly.pop(), len(rows))
+        for p in reversed(poly):
+            vals = map(add, map(mul, vals, rows), repeat(p))
+        return q, vals
 
     def __add__(self, other: "Functional | Scalar") -> "Functional":
         other = _as_functional(other)

@@ -18,7 +18,7 @@ from math import comb
 from operator import mul
 from typing import Callable, Mapping
 
-from .demazure import WeightDistribution
+from .demazure import WeightDistribution, image_measure
 from .lattice import (
     Functional,
     Scalar,
@@ -111,21 +111,10 @@ class CoordinateMap:
     x: Functional
     y: Functional
 
-    def apply(self, p) -> tuple[Scalar, Scalar]:
-        return (self.x.evaluate(p), self.y.evaluate(p))
-
 
 def pushforward(mu: WeightDistribution, cmap: CoordinateMap) -> dict[tuple[Scalar, Scalar], int]:
     """Image measure of mu under the coordinate map; cancels to 0 are dropped."""
-    out: dict[tuple[Scalar, Scalar], int] = {}
-    for p, c in mu.items():
-        key = cmap.apply(p)
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
+    return image_measure(mu, (cmap.x, cmap.y))
 
 
 def coordinate_expectation(measure: Mapping[tuple[Scalar, Scalar], int], axis: int) -> Fraction:

@@ -6,6 +6,8 @@ largest multiplicity.  Covariance ellipses are emitted as closed polylines
 sampled from the Cholesky image of the unit circle, so every vertex lies
 on the 1-sigma quadric of the matrix.  Output is plain SVG 1.1 text with
 fixed-precision coordinates; equal inputs render to identical bytes.
+Heatmap cells come a column at a time in canonical order: x is formatted
+once per column, y once per row and the gray once per distinct multiplicity.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, repeat
+from operator import add, or_
+from typing import Iterable, Iterator
 
 from .demazure import WeightDistribution
 from .lattice import Scalar
@@ -48,7 +53,7 @@ def _fmt(v: float) -> str:
     return f"{v:.4f}"
 
 
-def _svg(width: float, height: float, body: list[str]) -> str:
+def _svg(width: float, height: float, body: Iterable[str]) -> str:
     head = (
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
@@ -60,30 +65,33 @@ def _svg(width: float, height: float, body: list[str]) -> str:
 def heatmap(mu: WeightDistribution, options: RenderOptions | None = None) -> str:
     """One shaded cell per support point in the (a - b, a) plane."""
     opt = options or RenderOptions()
-    cells = mu.sorted_items()
-    if not cells:
+    a_min, a_end = mu.degree_range()
+    if a_min == a_end:
         return _svg(2 * opt.padding, 2 * opt.padding, [])
-    ds = [a - b for (a, b), _ in cells]
-    heights = [a for (a, _), _ in cells]
-    d_min, d_max = min(ds), max(ds)
-    a_min, a_max = min(heights), max(heights)
-    max_mult = max(c for _, c in cells)
-    log_max = math.log1p(max_mult)
-    body = []
-    for (a, b), c in cells:
+    d_min, d_max = min(d for d, _ in mu.columns()), max(d for d, _ in mu.columns())
+    # an interior zero adds mass 0 here, harmlessly: its cell is dropped
+    masses = set(chain.from_iterable(vals for _, (_, vals) in mu.columns()))
+    log_max = math.log1p(max(masses))
+    fill = {}
+    for c in masses:
         ratio = math.log1p(c) / log_max if log_max else 1.0
         gray = opt.light_gray - round(ratio * (opt.light_gray - opt.dark_gray))
-        x = opt.padding + ((a - b) - d_min) * opt.cell_size
-        y = opt.padding + (a - a_min) * opt.cell_size
-        body.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" '
-            f'width="{_fmt(opt.cell_size)}" height="{_fmt(opt.cell_size)}" '
-            f'fill="rgb({gray},{gray},{gray})" '
-            f'data-a="{a}" data-b="{b}" data-mult="{c}"/>'
-        )
+        fill[c] = f"{gray},{gray},{gray}"
+    ys = [_fmt(opt.padding + (a - a_min) * opt.cell_size) for a in range(a_min, a_end)]
+    size = _fmt(opt.cell_size)
+    rect = (
+        f'<rect x="%s" y="%s" width="{size}" height="{size}" fill="rgb(%s)" '
+        'data-a="%d" data-b="%d" data-mult="%d"/>'
+    )
+
+    def cells(d: int, a0: int, vals: list[int]) -> Iterator[str]:
+        x, n = _fmt(opt.padding + (d - d_min) * opt.cell_size), len(vals)
+        at = (range(a0, a0 + n), range(a0 - d, a0 - d + n))
+        return map(rect.__mod__, zip(repeat(x), ys[a0 - a_min :], map(fill.get, vals), *at, vals))
+
     width = 2 * opt.padding + (d_max - d_min + 1) * opt.cell_size
-    height = 2 * opt.padding + (a_max - a_min + 1) * opt.cell_size
-    return _svg(width, height, body)
+    height = 2 * opt.padding + (a_end - a_min) * opt.cell_size
+    return _svg(width, height, mu.canonical(cells))
 
 
 def ellipse_path(e: Ellipse, samples: int = 64) -> str:
@@ -143,17 +151,19 @@ def ellipse_document(e: Ellipse, samples: int = 64, margin: float = 1.0) -> str:
 def degree_histogram(mu: WeightDistribution, options: RenderOptions | None = None) -> str:
     """Bar chart of total mass per degree, degrees left to right."""
     opt = options or RenderOptions()
-    totals: dict[int, int] = {}
-    for (a, _), c in mu.items():
-        totals[a] = totals.get(a, 0) + c
-    if not totals:
+    a_min, a_end = mu.degree_range()
+    if a_min == a_end:
         return _svg(2 * opt.padding, 2 * opt.padding, [])
-    degrees = sorted(totals)
-    a_min, a_max = degrees[0], degrees[-1]
-    max_mass = max(totals.values())
+    # per-degree totals, and which degrees carry a support point at all
+    totals, occupied = [0] * (a_end - a_min), [False] * (a_end - a_min)
+    for _, (a0, vals) in mu.columns():
+        i, j = a0 - a_min, a0 - a_min + len(vals)
+        totals[i:j] = map(add, totals[i:j], vals)
+        occupied[i:j] = map(or_, occupied[i:j], map(bool, vals))
+    max_mass = max(compress(totals, occupied))
     body = []
-    for a in degrees:
-        mass = totals[a]
+    for a in compress(range(a_min, a_end), occupied):
+        mass = totals[a - a_min]
         h = opt.plot_height * mass / max_mass
         x = opt.padding + (a - a_min) * opt.cell_size
         y = opt.padding + opt.plot_height - h
@@ -162,6 +172,6 @@ def degree_histogram(mu: WeightDistribution, options: RenderOptions | None = Non
             f'width="{_fmt(opt.cell_size)}" height="{_fmt(h)}" '
             f'fill="rgb(96,96,96)" data-degree="{a}" data-mass="{mass}"/>'
         )
-    width = 2 * opt.padding + (a_max - a_min + 1) * opt.cell_size
+    width = 2 * opt.padding + (a_end - a_min) * opt.cell_size
     height = 2 * opt.padding + opt.plot_height
     return _svg(width, height, body)

@@ -4,6 +4,11 @@ Multiplicities grow without bound, so JSON carries them as decimal strings
 rather than numbers; rationals are rendered "p/q" (or "p" when integral).
 Entry order is always (a, b) ascending, which makes equal inputs serialize
 to identical bytes.  All text is UTF-8 with LF line endings.
+
+Distribution tables map one %-template over WeightDistribution.canonical()
+triples.  JSON entry blocks are spliced into the "[]" of json.dumps(header,
+indent=2), byte-identical to json.dumps of the whole document with indent=2
+but without its pure-Python encoder (the C one runs only without indent).
 """
 
 from __future__ import annotations
@@ -26,18 +31,19 @@ def distribution_json(mu: WeightDistribution, word: WeylWord) -> str:
     doc = {
         "highest_weight": {"m": mu.hw.m, "n": mu.hw.n},
         "word": {"length": word.length, "first": word.first},
-        "entries": [
-            {"a": p.a, "b": p.b, "mult": str(c)} for p, c in mu.sorted_items()
-        ],
+        "entries": [],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2)
+    entry = '    {\n      "a": %d,\n      "b": %d,\n      "mult": "%d"\n    }'
+    entries = ",\n".join(map(entry.__mod__, mu.canonical()))
+    if entries:
+        head, _, tail = text.rpartition("[]")
+        text = f"{head}[\n{entries}\n  ]{tail}"
+    return text + "\n"
 
 
 def distribution_csv(mu: WeightDistribution) -> str:
-    lines = ["a,b,mult"]
-    for p, c in mu.sorted_items():
-        lines.append(f"{p.a},{p.b},{c}")
-    return "\n".join(lines) + "\n"
+    return "a,b,mult\n" + "".join(map("%d,%d,%d\n".__mod__, mu.canonical()))
 
 
 def wlln_csv(summaries: list[RescaledSummary]) -> str:

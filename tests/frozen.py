@@ -49,3 +49,33 @@ MU5 = {
     (4, 6): 1,
     (9, 6): 1,
 }
+
+# A hand-built signed measure: negative coordinates, negative masses and
+# interior zeros (column d = 0 is empty at a = 1..3 and a = 6).
+SIGNED = {
+    (-3, -1): 4, (-3, 2): -2, (0, 0): 7, (1, -2): 5, (2, -4): 3,
+    (2, 5): -1, (4, 4): 2, (5, 5): 9, (7, 7): -6,
+}
+
+# sha256 of the UTF-8 text of each read path, recorded with the per-point
+# implementation of the read paths.  The README goldens only cover
+# N = 6; these pin large, multi-digit, multi-level and signed outputs.
+READ_PATH_SHA256 = {
+    "level1_24": {
+        "csv": "925d8c5eb7e9e664e16e2970a578c46f668342d33c451f30bfe062e0213a77c2",
+        "json": "8013efe04d210002a9a96ced923d75d64c7f7f1ed760940f4c39524ac125fb98",
+        "heatmap": "f2f019f97fedcb4d366e8dbb0216cdb9d2bfe6ee57eb563cdc47b243e3740c86",
+        "histogram": "aa2e4b1ac1f4464c622988b0bf674f3ae1cff61bd04feba38f7976fb626dad62",
+    },
+    "hw21_word9_first1": {
+        "csv": "090963ab95d89c618c685f0054e29099c40a1d2493b45773589046da90717224",
+        "json": "b2bd569f1624c4a063a849d3f3aa12bb1db6022a9565e0559057467a506f6d40",
+        "heatmap": "199678879f8bbff4f991f5fd0bdd3a1604ea46ce200313a5f97aa9f937dab3ec",
+        "histogram": "a275497acf0d61c2a0f4074b54bab58c0fd2c285c88a5105fd44e404b020fd15",
+    },
+    # hw = (1, 2), JSON under the word (3, 0)
+    "signed": {
+        "csv": "86951f7821f2f2118e5ab6f028cb98a0f12800e712f734b34adbb780cf4de5a6",
+        "json": "acbb46d96441033c357aabfe1801c09f9fe8c12e6f1e5e5e3f749f23f1c1860c",
+    },
+}

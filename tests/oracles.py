@@ -92,3 +92,12 @@ def random_mirror_symmetric_pairs(rng, max_support: int = 30) -> dict[tuple[int,
         if x:
             out[(-x, y)] = out.get((-x, y), 0) + c
     return out
+
+
+def brute_pushforward(mu: WeightDistribution, fs) -> dict[tuple, int]:
+    """Image of mu under p -> (f(p) for f in fs), one evaluate per point."""
+    acc: dict[tuple, int] = {}
+    for p, c in mu.items():
+        key = tuple(f.evaluate(p) for f in fs)
+        acc[key] = acc.get(key, 0) + c
+    return {key: c for key, c in acc.items() if c}

@@ -19,8 +19,8 @@ from demazure_sl2 import (
     total_mass,
     weight_distribution,
 )
-from frozen import MU2, MU3, MU5
-from oracles import apply_demazure_pointwise, random_signed_measure
+from frozen import MU2, MU3, MU5, SIGNED
+from oracles import apply_demazure_pointwise, brute_pushforward, random_signed_measure
 
 L0 = HighestWeight.fundamental(0)
 L1 = HighestWeight.fundamental(1)
@@ -112,6 +112,45 @@ def test_sorted_and_string_orders():
     assert [tuple(p) for p, _ in mu.sorted_items()] == [(0, 0), (1, 0), (1, 2), (2, 0)]
     # string order groups by a - b: (1,2) has d=-1, then d=0, then d=1, d=2
     assert [tuple(p) for p, _ in mu.string_items()] == [(1, 2), (0, 0), (1, 0), (2, 0)]
+
+
+def test_sorted_items_order_on_gaps_single_column_and_empty():
+    import random
+
+    # interior zeros, negative coordinates and negative masses
+    mu = WeightDistribution(L1, SIGNED)
+    assert [(tuple(p), c) for p, c in mu.sorted_items()] == sorted(SIGNED.items())
+    assert all(type(p) is LatticePoint for p, _ in mu.sorted_items())
+    # a single column with a gap
+    col = WeightDistribution(L0, {(5, 5): 1, (0, 0): 2, (2, 2): 3})
+    assert [tuple(p) for p, _ in col.sorted_items()] == [(0, 0), (2, 2), (5, 5)]
+    assert list(col.canonical()) == [(0, 0, 2), (2, 2, 3), (5, 5, 1)]
+    empty = WeightDistribution(L0, {})
+    assert empty.sorted_items() == [] and list(empty.canonical()) == []
+    assert empty.degree_range() == (0, 0)
+    rng = random.Random(5)
+    for _ in range(60):
+        mu = random_signed_measure(rng)
+        assert mu.sorted_items() == sorted(mu.items())
+        lo, hi = mu.degree_range()
+        assert all(lo <= a < hi for (a, _), _ in mu.items())
+
+
+def test_marginal_matches_pointwise_oracle():
+    import random
+    from fractions import Fraction
+
+    rng = random.Random(11)
+    fs = [A - B, (A - B) ** 2 * Fraction(1, 3), A * B - Fraction(5, 2) * B, A + B, B * 0]
+    for _ in range(60):
+        mu = random_signed_measure(rng)
+        for f in fs:
+            want = {key: c for (key,), c in brute_pushforward(mu, (f,)).items()}
+            got = marginal(mu, f)
+            # Fraction(2) == 2: compare the value types too
+            assert sorted(map(repr, got.items())) == sorted(map(repr, want.items()))
+    # columns whose masses cancel exactly
+    assert marginal(WeightDistribution(L0, {(0, 0): 2, (3, 3): -2, (4, 1): 1}), A - B) == {3: 1}
 
 
 def test_small_distributions_match_hand_expansion():

@@ -31,7 +31,13 @@ from demazure_sl2.moments import (
     reference_formula_names,
 )
 from frozen import REFERENCE_N6_PUSHED
-from oracles import brute_covariance, brute_expectation, random_mirror_symmetric_pairs, random_signed_measure
+from oracles import (
+    brute_covariance,
+    brute_expectation,
+    brute_pushforward,
+    random_mirror_symmetric_pairs,
+    random_signed_measure,
+)
 
 L0 = HighestWeight.fundamental(0)
 
@@ -97,6 +103,36 @@ def test_pushforward_drops_cancelled_cells():
     mu = WeightDistribution(L0, {(1, 0): 1, (0, 1): -1})
     cmap = CoordinateMap((A - B) ** 2, Functional.constant(0))
     assert pushforward(mu, cmap) == {}
+
+
+def _with_key_types(measure):
+    # Fraction(2) == 2, so compare the key types too: Fractions must stay Fractions
+    return sorted((repr(key), c) for key, c in measure.items())
+
+
+def test_pushforward_matches_pointwise_oracle():
+    rng = random.Random(2024)
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    maps = [
+        CoordinateMap((A - B) ** 2, A),
+        CoordinateMap(third * A * B - half * B * B + 3, A - Fraction(7, 8)),
+        CoordinateMap((A - B - half) ** 2, B - Fraction(47, 8)),
+        CoordinateMap(A**3 - 2 * B, Functional.constant(half)),
+        CoordinateMap(Functional.constant(0), A + B),
+    ]
+    for _ in range(40):
+        mu = random_signed_measure(rng)
+        # add the mirror image (a, b) -> (b, a) with negated masses: under maps
+        # symmetric in a and b the masses cancel to zero
+        summed = {tuple(p): c for p, c in mu.items()}
+        for (a, b), c in mu.items():
+            summed[(b, a)] = summed.get((b, a), 0) - c
+        both = WeightDistribution(mu.hw, summed)
+        for cmap in maps:
+            for nu in (mu, both):
+                got = pushforward(nu, cmap)
+                assert _with_key_types(got) == _with_key_types(brute_pushforward(nu, (cmap.x, cmap.y)))
+        assert pushforward(both, CoordinateMap((A - B) ** 2, third * (A + B))) == {}
 
 
 def test_coordinate_statistics():

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from demazure_sl2 import (
     weight_distribution,
 )
 from demazure_sl2.render import RenderOptions, ellipse_document
+from frozen import READ_PATH_SHA256, SIGNED
 
 L0 = HighestWeight.fundamental(0)
 
@@ -131,3 +133,26 @@ def test_degree_histogram(mu6):
     m = re.search(r'height="([\d.]+)"[^>]*data-degree="5"', svg)
     assert float(m.group(1)) == RenderOptions().plot_height
     assert svg == degree_histogram(mu6)
+
+
+def test_renderers_match_frozen_digests():
+    cases = {
+        "level1_24": level1_distribution(24),
+        "hw21_word9_first1": weight_distribution(HighestWeight(2, 1), WeylWord(9, 1)),
+    }
+    for name, mu in cases.items():
+        for kind, render in (("heatmap", heatmap), ("histogram", degree_histogram)):
+            digest = hashlib.sha256(render(mu).encode()).hexdigest()
+            assert digest == READ_PATH_SHA256[name][kind], (name, kind)
+
+
+def test_heatmap_rejects_negative_masses():
+    with pytest.raises(ValueError):
+        heatmap(WeightDistribution(L0, SIGNED))
+
+
+def test_degree_histogram_keeps_cancelled_degrees():
+    # degree 2 carries two points whose masses cancel; degrees 1 and 3 are empty
+    mu = WeightDistribution(L0, {(0, 0): 1, (2, 0): 1, (2, 3): -1, (4, 4): 2})
+    bars = re.findall(r'data-degree="(\d+)" data-mass="(-?\d+)"', degree_histogram(mu))
+    assert bars == [("0", "1"), ("2", "0"), ("4", "2")]

@@ -1,10 +1,14 @@
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 from demazure_sl2 import (
     HighestWeight,
+    WeightDistribution,
     WeylWord,
     conjecture_check,
+    level1_distribution,
     weight_distribution,
     wlln_series,
 )
@@ -16,7 +20,14 @@ from demazure_sl2.serialize import (
     wlln_csv,
 )
 
+from frozen import READ_PATH_SHA256, SIGNED
+from oracles import random_signed_measure
+
 L0 = HighestWeight.fundamental(0)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_format_rational():
@@ -47,6 +58,33 @@ def test_distribution_json_schema():
     assert total == 8
     # byte determinism
     assert text == distribution_json(weight_distribution(L0, word), word)
+
+
+def test_distribution_exports_match_frozen_digests():
+    cases = {
+        "level1_24": (level1_distribution(24), WeylWord(24, 0)),
+        "hw21_word9_first1": (weight_distribution(HighestWeight(2, 1), WeylWord(9, 1)), WeylWord(9, 1)),
+        "signed": (WeightDistribution(HighestWeight(1, 2), SIGNED), WeylWord(3, 0)),
+    }
+    for name, (mu, word) in cases.items():
+        assert _sha256(distribution_csv(mu)) == READ_PATH_SHA256[name]["csv"], name
+        assert _sha256(distribution_json(mu, word)) == READ_PATH_SHA256[name]["json"], name
+
+
+def test_distribution_json_equals_indented_dumps():
+    # the spliced text is byte-identical to json.dumps of the whole document
+    rng = random.Random(9)
+    measures = [random_signed_measure(rng) for _ in range(30)]
+    measures += [level1_distribution(10), WeightDistribution(L0, {})]
+    for mu in measures:
+        word = WeylWord(4, 1)
+        doc = {
+            "highest_weight": {"m": mu.hw.m, "n": mu.hw.n},
+            "word": {"length": 4, "first": 1},
+            "entries": [{"a": p.a, "b": p.b, "mult": str(c)} for p, c in mu.sorted_items()],
+        }
+        assert distribution_json(mu, word) == json.dumps(doc, indent=2) + "\n"
+    assert '"entries": []' in distribution_json(WeightDistribution(L0, {}), WeylWord(0, 0))
 
 
 def test_wlln_csv_rows():
