@@ -33,7 +33,6 @@ from .demazure import (
     apply_demazure,
     distribution_chain,
     marginal,
-    total_mass,
     weight_distribution,
 )
 from .lattice import (
@@ -43,9 +42,7 @@ from .lattice import (
     HighestWeight,
     LatticePoint,
     coroot_pairing,
-    degree,
     degree_functional,
-    finite_weight,
     finite_weight_functional,
     step,
 )
@@ -97,14 +94,12 @@ __all__ = [
     "coroot_pairing",
     "covariance",
     "covariance_matrix",
-    "degree",
     "degree_functional",
     "degree_histogram",
     "degree_mean_limit",
     "distribution_chain",
     "ellipse_path",
     "expectation",
-    "finite_weight",
     "finite_weight_functional",
     "fit_polynomial",
     "format_check",
@@ -120,7 +115,6 @@ __all__ = [
     "step",
     "string_symmetry_shift",
     "theorem_covariance_matrix",
-    "total_mass",
     "variance",
     "weight_distribution",
     "wlln_series",

@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .demazure import WeylWord, WeightDistribution, distribution_chain, weight_distribution
-from .lattice import HighestWeight, degree_functional, finite_weight_functional
-from .moments import _expect_from, raw_moments
+from .lattice import A, HighestWeight, finite_weight_functional
+from .moments import raw_moments
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,10 @@ def _summarize(mu: WeightDistribution, N: int) -> RescaledSummary:
     # rescaled mean and variance are exact zeros either way
     dscale = max_deg if max_deg else 1
     wscale = max_fw if max_fw else 1
-    mass, table = raw_moments(mu, 2)
-    d = degree_functional()
+    table = raw_moments(mu, 2)
     w = finite_weight_functional(hw)
-    ed = _expect_from(table, mass, d)
-    ew = _expect_from(table, mass, w)
-    var_d = _expect_from(table, mass, d * d) - ed * ed
-    var_w = _expect_from(table, mass, w * w) - ew * ew
+    ed, ew = table.expect(A), table.expect(w)
+    var_d, var_w = table.cov(A, A), table.cov(w, w)
     return RescaledSummary(
         N=N,
         level=hw.level,
@@ -201,16 +198,11 @@ def conjecture_check(m: int, N_list: Iterable[int]) -> ConjectureReport:
         raise ValueError("need at least 5 distinct sample lengths")
     if any(n < 2 or n % 2 for n in ns):
         raise ValueError("sample lengths must be even and at least 2")
-    hw = HighestWeight(m, 0)
-    d = degree_functional()
     wanted = set(ns)
     samples: dict[int, tuple[Fraction, int]] = {}
-    for t, mu in distribution_chain(hw, WeylWord(ns[-1], 0)):
+    for t, mu in distribution_chain(HighestWeight(m, 0), WeylWord(ns[-1], 0)):
         if t in wanted:
-            mass, table = raw_moments(mu, 2)
-            ed = _expect_from(table, mass, d)
-            var = _expect_from(table, mass, d * d) - ed * ed
-            samples[t] = (var, mu.degree_range()[1] - 1)
+            samples[t] = (raw_moments(mu, 2).cov(A, A), mu.degree_range()[1] - 1)
     fit = fit_polynomial([(n, samples[n][0]) for n in ns[:4]], degree=3)
     witnesses = [
         (n, samples[n][0], fit.evaluate(n))

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from .asymptotics import FitMismatchError, conjecture_check, wlln_series
 from .demazure import WeylWord, weight_distribution
 from .lattice import HighestWeight, degree_functional, finite_weight_functional
-from .moments import covariance_matrix, expectation
+from .moments import raw_moments
 from .render import (
     Ellipse,
     degree_histogram,
@@ -37,24 +36,6 @@ from .serialize import (
     wlln_csv,
 )
 from .verify import SUITE_NAMES, format_check, run_suite
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved invocation; one field per flag that matters."""
-
-    command: str
-    m: int = 1
-    n: int = 0
-    length: int = 1
-    first: int = 0
-    fmt: str = "csv"
-    out: str | None = None
-    suite: str = "all"
-    max_n: int = 20
-    n_list: list[int] = field(default_factory=list)
-    kind: str = "heatmap"
-    samples: int = 64
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -84,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an identity suite")
     p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
-    p.add_argument("--max-N", dest="max_n", type=int, default=20)
+    p.add_argument("--max-N", dest="max_n", type=int, default=20,
+                   help="largest word length; the conjecture suite always samples N = 2, 4, ..., 10")
 
     p = sub.add_parser("wlln", help="rescaled summaries along a word family")
     add_hw(p)
@@ -118,17 +100,17 @@ def _emit(out: str | None, text: str) -> None:
             fh.write(text)
 
 
-def cmd_dist(cfg: RunConfig) -> int:
-    hw = HighestWeight(cfg.m, cfg.n)
-    word = WeylWord(cfg.length, cfg.first)
+def cmd_dist(args: argparse.Namespace) -> int:
+    hw = HighestWeight(args.m, args.n)
+    word = WeylWord(args.length, args.first)
     mu = weight_distribution(hw, word)
-    text = distribution_json(mu, word) if cfg.fmt == "json" else distribution_csv(mu)
-    _emit(cfg.out, text)
+    text = distribution_json(mu, word) if args.fmt == "json" else distribution_csv(mu)
+    _emit(args.out, text)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results = run_suite(cfg.suite, cfg.max_n)
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = run_suite(args.suite, args.max_n)
     for r in results:
         print(format_check(r))
     failed = sum(1 for r in results if not r.passed)
@@ -136,40 +118,38 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def cmd_wlln(cfg: RunConfig) -> int:
-    hw = HighestWeight(cfg.m, cfg.n)
-    summaries = wlln_series(hw, cfg.n_list, cfg.first)
-    _emit(cfg.out, wlln_csv(summaries))
+def cmd_wlln(args: argparse.Namespace) -> int:
+    hw = HighestWeight(args.m, args.n)
+    summaries = wlln_series(hw, args.n_list, args.first)
+    _emit(args.out, wlln_csv(summaries))
     return 0
 
 
-def cmd_conjecture(cfg: RunConfig) -> int:
+def cmd_conjecture(args: argparse.Namespace) -> int:
     try:
-        report = conjecture_check(cfg.m, cfg.n_list)
+        report = conjecture_check(args.m, args.n_list)
     except FitMismatchError as err:
         print(f"error: {err}", file=sys.stderr)
         for n, got, predicted in err.witnesses:
             print(f"  N={n} computed={got} cubic-predicts={predicted}", file=sys.stderr)
         return 1
-    _emit(cfg.out, conjecture_json(report))
+    _emit(args.out, conjecture_json(report))
     return 0 if report.table_match and report.max_degree_match else 1
 
 
-def cmd_render(cfg: RunConfig) -> int:
-    hw = HighestWeight(cfg.m, cfg.n)
-    word = WeylWord(cfg.length, cfg.first)
+def cmd_render(args: argparse.Namespace) -> int:
+    hw = HighestWeight(args.m, args.n)
+    word = WeylWord(args.length, args.first)
     mu = weight_distribution(hw, word)
-    if cfg.kind == "heatmap":
+    if args.kind == "heatmap":
         text = heatmap(mu)
-    elif cfg.kind == "histogram":
+    elif args.kind == "histogram":
         text = degree_histogram(mu)
     else:
-        center = (
-            expectation(mu, degree_functional()),
-            expectation(mu, finite_weight_functional(hw)),
-        )
-        text = ellipse_document(Ellipse(center, covariance_matrix(mu)), cfg.samples)
-    _emit(cfg.out, text)
+        table = raw_moments(mu, 2)
+        center = (table.expect(degree_functional()), table.expect(finite_weight_functional(hw)))
+        text = ellipse_document(Ellipse(center, table.covariance_matrix(hw)), args.samples)
+    _emit(args.out, text)
     return 0
 
 
@@ -188,12 +168,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = RunConfig(command=args.command)
-    for name in vars(args):
-        if hasattr(cfg, name):
-            setattr(cfg, name, getattr(args, name))
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except FitMismatchError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

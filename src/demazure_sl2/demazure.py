@@ -161,9 +161,6 @@ class WeightDistribution:
         """Entries ordered by (a - b, a): delta strings come out contiguous."""
         return list(chain.from_iterable(map(self._column_items, sorted(self._cols))))
 
-    def as_dict(self) -> dict[LatticePoint, int]:
-        return dict(self.items())
-
     def degree_range(self) -> tuple[int, int]:
         """(lo, hi) with every support degree in range(lo, hi); (0, 0) when empty."""
         lo = min((a0 for a0, _ in self._cols.values()), default=0)
@@ -175,9 +172,6 @@ class WeightDistribution:
 
     def total_mass(self) -> int:
         return sum(sum(vals) for _, vals in self._cols.values())
-
-    def is_nonnegative(self) -> bool:
-        return all(min(vals) >= 0 for _, vals in self._cols.values())
 
     def __len__(self) -> int:
         return self.support_size
@@ -271,11 +265,6 @@ def distribution_chain(hw: HighestWeight, word: WeylWord) -> Iterator[tuple[int,
     for t, j in enumerate(word.letters(), start=1):
         mu = apply_demazure(j, mu)
         yield t, mu
-
-
-def total_mass(mu: WeightDistribution) -> int:
-    """Sum of all entries; the dimension when mu is a module's distribution."""
-    return mu.total_mass()
 
 
 def image_measure(mu: WeightDistribution, fs: Sequence[Functional]) -> dict[tuple[Scalar, ...], int]:

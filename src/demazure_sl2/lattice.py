@@ -90,16 +90,6 @@ def coroot_pairing(j: int, hw: HighestWeight, p: LatticePoint) -> int:
     raise ValueError("generator index must be 0 or 1")
 
 
-def degree(p: LatticePoint) -> int:
-    """Number of alpha0-steps below the highest weight; always the a-coordinate."""
-    return p[0]
-
-
-def finite_weight(hw: HighestWeight, p: LatticePoint) -> int:
-    """The sl2-weight of the point, n + 2*(a - b).  See the sign note above."""
-    return hw.n + 2 * (p[0] - p[1])
-
-
 def _norm_coeff(c: Scalar) -> Scalar:
     # keep integral coefficients as plain ints so integer functionals
     # evaluate in pure int arithmetic
@@ -262,11 +252,3 @@ def degree_functional() -> Functional:
 
 def finite_weight_functional(hw: HighestWeight) -> Functional:
     return Functional({(0, 0): hw.n, (1, 0): 2, (0, 1): -2})
-
-
-def coroot_functional(j: int, hw: HighestWeight) -> Functional:
-    if j == 0:
-        return Functional({(0, 0): hw.m, (1, 0): -2, (0, 1): 2})
-    if j == 1:
-        return finite_weight_functional(hw)
-    raise ValueError("generator index must be 0 or 1")

@@ -3,24 +3,25 @@
 All statistics are rationals computed with fractions.Fraction; nothing in
 this module touches floating point.  Expectations of polynomial
 functionals in the lattice coordinates reduce to the raw power sums
-sum(mass * a^i * b^j), which are collected in a single pass per
-distribution (see raw_moments).  Covariances and the degree/finite-weight
-covariance matrix are assembled from those sums, and reference_formula
-exposes the catalog of closed-form values the identity suites compare
-against.
+sum(mass * a^i * b^j), which raw_moments collects in a single pass per
+distribution into a MomentTable.  MomentTable is the one moment engine:
+every expectation, covariance and degree/finite-weight covariance matrix
+in the package is read from one.  reference_formula exposes the catalog
+of closed-form values the identity suites compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import mul
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .demazure import WeightDistribution, image_measure
 from .lattice import (
     Functional,
+    HighestWeight,
     Scalar,
     degree_functional,
     finite_weight_functional,
@@ -31,7 +32,29 @@ class EmptyDistributionError(ValueError):
     """Moment of a distribution with zero total mass."""
 
 
-def raw_moments(mu: WeightDistribution, degree: int) -> tuple[int, dict[tuple[int, int], int]]:
+class MomentTable(NamedTuple):
+    """Total mass and the power sums sum(c * a^i * b^j) keyed by (i, j), from raw_moments."""
+
+    mass: int
+    sums: dict[tuple[int, int], int]
+
+    def expect(self, f: Functional) -> Fraction:
+        """Mean of f, exact; f's total degree must not exceed the table's."""
+        if self.mass == 0:
+            raise EmptyDistributionError("empty distribution")
+        return Fraction(sum(c * self.sums[key] for key, c in f.terms()), self.mass)
+
+    def cov(self, f: Functional, g: Functional) -> Fraction:
+        """E[fg] - E[f]E[g]."""
+        return self.expect(f * g) - self.expect(f) * self.expect(g)
+
+    def covariance_matrix(self, hw: HighestWeight) -> CovarianceMatrix:
+        """Covariance matrix of the pair (degree, finite weight); needs degree 2."""
+        d, w = degree_functional(), finite_weight_functional(hw)
+        return CovarianceMatrix(self.cov(d, d), self.cov(d, w), self.cov(w, w))
+
+
+def raw_moments(mu: WeightDistribution, degree: int) -> MomentTable:
     """Total mass and the power sums sum(c * a^i * b^j) for i + j <= degree.
 
     Per column of fixed d = a - b the sums s_p = sum(c * a^p) are taken
@@ -47,28 +70,17 @@ def raw_moments(mu: WeightDistribution, degree: int) -> tuple[int, dict[tuple[in
             s.append(sum(vals))
         for i, j in keys:
             sums[(i, j)] += sum(comb(j, k) * (-d) ** (j - k) * s[i + k] for k in range(j + 1))
-    return sums[(0, 0)], sums
-
-
-def _expect_from(table: dict[tuple[int, int], int], mass: int, f: Functional) -> Fraction:
-    if mass == 0:
-        raise EmptyDistributionError("empty distribution")
-    acc: Scalar = 0
-    for (i, j), c in f.terms():
-        acc += c * table[(i, j)]
-    return Fraction(acc, mass)
+    return MomentTable(sums[(0, 0)], sums)
 
 
 def expectation(mu: WeightDistribution, f: Functional) -> Fraction:
     """Mean of f under mu, an exact rational.  Raises on zero total mass."""
-    mass, table = raw_moments(mu, f.total_degree)
-    return _expect_from(table, mass, f)
+    return raw_moments(mu, f.total_degree).expect(f)
 
 
 def covariance(mu: WeightDistribution, f: Functional, g: Functional) -> Fraction:
     """E[fg] - E[f]E[g] under mu, exact."""
-    mass, table = raw_moments(mu, f.total_degree + g.total_degree)
-    return _expect_from(table, mass, f * g) - _expect_from(table, mass, f) * _expect_from(table, mass, g)
+    return raw_moments(mu, f.total_degree + g.total_degree).cov(f, g)
 
 
 def variance(mu: WeightDistribution, f: Functional) -> Fraction:
@@ -92,16 +104,7 @@ class CovarianceMatrix:
 
 def covariance_matrix(mu: WeightDistribution) -> CovarianceMatrix:
     """Covariance matrix of the pair (degree, finite weight) under mu."""
-    mass, table = raw_moments(mu, 2)
-    d = degree_functional()
-    w = finite_weight_functional(mu.hw)
-    ed = _expect_from(table, mass, d)
-    ew = _expect_from(table, mass, w)
-    return CovarianceMatrix(
-        var_degree=_expect_from(table, mass, d * d) - ed * ed,
-        covariance=_expect_from(table, mass, d * w) - ed * ew,
-        var_finite_weight=_expect_from(table, mass, w * w) - ew * ew,
-    )
+    return raw_moments(mu, 2).covariance_matrix(mu.hw)
 
 
 @dataclass(frozen=True)
@@ -117,12 +120,10 @@ def pushforward(mu: WeightDistribution, cmap: CoordinateMap) -> dict[tuple[Scala
     return image_measure(mu, (cmap.x, cmap.y))
 
 
-def coordinate_expectation(measure: Mapping[tuple[Scalar, Scalar], int], axis: int) -> Fraction:
-    """Mean of one coordinate of a pushed measure."""
-    mass = sum(measure.values())
-    if mass == 0:
-        raise EmptyDistributionError("empty distribution")
-    return Fraction(sum(c * key[axis] for key, c in measure.items()), mass)
+def _numerators(axis: tuple[Scalar, ...]) -> tuple[int, list[int]]:
+    """(q, [q * v for v in axis]) with q the lcm of the denominators."""
+    q = lcm(*(v.denominator for v in axis))
+    return q, [v.numerator * (q // v.denominator) for v in axis]
 
 
 def coordinate_covariance(measure: Mapping[tuple[Scalar, Scalar], int]) -> Fraction:
@@ -130,10 +131,11 @@ def coordinate_covariance(measure: Mapping[tuple[Scalar, Scalar], int]) -> Fract
     mass = sum(measure.values())
     if mass == 0:
         raise EmptyDistributionError("empty distribution")
-    sx = sum(c * k[0] for k, c in measure.items())
-    sy = sum(c * k[1] for k, c in measure.items())
-    sxy = sum(c * k[0] * k[1] for k, c in measure.items())
-    return Fraction(sxy, mass) - Fraction(sx, mass) * Fraction(sy, mass)
+    cs = list(measure.values())
+    (qx, xs), (qy, ys) = map(_numerators, zip(*measure))
+    sx, sy = sum(map(mul, cs, xs)), sum(map(mul, cs, ys))
+    sxy = sum(map(mul, map(mul, cs, xs), ys))
+    return Fraction(mass * sxy - sx * sy, mass * mass * qx * qy)
 
 
 # Closed-form catalog.  Each entry: parity domain ("any"/"even"/"odd") and

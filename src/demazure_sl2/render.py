@@ -40,13 +40,12 @@ class Ellipse:
     matrix: CovarianceMatrix
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    cell_size: int = 16
-    padding: int = 8
-    plot_height: int = 200
-    light_gray: int = 235
-    dark_gray: int = 32
+# layout in SVG user units, and the heatmap's gray range (0-255)
+CELL_SIZE = 16
+PADDING = 8
+PLOT_HEIGHT = 200
+LIGHT_GRAY = 235
+DARK_GRAY = 32
 
 
 def _fmt(v: float) -> str:
@@ -62,12 +61,11 @@ def _svg(width: float, height: float, body: Iterable[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def heatmap(mu: WeightDistribution, options: RenderOptions | None = None) -> str:
+def heatmap(mu: WeightDistribution) -> str:
     """One shaded cell per support point in the (a - b, a) plane."""
-    opt = options or RenderOptions()
     a_min, a_end = mu.degree_range()
     if a_min == a_end:
-        return _svg(2 * opt.padding, 2 * opt.padding, [])
+        return _svg(2 * PADDING, 2 * PADDING, [])
     d_min, d_max = min(d for d, _ in mu.columns()), max(d for d, _ in mu.columns())
     # an interior zero adds mass 0 here, harmlessly: its cell is dropped
     masses = set(chain.from_iterable(vals for _, (_, vals) in mu.columns()))
@@ -75,22 +73,22 @@ def heatmap(mu: WeightDistribution, options: RenderOptions | None = None) -> str
     fill = {}
     for c in masses:
         ratio = math.log1p(c) / log_max if log_max else 1.0
-        gray = opt.light_gray - round(ratio * (opt.light_gray - opt.dark_gray))
+        gray = LIGHT_GRAY - round(ratio * (LIGHT_GRAY - DARK_GRAY))
         fill[c] = f"{gray},{gray},{gray}"
-    ys = [_fmt(opt.padding + (a - a_min) * opt.cell_size) for a in range(a_min, a_end)]
-    size = _fmt(opt.cell_size)
+    ys = [_fmt(PADDING + (a - a_min) * CELL_SIZE) for a in range(a_min, a_end)]
+    size = _fmt(CELL_SIZE)
     rect = (
         f'<rect x="%s" y="%s" width="{size}" height="{size}" fill="rgb(%s)" '
         'data-a="%d" data-b="%d" data-mult="%d"/>'
     )
 
     def cells(d: int, a0: int, vals: list[int]) -> Iterator[str]:
-        x, n = _fmt(opt.padding + (d - d_min) * opt.cell_size), len(vals)
+        x, n = _fmt(PADDING + (d - d_min) * CELL_SIZE), len(vals)
         at = (range(a0, a0 + n), range(a0 - d, a0 - d + n))
         return map(rect.__mod__, zip(repeat(x), ys[a0 - a_min :], map(fill.get, vals), *at, vals))
 
-    width = 2 * opt.padding + (d_max - d_min + 1) * opt.cell_size
-    height = 2 * opt.padding + (a_end - a_min) * opt.cell_size
+    width = 2 * PADDING + (d_max - d_min + 1) * CELL_SIZE
+    height = 2 * PADDING + (a_end - a_min) * CELL_SIZE
     return _svg(width, height, mu.canonical(cells))
 
 
@@ -148,12 +146,11 @@ def ellipse_document(e: Ellipse, samples: int = 64, margin: float = 1.0) -> str:
     return "\n".join([head, path, "</svg>"]) + "\n"
 
 
-def degree_histogram(mu: WeightDistribution, options: RenderOptions | None = None) -> str:
+def degree_histogram(mu: WeightDistribution) -> str:
     """Bar chart of total mass per degree, degrees left to right."""
-    opt = options or RenderOptions()
     a_min, a_end = mu.degree_range()
     if a_min == a_end:
-        return _svg(2 * opt.padding, 2 * opt.padding, [])
+        return _svg(2 * PADDING, 2 * PADDING, [])
     # per-degree totals, and which degrees carry a support point at all
     totals, occupied = [0] * (a_end - a_min), [False] * (a_end - a_min)
     for _, (a0, vals) in mu.columns():
@@ -164,14 +161,14 @@ def degree_histogram(mu: WeightDistribution, options: RenderOptions | None = Non
     body = []
     for a in compress(range(a_min, a_end), occupied):
         mass = totals[a - a_min]
-        h = opt.plot_height * mass / max_mass
-        x = opt.padding + (a - a_min) * opt.cell_size
-        y = opt.padding + opt.plot_height - h
+        h = PLOT_HEIGHT * mass / max_mass
+        x = PADDING + (a - a_min) * CELL_SIZE
+        y = PADDING + PLOT_HEIGHT - h
         body.append(
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" '
-            f'width="{_fmt(opt.cell_size)}" height="{_fmt(h)}" '
+            f'width="{_fmt(CELL_SIZE)}" height="{_fmt(h)}" '
             f'fill="rgb(96,96,96)" data-degree="{a}" data-mass="{mass}"/>'
         )
-    width = 2 * opt.padding + (a_end - a_min) * opt.cell_size
-    height = 2 * opt.padding + opt.plot_height
+    width = 2 * PADDING + (a_end - a_min) * CELL_SIZE
+    height = 2 * PADDING + PLOT_HEIGHT
     return _svg(width, height, body)

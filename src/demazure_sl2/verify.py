@@ -25,21 +25,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from .asymptotics import CONJECTURED_DEGREE_VARIANCE, FitMismatchError, conjecture_check
 from .closedform import palindromicity_check
-from .demazure import WeightDistribution, apply_demazure, marginal
-from .lattice import A, B, Functional, HighestWeight, finite_weight_functional
+from .demazure import WeightDistribution, WeylWord, apply_demazure, marginal
+from .lattice import A, B, Functional, HighestWeight
 from .moments import (
+    CoordinateMap,
     CovarianceMatrix,
-    _expect_from,
+    MomentTable,
     coordinate_covariance,
     pushforward,
     raw_moments,
     reference_formula,
 )
-from .moments import CoordinateMap
 from .serialize import format_rational
 
 
@@ -63,17 +64,16 @@ class SuiteContext:
 
     def __init__(self) -> None:
         self._chains: dict[tuple[int, int, int], list[WeightDistribution]] = {}
-        self._tables: dict[tuple[int, int, int, int, int], tuple[int, dict]] = {}
+        self._tables: dict[tuple[int, int, int, int, int], MomentTable] = {}
 
     def chain(self, hw: HighestWeight, first: int, max_N: int) -> list[WeightDistribution]:
         key = (hw.m, hw.n, first)
         cur = self._chains.setdefault(key, [WeightDistribution.delta(hw)])
-        while len(cur) <= max_N:
-            j = first if (len(cur) - 1) % 2 == 0 else 1 - first
+        for j in islice(WeylWord(max_N, first).letters(), len(cur) - 1, None):
             cur.append(apply_demazure(j, cur[-1]))
         return cur
 
-    def moments(self, hw: HighestWeight, first: int, N: int, degree: int):
+    def moments(self, hw: HighestWeight, first: int, N: int, degree: int) -> MomentTable:
         key = (hw.m, hw.n, first, N, degree)
         hit = self._tables.get(key)
         if hit is None:
@@ -89,17 +89,12 @@ def _scalar(suite: str, name: str, n: int, lhs: Fraction, rhs: Fraction) -> Chec
     return CheckResult(suite, name, n, format_rational(lhs), format_rational(rhs), lhs == rhs)
 
 
-def _expect(ctx: SuiteContext, N: int, f: Functional, degree: int = 4) -> Fraction:
-    mass, table = ctx.moments(_L0, 0, N, degree)
-    return _expect_from(table, mass, f)
+def _expect(ctx: SuiteContext, N: int, f: Functional) -> Fraction:
+    return ctx.moments(_L0, 0, N, 4).expect(f)
 
 
-def _cov(ctx: SuiteContext, N: int, f: Functional, g: Functional, degree: int = 4) -> Fraction:
-    mass, table = ctx.moments(_L0, 0, N, degree)
-    return (
-        _expect_from(table, mass, f * g)
-        - _expect_from(table, mass, f) * _expect_from(table, mass, g)
-    )
+def _cov(ctx: SuiteContext, N: int, f: Functional, g: Functional) -> Fraction:
+    return ctx.moments(_L0, 0, N, 4).cov(f, g)
 
 
 def suite_sanderson(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
@@ -247,7 +242,7 @@ def theorem_covariance_matrix(N: int, j: int) -> CovarianceMatrix:
         raise ValueError("word length must be positive")
     if j not in (0, 1):
         raise ValueError("generator index must be 0 or 1")
-    vd = Fraction(N * (N - 1) * (2 * N + 5), 96)
+    vd = reference_formula("var_degree", N)
     if N % 2 == j % 2:
         return CovarianceMatrix(vd, Fraction(0), Fraction(N))
     return CovarianceMatrix(vd + Fraction(N, 4), Fraction(N, 2), Fraction(N))
@@ -258,18 +253,9 @@ def suite_covariance(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
     out = []
     for j in (0, 1):
         hw = HighestWeight.fundamental(j)
-        d = A
-        w = finite_weight_functional(hw)
         ctx.chain(hw, j, max_N)
         for N in range(1, max_N + 1):
-            mass, table = ctx.moments(hw, j, N, 2)
-            ed = _expect_from(table, mass, d)
-            ew = _expect_from(table, mass, w)
-            got = CovarianceMatrix(
-                _expect_from(table, mass, d * d) - ed * ed,
-                _expect_from(table, mass, d * w) - ed * ew,
-                _expect_from(table, mass, w * w) - ew * ew,
-            )
+            got = ctx.moments(hw, j, N, 2).covariance_matrix(hw)
             want = theorem_covariance_matrix(N, j)
             out.append(_scalar("covariance", f"covmat-j{j}-var-degree", N, got.var_degree, want.var_degree))
             out.append(_scalar("covariance", f"covmat-j{j}-cross", N, got.covariance, want.covariance))
@@ -285,8 +271,9 @@ def suite_covariance(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
     return out
 
 
-def suite_conjecture(ctx: SuiteContext, N_list: tuple[int, ...] = (2, 4, 6, 8, 10)) -> list[CheckResult]:
-    """Cubic interpolation of the degree variance at levels 2, 3 and 4."""
+def suite_conjecture(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
+    """Cubic interpolation of the degree variance at levels 2-4; always at N = 2, 4, ..., 10."""
+    N_list = (2, 4, 6, 8, 10)
     out = []
     for m in sorted(CONJECTURED_DEGREE_VARIANCE):
         try:
@@ -313,29 +300,23 @@ def suite_conjecture(ctx: SuiteContext, N_list: tuple[int, ...] = (2, 4, 6, 8, 1
     return out
 
 
-SUITE_NAMES = ("sanderson", "palindrome", "stretch", "recurrence", "covariance", "conjecture")
+_SUITES = {
+    "sanderson": suite_sanderson,
+    "palindrome": suite_palindrome,
+    "stretch": suite_stretch,
+    "recurrence": suite_recurrence,
+    "covariance": suite_covariance,
+    "conjecture": suite_conjecture,
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, max_N: int = 20, ctx: SuiteContext | None = None) -> list[CheckResult]:
     """Run one named suite, or all of them in the order of SUITE_NAMES."""
     if max_N < 1:
         raise ValueError("max_N must be at least 1")
+    if name != "all" and name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}")
     ctx = ctx or SuiteContext()
-    if name == "all":
-        out = []
-        for suite in SUITE_NAMES:
-            out.extend(run_suite(suite, max_N, ctx))
-        return out
-    if name == "sanderson":
-        return suite_sanderson(max_N, ctx)
-    if name == "palindrome":
-        return suite_palindrome(max_N, ctx)
-    if name == "stretch":
-        return suite_stretch(max_N, ctx)
-    if name == "recurrence":
-        return suite_recurrence(max_N, ctx)
-    if name == "covariance":
-        return suite_covariance(max_N, ctx)
-    if name == "conjecture":
-        return suite_conjecture(ctx)
-    raise ValueError(f"unknown suite {name!r}")
+    names = SUITE_NAMES if name == "all" else (name,)
+    return [check for suite in names for check in _SUITES[suite](max_N, ctx)]

@@ -79,3 +79,17 @@ READ_PATH_SHA256 = {
         "json": "acbb46d96441033c357aabfe1801c09f9fe8c12e6f1e5e5e3f749f23f1c1860c",
     },
 }
+
+# sha256 of the output of each README command (stdout, or the --out file),
+# recorded at 64c4260; every one of them exits 0.
+README_COMMAND_SHA256 = {
+    "dist --m 1 --n 0 --N 6 --first 0": "ecfd873035f0e2016eaab7310b234891a5083a192d7f8faae39e1a4b1ce0e239",
+    "dist --m 1 --n 0 --N 6 --format json --out mu6.json": "8fcafdf42e1e2110e1d888fd78b7469e584820982d9b9914ad259069af91c8cb",
+    "verify --suite all --max-N 20": "e4f004886d04aacb611b9b53272a63bb4eafbc5e4b27fa686ea02632ac743d9c",
+    "verify --suite sanderson --max-N 40": "4e0833d21ce06557784008af1be0c72ea784067e1cda6d72f2afb95aca4f061d",
+    "wlln --m 1 --n 0 --N-list 10,20,30,40": "038b806de4ca5c607f68594c76e6e997a948ceba27638b1002e9ddef6f212310",
+    "conjecture --m 2 --N-list 2,4,6,8,10": "5217db58a8e42e984b8809a6eb2ea8ed004db1e74e44f2d2d84c66c16229ad3b",
+    "render --m 1 --n 0 --N 6 --out heatmap.svg": "285a7b5b554913e2da936b816e221351bfb3446ee464647f27ea0ce351b47d50",
+    "render --m 1 --n 0 --N 6 --kind histogram --out hist.svg": "052dc540cfd8fd16aa1548043266f6d696988f53f4460c0be0db65b74e3cbb90",
+    "render --m 1 --n 0 --N 6 --kind ellipse --out ellipse.svg": "2d1144e6388f8e7edd62eb2dd772321e3731e5d751a9539f4b288bbbf1d5f729",
+}

@@ -9,7 +9,7 @@ from demazure_sl2 import (
     WeylWord,
     conjecture_check,
     degree_mean_limit,
-    finite_weight,
+    finite_weight_functional,
     fit_polynomial,
     rescaled_summary,
     weight_distribution,
@@ -37,7 +37,7 @@ def test_rescaled_support_is_in_unit_box():
         s = rescaled_summary(L0, WeylWord(N, 0))
         for p, _ in mu.items():
             assert 0 <= Fraction(p.a, s.max_degree) <= 1
-            assert abs(Fraction(finite_weight(L0, p), s.max_abs_finite_weight)) <= 1
+            assert abs(Fraction(finite_weight_functional(L0).evaluate(p), s.max_abs_finite_weight)) <= 1
 
 
 def test_rescaled_summary_degenerate_axis():

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from demazure_sl2.cli import main
+from frozen import README_COMMAND_SHA256
 
 
 def test_dist_csv_stdout(capsys):
@@ -108,3 +110,16 @@ def test_render_degenerate_ellipse_is_usage_error(capsys):
 def test_console_script_help(capsys):
     assert main(["--help"]) == 0
     assert "dist" in capsys.readouterr().out
+
+
+def test_readme_commands_match_golden_digests(tmp_path, capsys):
+    for command, digest in README_COMMAND_SHA256.items():
+        argv, out = command.split(), None
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            out = tmp_path / argv[i]
+            argv[i] = str(out)
+        assert main(argv) == 0, command
+        stdout = capsys.readouterr().out
+        data = out.read_bytes() if out else stdout.encode("utf-8")
+        assert hashlib.sha256(data).hexdigest() == digest, command

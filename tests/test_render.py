@@ -17,7 +17,7 @@ from demazure_sl2 import (
     level1_distribution,
     weight_distribution,
 )
-from demazure_sl2.render import RenderOptions, ellipse_document
+from demazure_sl2.render import CELL_SIZE, DARK_GRAY, PADDING, PLOT_HEIGHT, ellipse_document
 from frozen import READ_PATH_SHA256, SIGNED
 
 L0 = HighestWeight.fundamental(0)
@@ -48,7 +48,7 @@ def test_heatmap_shading_darkest_at_max(mu6):
     # shade depends only on the multiplicity, darkest at the maximum
     assert all(len(v) == 1 for v in grays.values())
     assert min(grays) == 1 and max(grays) == 3
-    assert grays[3] == {RenderOptions().dark_gray}
+    assert grays[3] == {DARK_GRAY}
     assert sum(1 for _, mult in cells if mult == "3") == 6
     g1, g2, g3 = (grays[k].pop() for k in (1, 2, 3))
     assert g1 > g2 > g3
@@ -56,12 +56,11 @@ def test_heatmap_shading_darkest_at_max(mu6):
 
 def test_heatmap_geometry(mu6):
     svg = heatmap(mu6)
-    opt = RenderOptions()
     # (a, b) = (0, 0) has a - b = 0 and the leftmost column is a - b = -3
     m = re.search(r'<rect x="([\d.]+)" y="([\d.]+)"[^>]*data-a="0" data-b="0"', svg)
     assert m is not None
-    assert float(m.group(1)) == opt.padding + 3 * opt.cell_size
-    assert float(m.group(2)) == opt.padding
+    assert float(m.group(1)) == PADDING + 3 * CELL_SIZE
+    assert float(m.group(2)) == PADDING
 
 
 def test_heatmap_empty_distribution():
@@ -131,7 +130,7 @@ def test_degree_histogram(mu6):
     assert masses == {0: 1, 1: 3, 2: 4, 3: 7, 4: 9, 5: 11, 6: 9, 7: 8, 8: 5, 9: 7}
     # tallest bar is the full plot height
     m = re.search(r'height="([\d.]+)"[^>]*data-degree="5"', svg)
-    assert float(m.group(1)) == RenderOptions().plot_height
+    assert float(m.group(1)) == PLOT_HEIGHT
     assert svg == degree_histogram(mu6)
 
 

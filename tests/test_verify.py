@@ -75,6 +75,13 @@ def test_suite_context_caches_and_extends_chains():
     assert c9 is c5 and len(c9) == 10
     for t in (0, 3, 7):
         assert c9[t] == weight_distribution(hw, WeylWord(t, 0))
+    # extending resumes the alternation on either parity of the stored length
+    for other, first in ((HighestWeight.fundamental(1), 1), (HighestWeight(2, 1), 1)):
+        c5 = ctx.chain(other, first, 5)
+        c10 = ctx.chain(other, first, 10)
+        assert c10 is c5 and len(c10) == 11
+        for t in range(11):
+            assert c10[t] == weight_distribution(other, WeylWord(t, first))
     mass, table = ctx.moments(hw, 0, 4, 2)
     assert mass == 16
     assert table[(0, 0)] == 16
