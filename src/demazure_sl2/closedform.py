@@ -64,13 +64,6 @@ class QPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient_sum(self) -> int:
-        """Evaluation at q = 1."""
-        return sum(self.coeffs)
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == self.coeffs[::-1]
-
     def __repr__(self) -> str:
         return f"QPolynomial({list(self.coeffs)})"
 

@@ -157,10 +157,6 @@ class WeightDistribution:
         """Entries ordered by (a, b); the canonical export order."""
         return [(LatticePoint(a, b), c) for a, b, c in self.canonical()]
 
-    def string_items(self) -> list[tuple[LatticePoint, int]]:
-        """Entries ordered by (a - b, a): delta strings come out contiguous."""
-        return list(chain.from_iterable(map(self._column_items, sorted(self._cols))))
-
     def degree_range(self) -> tuple[int, int]:
         """(lo, hi) with every support degree in range(lo, hi); (0, 0) when empty."""
         lo = min((a0 for a0, _ in self._cols.values()), default=0)
@@ -267,23 +263,41 @@ def distribution_chain(hw: HighestWeight, word: WeylWord) -> Iterator[tuple[int,
         yield t, mu
 
 
+def integer_image(
+    mu: WeightDistribution, fs: Sequence[Functional]
+) -> tuple[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """(qs, image): the pushforward of mu along p -> (q * f(p) for q, f in zip(qs, fs)).
+
+    Every q is the lcm of the denominators of its functional (1 when mu is
+    empty), so the keys are int numerators; cancels to 0 are dropped.  Keys
+    come from Functional.on_column, and a column on which every functional
+    is constant adds its total mass to one key.
+    """
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    qs = (1,) * len(fs)
+    for d, (a0, vals) in mu.columns():
+        qs, nums = zip(*(f.on_column(d, range(a0, a0 + len(vals))) for f in fs))
+        if all(type(n) is int for n in nums):
+            acc[nums] = get(nums, 0) + sum(vals)
+            continue
+        for key, c in zip(zip(*(repeat(n) if type(n) is int else n for n in nums)), vals):
+            acc[key] = get(key, 0) + c
+    return qs, {key: c for key, c in acc.items() if c}
+
+
 def image_measure(mu: WeightDistribution, fs: Sequence[Functional]) -> dict[tuple[Scalar, ...], int]:
     """Pushforward of mu along p -> (f(p) for f in fs); cancels to 0 are dropped.
 
-    Sums over the int numerators of Functional.on_column, then divides once
-    per distinct value.
+    The integer image, divided once per distinct value; an axis whose
+    functional has int coefficients keeps int values.
     """
-    acc, qs = {}, ()
-    for d, (a0, vals) in mu.columns():
-        qs, nums = zip(*(f.on_column(d, range(a0, a0 + len(vals))) for f in fs))
-        for key, c in zip(zip(*nums), vals):
-            acc[key] = acc.get(key, 0) + c
-    out = {key: c for key, c in acc.items() if c}
+    qs, image = integer_image(mu, fs)
     axes = [
         axis if q == 1 else map({n: Fraction(n, q) for n in set(axis)}.__getitem__, axis)
-        for q, axis in zip(qs, zip(*out))
+        for q, axis in zip(qs, zip(*image))
     ]
-    return dict(zip(zip(*axes), out.values()))
+    return dict(zip(zip(*axes), image.values()))
 
 
 def marginal(mu: WeightDistribution, f: Functional) -> dict[Scalar, int]:

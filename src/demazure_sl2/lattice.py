@@ -109,7 +109,7 @@ class Functional:
     up to degree 4).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_column_form")
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
         data: dict[tuple[int, int], Scalar] = {}
@@ -121,6 +121,7 @@ class Functional:
                 if c:
                     data[(i, j)] = c
         self._terms = data
+        self._column_form = None
 
     @classmethod
     def constant(cls, c: Scalar) -> "Functional":
@@ -141,17 +142,37 @@ class Functional:
             acc += c * a**i * b**j
         return acc
 
-    def on_column(self, d: int, rows: range) -> tuple[int, Iterator[int]]:
+    def on_column(self, d: int, rows: range) -> tuple[int, int | Iterator[int]]:
         """(q, q * f(a, a - d) for a in rows), with q the lcm of the denominators.
 
-        On the column b = a - d, f is a polynomial in a (b expanded binomially),
-        evaluated in ints by Horner's rule over all rows at once.
+        On the column b = a - d, f is a polynomial in a whose coefficients are
+        polynomials in d; they are expanded once per functional, evaluated at
+        d, and the polynomial in a is evaluated in ints by Horner's rule over
+        all rows at once.  Zero top coefficients are dropped; where f is
+        constant on the column the second item is that one int instead of an
+        iterator over the rows.
         """
-        q = lcm(*(c.denominator for c in self._terms.values()))
-        poly = [0] * (self.total_degree + 1)
-        for (i, j), c in self._terms.items():
-            for k in range(j + 1):
-                poly[i + k] += (c * q).numerator * comb(j, k) * (-d) ** (j - k)
+        if self._column_form is None:
+            # q * f(a, a - d) = sum(form[p][r] * a^p * d^r), b expanded binomially
+            q = lcm(*(c.denominator for c in self._terms.values()))
+            degree = self.total_degree
+            form = [[0] * (degree + 1 - p) for p in range(degree + 1)]
+            for (i, j), c in self._terms.items():
+                n = c.numerator * (q // c.denominator)
+                for k in range(j + 1):
+                    form[i + k][j - k] += n * comb(j, k) * (-1) ** (j - k)
+            self._column_form = q, form
+        q, form = self._column_form
+        poly = []
+        for by_d in form:
+            v = 0
+            for c in reversed(by_d):
+                v = v * d + c
+            poly.append(v)
+        while len(poly) > 1 and not poly[-1]:
+            poly.pop()
+        if len(poly) == 1:
+            return q, poly[0]
         vals = repeat(poly.pop(), len(rows))
         for p in reversed(poly):
             vals = map(add, map(mul, vals, rows), repeat(p))

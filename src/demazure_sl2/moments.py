@@ -6,8 +6,12 @@ functionals in the lattice coordinates reduce to the raw power sums
 sum(mass * a^i * b^j), which raw_moments collects in a single pass per
 distribution into a MomentTable.  MomentTable is the one moment engine:
 every expectation, covariance and degree/finite-weight covariance matrix
-in the package is read from one.  reference_formula exposes the catalog
-of closed-form values the identity suites compare against.
+in the package is read from one.  Pushforwards are built on the integer
+image of demazure.integer_image; pushforward_covariance and
+coordinate_covariance share one kernel that sums int numerators and
+divides once.  Per support point the work is int map and sum only.
+reference_formula exposes the catalog of closed-form values the identity
+suites compare against.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .demazure import WeightDistribution, image_measure
+from .demazure import WeightDistribution, image_measure, integer_image
 from .lattice import (
     Functional,
     HighestWeight,
@@ -57,19 +61,30 @@ class MomentTable(NamedTuple):
 def raw_moments(mu: WeightDistribution, degree: int) -> MomentTable:
     """Total mass and the power sums sum(c * a^i * b^j) for i + j <= degree.
 
-    Per column of fixed d = a - b the sums s_p = sum(c * a^p) are taken
-    over the column vector, then b^j = (a - d)^j is expanded binomially.
+    Per column of fixed d = a - b the sums s_p = sum(c * a^p) are taken over
+    the column vector and gathered into one vector per p across the columns.
+    The sums over columns of (-d)^r * s_p are dot products with per-column
+    power vectors, and b^j = (a - d)^j is expanded binomially once per table:
+    sum(c * a^i * b^j) = sum over k of C(j, k) * sum((-d)^(j-k) * s_{i+k}).
     """
-    keys = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
-    sums = dict.fromkeys(keys, 0)
+    s: list[list[int]] = [[] for _ in range(degree + 1)]
+    neg_d = []
     for d, (a0, vals) in mu.columns():
         heights = range(a0, a0 + len(vals))
-        s = [sum(vals)]
-        for _ in range(degree):
+        neg_d.append(-d)
+        s[0].append(sum(vals))
+        for sp in s[1:]:
             vals = list(map(mul, vals, heights))
-            s.append(sum(vals))
-        for i, j in keys:
-            sums[(i, j)] += sum(comb(j, k) * (-d) ** (j - k) * s[i + k] for k in range(j + 1))
+            sp.append(sum(vals))
+    powers = [[1] * len(neg_d)]
+    for _ in range(degree):
+        powers.append(list(map(mul, powers[-1], neg_d)))
+    dots = {(p, r): sum(map(mul, s[p], powers[r])) for p in range(degree + 1) for r in range(degree + 1 - p)}
+    sums = {
+        (i, j): sum(comb(j, k) * dots[(i + k, j - k)] for k in range(j + 1))
+        for i in range(degree + 1)
+        for j in range(degree + 1 - i)
+    }
     return MomentTable(sums[(0, 0)], sums)
 
 
@@ -120,7 +135,13 @@ def pushforward(mu: WeightDistribution, cmap: CoordinateMap) -> dict[tuple[Scala
     return image_measure(mu, (cmap.x, cmap.y))
 
 
-def _numerators(axis: tuple[Scalar, ...]) -> tuple[int, list[int]]:
+def pushforward_covariance(mu: WeightDistribution, cmap: CoordinateMap) -> Fraction:
+    """coordinate_covariance(pushforward(mu, cmap)), read off the integer image."""
+    (qx, qy), image = integer_image(mu, (cmap.x, cmap.y))
+    return _covariance(qx, qy, image, image.values())
+
+
+def _numerators(axis: Sequence[Scalar]) -> tuple[int, list[int]]:
     """(q, [q * v for v in axis]) with q the lcm of the denominators."""
     q = lcm(*(v.denominator for v in axis))
     return q, [v.numerator * (q // v.denominator) for v in axis]
@@ -128,11 +149,17 @@ def _numerators(axis: tuple[Scalar, ...]) -> tuple[int, list[int]]:
 
 def coordinate_covariance(measure: Mapping[tuple[Scalar, Scalar], int]) -> Fraction:
     """Covariance of the two coordinates of a pushed measure."""
-    mass = sum(measure.values())
+    (qx, xs), (qy, ys) = (_numerators([key[i] for key in measure]) for i in (0, 1))
+    return _covariance(qx, qy, zip(xs, ys), measure.values())
+
+
+def _covariance(qx: int, qy: int, keys: Iterable[tuple[int, int]], masses: Iterable[int]) -> Fraction:
+    """Covariance of (x / qx, y / qy) under the masses at the int keys (x, y)."""
+    cs = list(masses)
+    mass = sum(cs)
     if mass == 0:
         raise EmptyDistributionError("empty distribution")
-    cs = list(measure.values())
-    (qx, xs), (qy, ys) = map(_numerators, zip(*measure))
+    xs, ys = zip(*keys)
     sx, sy = sum(map(mul, cs, xs)), sum(map(mul, cs, ys))
     sxy = sum(map(mul, map(mul, cs, xs), ys))
     return Fraction(mass * sxy - sx * sy, mass * mass * qx * qy)
@@ -182,7 +209,3 @@ def reference_formula(name: str, N: int) -> Fraction:
     if parity == "even" and N % 2 == 1:
         raise ValueError(f"parity violation: {name!r} requires even N, got {N}")
     return fn(N)
-
-
-def reference_formula_names() -> tuple[str, ...]:
-    return tuple(sorted(_FORMULAS))

@@ -128,14 +128,9 @@ def ellipse_document(e: Ellipse, samples: int = 64, margin: float = 1.0) -> str:
     The viewBox is the bounding box of the ellipse plus ``margin`` on every
     side, so the path is visible without any external transform.
     """
-    s11 = Fraction(e.matrix.var_degree)
-    s22 = Fraction(e.matrix.var_finite_weight)
-    det = e.matrix.determinant()
-    if s11 <= 0 or det <= 0:
-        raise DegenerateCovarianceError("degenerate covariance")
     path = ellipse_path(e, samples)
-    rx = math.sqrt(s11)
-    ry = math.sqrt(s22)
+    rx = math.sqrt(e.matrix.var_degree)
+    ry = math.sqrt(e.matrix.var_finite_weight)
     cx, cy = float(e.center[0]), float(e.center[1])
     x0, y0 = cx - rx - margin, cy - ry - margin
     w, h = 2 * (rx + margin), 2 * (ry + margin)

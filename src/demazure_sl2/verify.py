@@ -9,7 +9,8 @@ never tolerances.  Suites:
   palindrome  per-string mirror symmetry of level-1 distributions
   stretch     covariance of a coordinate with the squared difference, the
               two vanishing covariances behind it, and agreement of the
-              direct and pushforward covariance routes
+              direct moment-table route with the pushforward route, which
+              aggregates the image on integer numerators
   recurrence  consecutive-length second-moment recurrences and the degree
               moment closed forms
   covariance  full degree/finite-weight covariance matrices for both
@@ -36,8 +37,7 @@ from .moments import (
     CoordinateMap,
     CovarianceMatrix,
     MomentTable,
-    coordinate_covariance,
-    pushforward,
+    pushforward_covariance,
     raw_moments,
     reference_formula,
 )
@@ -188,7 +188,7 @@ def suite_stretch(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
             x = diff
             y = A - Fraction(N * N, 8)
         direct = _cov(ctx, N, x * x, y)
-        pushed = coordinate_covariance(pushforward(mu, CoordinateMap(x * x, y)))
+        pushed = pushforward_covariance(mu, CoordinateMap(x * x, y))
         out.append(_scalar("stretch", "pushforward-cov-route", N, direct, pushed))
     return out
 

@@ -51,7 +51,6 @@ def test_column_with_interior_gap():
     assert len(mu) == mu.support_size == 3
     assert mu.mass((1, 1)) == 0
     assert dict(mu.items()) == {LatticePoint(0, 0): 2, LatticePoint(2, 2): 5, LatticePoint(3, 0): -1}
-    assert [tuple(p) for p, _ in mu.string_items()] == [(0, 0), (2, 2), (3, 0)]
     assert apply_demazure(0, mu) == apply_demazure_pointwise(0, mu)
     assert apply_demazure(1, mu) == apply_demazure_pointwise(1, mu)
 
@@ -73,7 +72,7 @@ def test_empty_distribution():
     assert empty == WeightDistribution(L0, {(4, 1): 0}) == WeightDistribution(L0)
     assert len(empty) == empty.support_size == 0
     assert empty.total_mass() == 0 and list(empty.items()) == []
-    assert empty.sorted_items() == [] and empty.string_items() == []
+    assert empty.sorted_items() == []
     assert empty.mass((0, 0)) == 0
     assert apply_demazure(0, empty) == empty
     assert apply_demazure(1, empty) == empty
@@ -109,8 +108,6 @@ def test_rebuilt_distribution_equals_kernel_output():
 def test_sorted_and_string_orders():
     mu = WeightDistribution(L0, {(2, 0): 1, (0, 0): 1, (1, 2): 1, (1, 0): 1})
     assert [tuple(p) for p, _ in mu.sorted_items()] == [(0, 0), (1, 0), (1, 2), (2, 0)]
-    # string order groups by a - b: (1,2) has d=-1, then d=0, then d=1, d=2
-    assert [tuple(p) for p, _ in mu.string_items()] == [(1, 2), (0, 0), (1, 0), (2, 0)]
 
 
 def test_sorted_items_order_on_gaps_single_column_and_empty():

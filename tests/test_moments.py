@@ -26,8 +26,8 @@ from demazure_sl2 import (
 )
 from demazure_sl2.moments import (
     coordinate_covariance,
+    pushforward_covariance,
     raw_moments,
-    reference_formula_names,
 )
 from frozen import REFERENCE_N6_PUSHED
 from oracles import (
@@ -118,6 +118,8 @@ def test_pushforward_matches_pointwise_oracle():
         CoordinateMap((A - B - half) ** 2, B - Fraction(47, 8)),
         CoordinateMap(A**3 - 2 * B, Functional.constant(half)),
         CoordinateMap(Functional.constant(0), A + B),
+        # both coordinates constant on every column of fixed a - b
+        CoordinateMap((A - B - half) ** 2, third * (A - B)),
     ]
     for _ in range(40):
         mu = random_signed_measure(rng)
@@ -133,6 +135,10 @@ def test_pushforward_matches_pointwise_oracle():
                 assert _with_key_types(got) == _with_key_types(brute_pushforward(nu, (cmap.x, cmap.y)))
                 if nu.total_mass():
                     assert coordinate_covariance(got) == brute_covariance(nu, cmap.x, cmap.y)
+                    assert pushforward_covariance(nu, cmap) == coordinate_covariance(got)
+                else:
+                    with pytest.raises(EmptyDistributionError):
+                        pushforward_covariance(nu, cmap)
         assert pushforward(both, CoordinateMap((A - B) ** 2, third * (A + B))) == {}
 
 
@@ -169,7 +175,6 @@ def test_reference_formula_errors():
         reference_formula("expected_b_odd", 4)
     with pytest.raises(ValueError):
         reference_formula("var_degree", 0)
-    assert "var_degree" in reference_formula_names()
 
 
 def test_moments_match_brute_force_sweep():
@@ -186,18 +191,26 @@ def test_moments_match_brute_force_sweep():
 
 def test_raw_moments_degree4_match_pointwise_sums():
     # per-column power sums expanded binomially in b = a - d, against the
-    # definition sum(c * a^i * b^j) point by point
+    # definition sum(c * a^i * b^j) point by point, at every degree 0..5
     rng = random.Random(4)
     negative_points = 0
     for _ in range(60):
         mu = random_signed_measure(rng)
         negative_points += sum(1 for (a, b), _ in mu.items() if a < 0 or b < 0)
-        mass, table = raw_moments(mu, 4)
-        assert mass == sum(c for _, c in mu.items())
-        assert set(table) == {(i, j) for i in range(5) for j in range(5 - i)}
-        for (i, j), value in table.items():
-            assert value == sum(c * a**i * b**j for (a, b), c in mu.items()), (i, j)
+        for degree in range(6):
+            mass, table = raw_moments(mu, degree)
+            assert mass == sum(c for _, c in mu.items())
+            assert set(table) == {(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)}
+            for (i, j), value in table.items():
+                assert value == sum(c * a**i * b**j for (a, b), c in mu.items()), (i, j)
     assert negative_points > 0
+    empty = WeightDistribution(L0, {})
+    for degree in range(6):
+        moments = raw_moments(empty, degree)
+        assert moments.mass == 0
+        assert set(moments.sums.values()) == {0}
+        with pytest.raises(EmptyDistributionError):
+            moments.expect(A)
 
 
 @given(
