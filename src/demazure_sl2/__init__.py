@@ -21,7 +21,6 @@ from .asymptotics import (
 )
 from .closedform import (
     PalindromeResult,
-    QPolynomial,
     gaussian_binomial,
     level1_distribution,
     palindromicity_check,
@@ -44,7 +43,6 @@ from .lattice import (
     coroot_pairing,
     degree_functional,
     finite_weight_functional,
-    step,
 )
 from .moments import (
     CoordinateMap,
@@ -85,7 +83,6 @@ __all__ = [
     "LatticePoint",
     "PalindromeResult",
     "PolynomialFit",
-    "QPolynomial",
     "RescaledSummary",
     "WeightDistribution",
     "WeylWord",
@@ -112,7 +109,6 @@ __all__ = [
     "reference_formula",
     "rescaled_summary",
     "run_suite",
-    "step",
     "string_symmetry_shift",
     "theorem_covariance_matrix",
     "variance",

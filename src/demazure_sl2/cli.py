@@ -170,9 +170,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except FitMismatchError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as err:  # bad input, or an --out path that cannot be written
         print(f"error: {err}", file=sys.stderr)
         return 2

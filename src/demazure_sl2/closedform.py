@@ -33,41 +33,6 @@ from .demazure import WeightDistribution, apply_demazure
 from .lattice import HighestWeight, LatticePoint
 
 
-class QPolynomial:
-    """Dense nonnegative-integer coefficient vector in the formal variable q."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = tuple(int(c) for c in coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        if any(c < 0 for c in cs):
-            raise ValueError("coefficients must be nonnegative")
-        self.coeffs = cs
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs[i]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, QPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __repr__(self) -> str:
-        return f"QPolynomial({list(self.coeffs)})"
-
-
 # rows of q-Pascal triangle actually requested by callers; building a row
 # starts from the largest cached index below it, so ascending sweeps
 # (the common access pattern) pay each row once without caching the
@@ -96,16 +61,13 @@ def _pascal_row(N: int) -> tuple[tuple[int, ...], ...]:
     return result
 
 
-def gaussian_binomial(N: int, k: int) -> QPolynomial:
-    """[N choose k]_q as a dense coefficient vector, exact integers."""
+def gaussian_binomial(N: int, k: int) -> tuple[int, ...]:
+    """[N choose k]_q as its coefficient tuple, constant term first; () outside 0 <= k <= N."""
     if N < 0:
         raise ValueError("N must be nonnegative")
     if k < 0 or k > N:
-        return QPolynomial(())
-    row = _pascal_row(N)
-    q = QPolynomial.__new__(QPolynomial)
-    q.coeffs = row[k]
-    return q
+        return ()
+    return _pascal_row(N)[k]
 
 
 def level1_distribution(N: int) -> WeightDistribution:
@@ -129,7 +91,7 @@ def level1_distribution(N: int) -> WeightDistribution:
         k - N // 2: (peak + 1 - len(cs), list(reversed(cs)))
         for k, cs in enumerate(_pascal_row(N))
     }
-    return WeightDistribution._from_columns(hw, cols)
+    return WeightDistribution.from_columns(hw, cols)
 
 
 def string_symmetry_shift(N: int, p: LatticePoint) -> int:

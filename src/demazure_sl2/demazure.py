@@ -112,8 +112,12 @@ class WeightDistribution:
         return cls(hw, {(0, 0): 1})
 
     @classmethod
-    def _from_columns(cls, hw: HighestWeight, cols: dict[int, Column]) -> "WeightDistribution":
-        # internal: caller guarantees trimmed, nonempty columns
+    def from_columns(cls, hw: HighestWeight, cols: dict[int, Column]) -> "WeightDistribution":
+        """The distribution whose columns are cols, taken as given: no copy, no check.
+
+        Precondition: every column is trimmed (both ends of vals nonzero) and
+        nonempty, as the Column storage comment above requires.
+        """
         mu = cls.__new__(cls)
         mu.hw = hw
         mu._cols = cols
@@ -238,7 +242,7 @@ def apply_demazure(j: int, mu: WeightDistribution) -> WeightDistribution:
         cols = _fold(mu._cols, -mu.hw.n)
     else:
         cols = _flip(_fold(_flip(mu._cols), -mu.hw.m))
-    return WeightDistribution._from_columns(mu.hw, cols)
+    return WeightDistribution.from_columns(mu.hw, cols)
 
 
 def weight_distribution(hw: HighestWeight, word: WeylWord) -> WeightDistribution:

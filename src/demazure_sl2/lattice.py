@@ -71,15 +71,6 @@ class LatticePoint(NamedTuple):
     b: int
 
 
-def step(p: LatticePoint, j: int, i: int) -> LatticePoint:
-    """The point of p - i*alpha_j, i.e. one string-step along alpha_j."""
-    if j == 0:
-        return LatticePoint(p[0] + i, p[1])
-    if j == 1:
-        return LatticePoint(p[0], p[1] + i)
-    raise ValueError("generator index must be 0 or 1")
-
-
 def coroot_pairing(j: int, hw: HighestWeight, p: LatticePoint) -> int:
     """<alpha_j^, lambda> for lambda = hw - a*alpha0 - b*alpha1."""
     d = p[0] - p[1]

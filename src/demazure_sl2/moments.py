@@ -171,8 +171,8 @@ def _covariance(qx: int, qy: int, keys: Iterable[tuple[int, int]], masses: Itera
 #
 #   var_degree                    Var(a) for even N and Var(b) for odd N
 #   stretch_covariance            Cov(b, (a-b)^2) odd N / Cov(a, (a-b)^2) even N
-#   second_moment_increment_odd   E_{N+1}[a^2] - E_N[a^2] - 2*stretch_covariance
-#   second_moment_increment_even  E_{N+1}[b^2] - E_N[b^2] - 2*stretch_covariance
+#   second_moment_increment_odd   E_{N+1}[a^2] - E_N[a^2]
+#   second_moment_increment_even  E_{N+1}[b^2] - E_N[b^2]
 #   cross_moment_increment_odd    E_{N+1}[a^2] - E_N[b^2]
 #   cross_moment_increment_even   E_{N+1}[b^2] - E_N[a^2]
 #   second_moment_a_even          E_N[a^2]

@@ -43,6 +43,7 @@ class Ellipse:
 # layout in SVG user units, and the heatmap's gray range (0-255)
 CELL_SIZE = 16
 PADDING = 8
+ELLIPSE_MARGIN = 1.0
 PLOT_HEIGHT = 200
 LIGHT_GRAY = 235
 DARK_GRAY = 32
@@ -122,18 +123,18 @@ def ellipse_path(e: Ellipse, samples: int = 64) -> str:
     return f'<path d="{" ".join(pieces)}" fill="none" stroke="black"/>'
 
 
-def ellipse_document(e: Ellipse, samples: int = 64, margin: float = 1.0) -> str:
+def ellipse_document(e: Ellipse, samples: int = 64) -> str:
     """Standalone SVG document containing the ellipse path.
 
-    The viewBox is the bounding box of the ellipse plus ``margin`` on every
-    side, so the path is visible without any external transform.
+    The viewBox is the bounding box of the ellipse plus ELLIPSE_MARGIN on
+    every side, so the path is visible without any external transform.
     """
     path = ellipse_path(e, samples)
     rx = math.sqrt(e.matrix.var_degree)
     ry = math.sqrt(e.matrix.var_finite_weight)
     cx, cy = float(e.center[0]), float(e.center[1])
-    x0, y0 = cx - rx - margin, cy - ry - margin
-    w, h = 2 * (rx + margin), 2 * (ry + margin)
+    x0, y0 = cx - rx - ELLIPSE_MARGIN, cy - ry - ELLIPSE_MARGIN
+    w, h = 2 * (rx + ELLIPSE_MARGIN), 2 * (ry + ELLIPSE_MARGIN)
     head = (
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">'

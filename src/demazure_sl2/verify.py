@@ -18,6 +18,11 @@ never tolerances.  Suites:
   conjecture  levels 2-4: cubic interpolation of the degree variance,
               held-out confirmation, conjectured table and max degree
 
+The level-1 suites run on hw = L0 and the words (N, first=0).  The parity
+c = N % 2 picks the lead coordinate of the level-1 covariance theorem: a
+for even N, and b for odd N, whose words end with D_0.  nxt is the other
+coordinate.  Each level-1 identity is written once in lead, nxt and c.
+
 A SuiteContext caches the operator chains and moment tables so "all" pays
 for each distribution once.
 """
@@ -32,7 +37,7 @@ from math import comb
 from .asymptotics import CONJECTURED_DEGREE_VARIANCE, FitMismatchError, conjecture_check
 from .closedform import palindromicity_check
 from .demazure import WeightDistribution, WeylWord, apply_demazure, marginal
-from .lattice import A, B, Functional, HighestWeight
+from .lattice import A, B, HighestWeight
 from .moments import (
     CoordinateMap,
     CovarianceMatrix,
@@ -89,12 +94,9 @@ def _scalar(suite: str, name: str, n: int, lhs: Fraction, rhs: Fraction) -> Chec
     return CheckResult(suite, name, n, format_rational(lhs), format_rational(rhs), lhs == rhs)
 
 
-def _expect(ctx: SuiteContext, N: int, f: Functional) -> Fraction:
-    return ctx.moments(_L0, 0, N, 4).expect(f)
-
-
-def _cov(ctx: SuiteContext, N: int, f: Functional, g: Functional) -> Fraction:
-    return ctx.moments(_L0, 0, N, 4).cov(f, g)
+def _level1(ctx: SuiteContext, N: int) -> MomentTable:
+    """Degree-4 moment table of the level-1 word (N, first=0)."""
+    return ctx.moments(_L0, 0, N, 4)
 
 
 def suite_sanderson(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
@@ -105,17 +107,12 @@ def suite_sanderson(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
     for N in range(1, max_N + 1):
         mu = ctx.chain(_L0, 0, max_N)[N]
         got = marginal(mu, diff)
-        want = {}
-        half = N // 2
-        for t in range(-half, N - half + 1):
-            want[t] = comb(N, t + half)
+        want = {k - N // 2: comb(N, k) for k in range(N + 1)}
         if got == want:
             tag = f"binomial-row({N})"
             out.append(CheckResult("sanderson", "binomial-marginal", N, tag, tag, True))
         else:
-            for t in sorted(set(got) | set(want)):
-                if got.get(t, 0) != want.get(t, 0):
-                    break
+            t = next(t for t in sorted(set(got) | set(want)) if got.get(t, 0) != want.get(t, 0))
             out.append(
                 CheckResult(
                     "sanderson",
@@ -126,9 +123,10 @@ def suite_sanderson(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
                     False,
                 )
             )
-        out.append(_scalar("sanderson", "var-weight-diff", N, _cov(ctx, N, diff, diff), Fraction(N, 4)))
+        table = _level1(ctx, N)
+        out.append(_scalar("sanderson", "var-weight-diff", N, table.cov(diff, diff), Fraction(N, 4)))
         rhs = Fraction(N, 4) if N % 2 else Fraction(0)
-        out.append(_scalar("sanderson", "cov-sqdiff-diff", N, _cov(ctx, N, sq, diff), rhs))
+        out.append(_scalar("sanderson", "cov-sqdiff-diff", N, table.cov(sq, diff), rhs))
     return out
 
 
@@ -160,37 +158,31 @@ def suite_stretch(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
     out = []
     diff = A - B
     sq = diff * diff
-    half = Fraction(1, 2)
     for N in range(2, max_N + 1):
         mu = ctx.chain(_L0, 0, max_N)[N]
-        odd = N % 2 == 1
-        coord = B if odd else A
-        out.append(
-            _scalar(
-                "stretch",
-                "stretch-cov",
-                N,
-                _cov(ctx, N, coord, sq),
-                reference_formula("stretch_covariance", N),
-            )
-        )
-        if odd:
-            f = sq - diff - 2 * B
-            g = sq - diff
-        else:
-            f = sq - 2 * A
-            g = sq
-        out.append(_scalar("stretch", "sym-cov-zero", N, _cov(ctx, N, f, g), Fraction(0)))
-        if odd:
-            x = diff - half
-            y = B - Fraction(N * N - 2, 8)
-        else:
-            x = diff
-            y = A - Fraction(N * N, 8)
-        direct = _cov(ctx, N, x * x, y)
+        table = _level1(ctx, N)
+        c = N % 2
+        lead = (A, B)[c]
+        rhs = reference_formula("stretch_covariance", N)
+        out.append(_scalar("stretch", "stretch-cov", N, table.cov(lead, sq), rhs))
+        f, g = sq - c * diff - 2 * lead, sq - c * diff
+        out.append(_scalar("stretch", "sym-cov-zero", N, table.cov(f, g), Fraction(0)))
+        x = diff - Fraction(c, 2)
+        y = lead - Fraction(N * N - 2 * c, 8)
         pushed = pushforward_covariance(mu, CoordinateMap(x * x, y))
-        out.append(_scalar("stretch", "pushforward-cov-route", N, direct, pushed))
+        out.append(_scalar("stretch", "pushforward-cov-route", N, table.cov(x * x, y), pushed))
     return out
+
+
+# the closed-form lines of the recurrence suite in line order: check name and
+# the catalog entries it is compared with, an (even N, odd N) pair
+_RECURRENCE_CLOSED_FORMS = (
+    ("second-moment-increment", ("second_moment_increment_even", "second_moment_increment_odd")),
+    ("cross-moment-increment", ("cross_moment_increment_even", "cross_moment_increment_odd")),
+    ("degree-variance", ("var_degree", "var_degree")),
+    ("second-moment-closed", ("second_moment_a_even", "second_moment_b_odd")),
+    ("first-moment-closed", ("expected_degree_even", "expected_b_odd")),
+)
 
 
 def suite_recurrence(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
@@ -200,39 +192,19 @@ def suite_recurrence(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
     sq = diff * diff
     ctx.chain(_L0, 0, max_N + 1)
     for N in range(2, max_N + 1):
-        odd = N % 2 == 1
-        if odd:
-            step = _expect(ctx, N + 1, A * A) - _expect(ctx, N, A * A) - 2 * _cov(ctx, N, B, sq)
-            rhs = Fraction(N * (N * N + N + 2), 16)
-            incr = _expect(ctx, N + 1, A * A) - _expect(ctx, N, A * A)
-            incr_rhs = reference_formula("second_moment_increment_odd", N)
-            cross = _expect(ctx, N + 1, A * A) - _expect(ctx, N, B * B)
-            cross_rhs = reference_formula("cross_moment_increment_odd", N)
-            var = _cov(ctx, N, B, B)
-            second = _expect(ctx, N, B * B)
-            second_rhs = reference_formula("second_moment_b_odd", N)
-            first = _expect(ctx, N, B)
-            first_rhs = reference_formula("expected_b_odd", N)
-        else:
-            step = _expect(ctx, N + 1, B * B) - _expect(ctx, N, B * B) - 2 * _cov(ctx, N, A, sq)
-            rhs = Fraction(N * N * (N + 1), 16)
-            incr = _expect(ctx, N + 1, B * B) - _expect(ctx, N, B * B)
-            incr_rhs = reference_formula("second_moment_increment_even", N)
-            cross = _expect(ctx, N + 1, B * B) - _expect(ctx, N, A * A)
-            cross_rhs = reference_formula("cross_moment_increment_even", N)
-            var = _cov(ctx, N, A, A)
-            second = _expect(ctx, N, A * A)
-            second_rhs = reference_formula("second_moment_a_even", N)
-            first = _expect(ctx, N, A)
-            first_rhs = reference_formula("expected_degree_even", N)
-        out.append(_scalar("recurrence", "second-moment-step", N, step, rhs))
-        out.append(_scalar("recurrence", "second-moment-increment", N, incr, incr_rhs))
-        out.append(_scalar("recurrence", "cross-moment-increment", N, cross, cross_rhs))
-        out.append(_scalar("recurrence", "degree-variance", N, var, reference_formula("var_degree", N)))
-        out.append(_scalar("recurrence", "second-moment-closed", N, second, second_rhs))
-        out.append(_scalar("recurrence", "first-moment-closed", N, first, first_rhs))
-        if odd:
-            out.append(_scalar("recurrence", "cov-b-weight-diff", N, _cov(ctx, N, B, diff), Fraction(0)))
+        now, after = _level1(ctx, N), _level1(ctx, N + 1)
+        c = N % 2
+        lead, nxt = (A, B)[c], (B, A)[c]
+        incr = after.expect(nxt * nxt) - now.expect(nxt * nxt)
+        # the step cubic: N(N^2 + N + 2)/16 for odd N, N^2(N + 1)/16 for even N
+        step_rhs = Fraction(N * (N * N + N + 2 * c), 16)
+        out.append(_scalar("recurrence", "second-moment-step", N, incr - 2 * now.cov(lead, sq), step_rhs))
+        cross = after.expect(nxt * nxt) - now.expect(lead * lead)
+        got = (incr, cross, now.cov(lead, lead), now.expect(lead * lead), now.expect(lead))
+        for (name, catalog), lhs in zip(_RECURRENCE_CLOSED_FORMS, got):
+            out.append(_scalar("recurrence", name, N, lhs, reference_formula(catalog[c], N)))
+        if c:
+            out.append(_scalar("recurrence", "cov-b-weight-diff", N, now.cov(B, diff), Fraction(0)))
     return out
 
 
@@ -248,6 +220,14 @@ def theorem_covariance_matrix(N: int, j: int) -> CovarianceMatrix:
     return CovarianceMatrix(vd + Fraction(N, 4), Fraction(N, 2), Fraction(N))
 
 
+# check-name tag and CovarianceMatrix field of each matrix entry, in line order
+_COVMAT_ENTRIES = (
+    ("var-degree", "var_degree"),
+    ("cross", "covariance"),
+    ("var-finweight", "var_finite_weight"),
+)
+
+
 def suite_covariance(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
     """Degree/finite-weight covariance matrices for both fundamental weights."""
     out = []
@@ -257,17 +237,9 @@ def suite_covariance(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
         for N in range(1, max_N + 1):
             got = ctx.moments(hw, j, N, 2).covariance_matrix(hw)
             want = theorem_covariance_matrix(N, j)
-            out.append(_scalar("covariance", f"covmat-j{j}-var-degree", N, got.var_degree, want.var_degree))
-            out.append(_scalar("covariance", f"covmat-j{j}-cross", N, got.covariance, want.covariance))
-            out.append(
-                _scalar(
-                    "covariance",
-                    f"covmat-j{j}-var-finweight",
-                    N,
-                    got.var_finite_weight,
-                    want.var_finite_weight,
-                )
-            )
+            for tag, field in _COVMAT_ENTRIES:
+                lhs, rhs = getattr(got, field), getattr(want, field)
+                out.append(_scalar("covariance", f"covmat-j{j}-{tag}", N, lhs, rhs))
     return out
 
 

@@ -86,6 +86,8 @@ README_COMMAND_SHA256 = {
     "dist --m 1 --n 0 --N 6 --first 0": "ecfd873035f0e2016eaab7310b234891a5083a192d7f8faae39e1a4b1ce0e239",
     "dist --m 1 --n 0 --N 6 --format json --out mu6.json": "8fcafdf42e1e2110e1d888fd78b7469e584820982d9b9914ad259069af91c8cb",
     "verify --suite all --max-N 20": "e4f004886d04aacb611b9b53272a63bb4eafbc5e4b27fa686ea02632ac743d9c",
+    # README "Reproducing" item 3 (800 checks), recorded at 5a41706
+    "verify --suite all --max-N 40": "957796d839cdf23bb90ddf25f493caed19e4f3172c556de304e1bf167a1ade20",
     "verify --suite sanderson --max-N 40": "4e0833d21ce06557784008af1be0c72ea784067e1cda6d72f2afb95aca4f061d",
     "wlln --m 1 --n 0 --N-list 10,20,30,40": "038b806de4ca5c607f68594c76e6e997a948ceba27638b1002e9ddef6f212310",
     "conjecture --m 2 --N-list 2,4,6,8,10": "5217db58a8e42e984b8809a6eb2ea8ed004db1e74e44f2d2d84c66c16229ad3b",

@@ -17,8 +17,16 @@ from demazure_sl2 import (
     LatticePoint,
     WeightDistribution,
     coroot_pairing,
-    step,
 )
+
+
+def step(p: LatticePoint, j: int, i: int) -> LatticePoint:
+    """The point of p - i*alpha_j, i.e. one string-step along alpha_j."""
+    if j == 0:
+        return LatticePoint(p[0] + i, p[1])
+    if j == 1:
+        return LatticePoint(p[0], p[1] + i)
+    raise ValueError("generator index must be 0 or 1")
 
 
 def apply_demazure_pointwise(j: int, mu: WeightDistribution) -> WeightDistribution:

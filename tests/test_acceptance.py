@@ -146,5 +146,5 @@ def test_criterion_10_property_battery():
         ok = ok and coordinate_covariance(pairs) == 0
     for N in range(0, 13):
         for k in range(0, N + 1):
-            ok = ok and gaussian_binomial(N, k).coeffs == tuple(lattice_path_area_counts(N, k))
+            ok = ok and gaussian_binomial(N, k) == tuple(lattice_path_area_counts(N, k))
     _report(ok, "criterion-10 property battery: operator oracle + idempotence (200), symmetric covariances (200), path counts N <= 12")

@@ -15,11 +15,10 @@ from demazure_sl2 import (
     coroot_pairing,
     distribution_chain,
     marginal,
-    step,
     weight_distribution,
 )
 from frozen import MU2, MU3, MU5, SIGNED
-from oracles import apply_demazure_pointwise, brute_pushforward, random_signed_measure
+from oracles import apply_demazure_pointwise, brute_pushforward, random_signed_measure, step
 
 L0 = HighestWeight.fundamental(0)
 L1 = HighestWeight.fundamental(1)

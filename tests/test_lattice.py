@@ -12,9 +12,9 @@ from demazure_sl2 import (
     LatticePoint,
     coroot_pairing,
     finite_weight_functional,
-    step,
 )
 from demazure_sl2.lattice import degree_functional
+from oracles import step
 
 
 def test_highest_weight_validation():

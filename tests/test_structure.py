@@ -6,12 +6,24 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "demazure_sl2"
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def test_no_module_imports_a_private_name_from_a_sibling():
     # a _-prefixed name is internal to its module; sharing one across
-    # modules means the shared logic belongs behind a public name
+    # modules, by importing it or by reading it off an imported name
+    # (X._name), means the shared logic belongs behind a public name
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("demazure_sl2")):
-                offenders += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+                offenders += [f"{path.name}: {a.name}" for a in node.names if _is_private(a.name)]
+                imported.update(a.asname or a.name for a in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and _is_private(node.attr):
+                if node.value.id in imported:
+                    offenders.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert offenders == []
