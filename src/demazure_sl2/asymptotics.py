@@ -119,16 +119,14 @@ class PolynomialFit:
         return acc
 
 
-def fit_polynomial(points: Sequence[tuple[int, Fraction]], degree: int = 3) -> PolynomialFit:
-    """Interpolate exactly through degree + 1 points (Lagrange, rational)."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if len(points) != degree + 1:
-        raise ValueError(f"need exactly {degree + 1} points for degree {degree}")
+def fit_polynomial(points: Sequence[tuple[int, Fraction]]) -> PolynomialFit:
+    """Interpolate exactly through the points, degree len(points) - 1 (Lagrange, rational)."""
+    if not points:
+        raise ValueError("need at least one sample point")
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("sample points must be distinct")
-    coeffs = [Fraction(0)] * (degree + 1)
+    coeffs = [Fraction(0)] * len(points)
     for i, (xi, yi) in enumerate(points):
         # basis polynomial prod_{k != i} (X - xk) / (xi - xk)
         basis = [Fraction(1)]
@@ -203,7 +201,7 @@ def conjecture_check(m: int, N_list: Iterable[int]) -> ConjectureReport:
     for t, mu in distribution_chain(HighestWeight(m, 0), WeylWord(ns[-1], 0)):
         if t in wanted:
             samples[t] = (raw_moments(mu, 2).cov(A, A), mu.degree_range()[1] - 1)
-    fit = fit_polynomial([(n, samples[n][0]) for n in ns[:4]], degree=3)
+    fit = fit_polynomial([(n, samples[n][0]) for n in ns[:4]])
     witnesses = [
         (n, samples[n][0], fit.evaluate(n))
         for n in ns[4:]

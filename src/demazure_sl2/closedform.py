@@ -17,11 +17,10 @@ string-reflection shift and its palindromicity check live here too: the
 level-1 distribution restricted to a column of fixed a - b (a delta
 string) is a palindrome, mirrored by (a, b) -> (a + S, b + S) with
 
-    S = N*N/4       + (a-b)^2           - 2a    (N even)
-    S = (N*N - 1)/4 + (a-b)^2 - (a-b) - 2b      (N odd)
+    S = (N*N - c)/4 + (a-b)^2 + c(a-b) - 2a,      c = N % 2,
 
-derived from the string midpoints a = (N^2/4 + (a-b)^2) / 2 for even N and
-b = ((N^2-1)/4 + (a-b)^2 - (a-b)) / 2 for odd N.
+derived from the string midpoint a = ((N*N - c)/4 + (a-b)^2 + c(a-b)) / 2,
+which for odd N is the midpoint b = ((N*N - 1)/4 + (a-b)^2 - (a-b)) / 2.
 """
 
 from __future__ import annotations
@@ -33,18 +32,21 @@ from .demazure import WeightDistribution, apply_demazure
 from .lattice import HighestWeight, LatticePoint
 
 
-# rows of q-Pascal triangle actually requested by callers; building a row
-# starts from the largest cached index below it, so ascending sweeps
-# (the common access pattern) pay each row once without caching the
-# intermediate rows of one long jump forever
-_row_cache: dict[int, tuple[tuple[int, ...], ...]] = {0: ((1,),)}
+# the last q-Pascal row built, as (index, row): the next build starts from it
+# when it is not past the request and from row 0 otherwise, so ascending
+# sweeps (the common access pattern) pay each row once while the memory
+# held stays one row
+_last_row: tuple[int, tuple[tuple[int, ...], ...]] = (0, ((1,),))
 
 
 def _pascal_row(N: int) -> tuple[tuple[int, ...], ...]:
-    if N in _row_cache:
-        return _row_cache[N]
-    base = max(i for i in _row_cache if i < N)
-    row = [list(cs) for cs in _row_cache[base]]
+    global _last_row
+    base, start = _last_row
+    if base == N:
+        return start
+    if base > N:
+        base, start = 0, ((1,),)
+    row = [list(cs) for cs in start]
     for n in range(base + 1, N + 1):
         new: list[list[int]] = [[1]]
         for k in range(1, n):
@@ -57,7 +59,7 @@ def _pascal_row(N: int) -> tuple[tuple[int, ...], ...]:
         new.append([1])
         row = new
     result = tuple(tuple(cs) for cs in row)
-    _row_cache[N] = result
+    _last_row = (N, result)
     return result
 
 
@@ -98,11 +100,8 @@ def string_symmetry_shift(N: int, p: LatticePoint) -> int:
     """Shift S with mass(a, b) = mass(a + S, b + S) on level-1 delta strings."""
     if N < 0:
         raise ValueError("word length must be nonnegative")
-    a, b = p[0], p[1]
-    d = a - b
-    if N % 2 == 0:
-        return N * N // 4 + d * d - 2 * a
-    return (N * N - 1) // 4 + d * d - d - 2 * b
+    a, d, c = p[0], p[0] - p[1], N % 2
+    return (N * N - c) // 4 + d * d + c * d - 2 * a
 
 
 @dataclass(frozen=True)

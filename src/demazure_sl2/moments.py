@@ -165,47 +165,33 @@ def _covariance(qx: int, qy: int, keys: Iterable[tuple[int, int]], masses: Itera
     return Fraction(mass * sxy - sx * sy, mass * mass * qx * qy)
 
 
-# Closed-form catalog.  Each entry: parity domain ("any"/"even"/"odd") and
-# the value as a function of the word length N.  All are for level 1,
-# hw = L0, word (N, first=0), in the (a, b) coordinates of lattice.py:
+# Closed-form catalog.  Each entry is one formula in the word length N and
+# c = N % 2 that holds for every N >= 1.  All are for level 1, hw = L0, word
+# (N, first=0), in the (a, b) coordinates of lattice.py, with lead = a for
+# even N and b for odd N (whose words end with D_0) and nxt the other one:
 #
-#   var_degree                    Var(a) for even N and Var(b) for odd N
-#   stretch_covariance            Cov(b, (a-b)^2) odd N / Cov(a, (a-b)^2) even N
-#   second_moment_increment_odd   E_{N+1}[a^2] - E_N[a^2]
-#   second_moment_increment_even  E_{N+1}[b^2] - E_N[b^2]
-#   cross_moment_increment_odd    E_{N+1}[a^2] - E_N[b^2]
-#   cross_moment_increment_even   E_{N+1}[b^2] - E_N[a^2]
-#   second_moment_a_even          E_N[a^2]
-#   second_moment_b_odd           E_N[b^2]
-#   expected_degree_even          E_N[a]
-#   expected_b_odd                E_N[b]
-_FORMULAS: dict[str, tuple[str, Callable[[int], Fraction]]] = {
-    "var_degree": ("any", lambda N: Fraction(N * (N - 1) * (2 * N + 5), 96)),
-    "stretch_covariance": ("any", lambda N: Fraction(N * (N - 1), 16)),
-    "second_moment_increment_odd": ("odd", lambda N: Fraction(N * N * (N + 3), 16)),
-    "second_moment_increment_even": ("even", lambda N: Fraction(N * (N * N + 3 * N - 2), 16)),
-    "cross_moment_increment_odd": ("odd", lambda N: Fraction(N * (N + 2) * (N + 3), 16)),
-    "cross_moment_increment_even": ("even", lambda N: Fraction(N * (N + 1) * (N + 2), 16)),
-    "second_moment_a_even": ("even", lambda N: Fraction(N * (3 * N**3 + 10 * N * N + 9 * N - 10), 192)),
-    "second_moment_b_odd": ("odd", lambda N: Fraction((N - 1) * (3 * N**3 + 13 * N * N + 10 * N - 12), 192)),
-    "expected_degree_even": ("even", lambda N: Fraction(N * (N + 1), 8)),
-    "expected_b_odd": ("odd", lambda N: Fraction((N - 1) * (N + 2), 8)),
+#   var_degree                Var_N(lead)
+#   stretch_covariance        Cov_N(lead, (a-b)^2)
+#   second_moment_increment   E_{N+1}[nxt^2] - E_N[nxt^2]
+#   cross_moment_increment    E_{N+1}[nxt^2] - E_N[lead^2]
+#   second_moment_lead        E_N[lead^2]
+#   expected_lead             E_N[lead]
+_FORMULAS: dict[str, Callable[[int, int], Fraction]] = {
+    "var_degree": lambda N, c: Fraction(N * (N - 1) * (2 * N + 5), 96),
+    "stretch_covariance": lambda N, c: Fraction(N * (N - 1), 16),
+    "second_moment_increment": lambda N, c: Fraction(N * (N * N + 3 * N - 2 + 2 * c), 16),
+    "cross_moment_increment": lambda N, c: Fraction(N * (N + 2) * (N + 1 + 2 * c), 16),
+    "second_moment_lead": lambda N, c: Fraction(
+        3 * N**4 + 10 * N**3 + 9 * N * N - 10 * N - 12 * c * (N * N + N - 1), 192
+    ),
+    "expected_lead": lambda N, c: Fraction(N * N + N - 2 * c, 8),
 }
 
 
 def reference_formula(name: str, N: int) -> Fraction:
-    """Closed-form value of a named statistic at word length N.
-
-    Unknown names and parity violations (an *_odd entry at even N and vice
-    versa) raise ValueError.
-    """
+    """Closed-form value of a named statistic at word length N; unknown names raise ValueError."""
     if name not in _FORMULAS:
         raise ValueError(f"unknown reference formula {name!r}")
     if not isinstance(N, int) or N < 1:
         raise ValueError("word length must be a positive integer")
-    parity, fn = _FORMULAS[name]
-    if parity == "odd" and N % 2 == 0:
-        raise ValueError(f"parity violation: {name!r} requires odd N, got {N}")
-    if parity == "even" and N % 2 == 1:
-        raise ValueError(f"parity violation: {name!r} requires even N, got {N}")
-    return fn(N)
+    return _FORMULAS[name](N, N % 2)

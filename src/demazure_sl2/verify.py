@@ -14,14 +14,15 @@ never tolerances.  Suites:
   recurrence  consecutive-length second-moment recurrences and the degree
               moment closed forms
   covariance  full degree/finite-weight covariance matrices for both
-              fundamental weights against the parity-split closed form
+              fundamental weights against the closed form of the theorem
   conjecture  levels 2-4: cubic interpolation of the degree variance,
               held-out confirmation, conjectured table and max degree
 
 The level-1 suites run on hw = L0 and the words (N, first=0).  The parity
 c = N % 2 picks the lead coordinate of the level-1 covariance theorem: a
 for even N, and b for odd N, whose words end with D_0.  nxt is the other
-coordinate.  Each level-1 identity is written once in lead, nxt and c.
+coordinate.  Each level-1 identity and each catalog entry it is compared
+with is written once in lead, nxt and c.
 
 A SuiteContext caches the operator chains and moment tables so "all" pays
 for each distribution once.
@@ -125,8 +126,7 @@ def suite_sanderson(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
             )
         table = _level1(ctx, N)
         out.append(_scalar("sanderson", "var-weight-diff", N, table.cov(diff, diff), Fraction(N, 4)))
-        rhs = Fraction(N, 4) if N % 2 else Fraction(0)
-        out.append(_scalar("sanderson", "cov-sqdiff-diff", N, table.cov(sq, diff), rhs))
+        out.append(_scalar("sanderson", "cov-sqdiff-diff", N, table.cov(sq, diff), Fraction((N % 2) * N, 4)))
     return out
 
 
@@ -175,13 +175,13 @@ def suite_stretch(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
 
 
 # the closed-form lines of the recurrence suite in line order: check name and
-# the catalog entries it is compared with, an (even N, odd N) pair
+# the catalog entry it is compared with
 _RECURRENCE_CLOSED_FORMS = (
-    ("second-moment-increment", ("second_moment_increment_even", "second_moment_increment_odd")),
-    ("cross-moment-increment", ("cross_moment_increment_even", "cross_moment_increment_odd")),
-    ("degree-variance", ("var_degree", "var_degree")),
-    ("second-moment-closed", ("second_moment_a_even", "second_moment_b_odd")),
-    ("first-moment-closed", ("expected_degree_even", "expected_b_odd")),
+    ("second-moment-increment", "second_moment_increment"),
+    ("cross-moment-increment", "cross_moment_increment"),
+    ("degree-variance", "var_degree"),
+    ("second-moment-closed", "second_moment_lead"),
+    ("first-moment-closed", "expected_lead"),
 )
 
 
@@ -202,7 +202,7 @@ def suite_recurrence(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
         cross = after.expect(nxt * nxt) - now.expect(lead * lead)
         got = (incr, cross, now.cov(lead, lead), now.expect(lead * lead), now.expect(lead))
         for (name, catalog), lhs in zip(_RECURRENCE_CLOSED_FORMS, got):
-            out.append(_scalar("recurrence", name, N, lhs, reference_formula(catalog[c], N)))
+            out.append(_scalar("recurrence", name, N, lhs, reference_formula(catalog, N)))
         if c:
             out.append(_scalar("recurrence", "cov-b-weight-diff", N, now.cov(B, diff), Fraction(0)))
     return out
@@ -214,10 +214,8 @@ def theorem_covariance_matrix(N: int, j: int) -> CovarianceMatrix:
         raise ValueError("word length must be positive")
     if j not in (0, 1):
         raise ValueError("generator index must be 0 or 1")
-    vd = reference_formula("var_degree", N)
-    if N % 2 == j % 2:
-        return CovarianceMatrix(vd, Fraction(0), Fraction(N))
-    return CovarianceMatrix(vd + Fraction(N, 4), Fraction(N, 2), Fraction(N))
+    e = (N - j) % 2  # 1 where the parities of N and j differ
+    return CovarianceMatrix(reference_formula("var_degree", N) + Fraction(e * N, 4), Fraction(e * N, 2), Fraction(N))
 
 
 # check-name tag and CovarianceMatrix field of each matrix entry, in line order
@@ -291,4 +289,7 @@ def run_suite(name: str, max_N: int = 20, ctx: SuiteContext | None = None) -> li
         raise ValueError(f"unknown suite {name!r}")
     ctx = ctx or SuiteContext()
     names = SUITE_NAMES if name == "all" else (name,)
-    return [check for suite in names for check in _SUITES[suite](max_N, ctx)]
+    checks = [check for suite in names for check in _SUITES[suite](max_N, ctx)]
+    if not checks:
+        raise ValueError(f"suite {name!r} has no checks at max_N={max_N}")
+    return checks

@@ -91,6 +91,9 @@ README_COMMAND_SHA256 = {
     "verify --suite sanderson --max-N 40": "4e0833d21ce06557784008af1be0c72ea784067e1cda6d72f2afb95aca4f061d",
     "wlln --m 1 --n 0 --N-list 10,20,30,40": "038b806de4ca5c607f68594c76e6e997a948ceba27638b1002e9ddef6f212310",
     "conjecture --m 2 --N-list 2,4,6,8,10": "5217db58a8e42e984b8809a6eb2ea8ed004db1e74e44f2d2d84c66c16229ad3b",
+    # README "Reproducing" item 5, recorded at 9013550
+    "conjecture --m 3": "1b873ac20f671a126aac8c7c1bd0c8e97107099dccecb379b850cd9e5a8563f2",
+    "conjecture --m 4": "4cb8e2922a3c4e79172dff7dd7f2c1d2dfa63d2ce6eb7413e03dd0c3c6c30990",
     "render --m 1 --n 0 --N 6 --out heatmap.svg": "285a7b5b554913e2da936b816e221351bfb3446ee464647f27ea0ce351b47d50",
     "render --m 1 --n 0 --N 6 --kind histogram --out hist.svg": "052dc540cfd8fd16aa1548043266f6d696988f53f4460c0be0db65b74e3cbb90",
     "render --m 1 --n 0 --N 6 --kind ellipse --out ellipse.svg": "2d1144e6388f8e7edd62eb2dd772321e3731e5d751a9539f4b288bbbf1d5f729",

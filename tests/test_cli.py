@@ -54,6 +54,14 @@ def test_verify_passes_and_prints_lines(capsys):
 def test_verify_rejects_unknown_suite(capsys):
     assert main(["verify", "--suite", "bogus"]) == 2
     assert main(["verify", "--max-N", "0"]) == 2
+    # suites that start at N = 2 check nothing at max-N 1
+    for suite in ("stretch", "recurrence"):
+        capsys.readouterr()
+        assert main(["verify", "--suite", suite, "--max-N", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
 def test_wlln_csv_stdout(capsys):

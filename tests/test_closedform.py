@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import demazure_sl2
 from demazure_sl2 import (
     HighestWeight,
     LatticePoint,
@@ -59,6 +64,29 @@ def test_row_cache_handles_out_of_order_requests():
     assert sum(gaussian_binomial(17, 3)) == comb(17, 3)
     assert sum(gaussian_binomial(9, 4)) == comb(9, 4)
     assert sum(gaussian_binomial(23, 11)) == comb(23, 11)
+
+
+# Run in a fresh interpreter so rows built by earlier tests are not counted.
+ROW_MEMORY_SCRIPT = """
+import gc, tracemalloc
+from demazure_sl2 import gaussian_binomial, level1_distribution
+tracemalloc.start()
+gaussian_binomial(40, 0)
+gc.collect()
+one_row = tracemalloc.get_traced_memory()[0]
+for N in (16, 24, 32, 40):
+    level1_distribution(N)
+gc.collect()
+print(one_row, tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_row_cache_holds_one_row():
+    env = {**os.environ, "PYTHONPATH": str(Path(demazure_sl2.__file__).parents[1])}
+    argv = [sys.executable, "-c", ROW_MEMORY_SCRIPT]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    one_row, retained = map(int, run.stdout.split())
+    assert retained < 1.25 * one_row, (one_row, retained)
 
 
 def test_level1_matches_recursion():

@@ -18,12 +18,14 @@ from demazure_sl2 import (
     covariance,
     covariance_matrix,
     expectation,
+    level1_distribution,
     pushforward,
     reference_formula,
     theorem_covariance_matrix,
     variance,
     weight_distribution,
 )
+from demazure_sl2 import moments
 from demazure_sl2.moments import (
     coordinate_covariance,
     pushforward_covariance,
@@ -159,9 +161,9 @@ def test_pushforward_preserves_pair_moments(mu6):
 
 def test_reference_formula_values():
     assert reference_formula("var_degree", 6) == Fraction(85, 16)
-    assert reference_formula("second_moment_a_even", 6) == Fraction(263, 8)
-    assert reference_formula("expected_degree_even", 6) == Fraction(21, 4)
-    assert reference_formula("expected_b_odd", 5) == Fraction(7, 2)
+    assert reference_formula("second_moment_lead", 6) == Fraction(263, 8)
+    assert reference_formula("expected_lead", 6) == Fraction(21, 4)
+    assert reference_formula("expected_lead", 5) == Fraction(7, 2)
     assert reference_formula("stretch_covariance", 6) == Fraction(15, 8)
     assert reference_formula("var_degree", 1) == 0
 
@@ -170,11 +172,27 @@ def test_reference_formula_errors():
     with pytest.raises(ValueError):
         reference_formula("no-such-formula", 4)
     with pytest.raises(ValueError):
-        reference_formula("second_moment_a_even", 5)
-    with pytest.raises(ValueError):
-        reference_formula("expected_b_odd", 4)
-    with pytest.raises(ValueError):
         reference_formula("var_degree", 0)
+
+
+def test_reference_formulas_match_exact_moments_at_every_parity():
+    sq = (A - B) * (A - B)
+    tables = [raw_moments(level1_distribution(N), 4) for N in range(26)]
+    for N in range(1, 25):
+        now, after = tables[N], tables[N + 1]
+        # lead = a for even N and b for odd N; nxt is the other coordinate
+        lead, nxt = (A, B) if N % 2 == 0 else (B, A)
+        exact = {
+            "var_degree": now.cov(lead, lead),
+            "stretch_covariance": now.cov(lead, sq),
+            "second_moment_increment": after.expect(nxt * nxt) - now.expect(nxt * nxt),
+            "cross_moment_increment": after.expect(nxt * nxt) - now.expect(lead * lead),
+            "second_moment_lead": now.expect(lead * lead),
+            "expected_lead": now.expect(lead),
+        }
+        assert exact.keys() == moments._FORMULAS.keys()
+        for name, value in exact.items():
+            assert value == reference_formula(name, N), (name, N)
 
 
 def test_moments_match_brute_force_sweep():
