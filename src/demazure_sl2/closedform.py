@@ -8,9 +8,12 @@ k and the depth i are read off the coordinates by
     i = N*N//4 - a,      k = (a - b) + N//2.
 
 Those path counts are exactly the coefficients of the Gaussian binomial
-[N choose k]_q, generated here by the q-Pascal recurrence
+[N choose k]_q, generated here along row N by the product recurrence
 
-    [N k]_q = [N-1 k-1]_q + q^k [N-1 k]_q .
+    [N k+1]_q = [N k]_q (1 - q^(N-k)) / (1 - q^(k+1)),
+
+one shifted subtraction and one running sum per residue class mod k + 1,
+so a row costs no earlier row and nothing is cached between calls.
 
 Odd words extend the even closed form by one more Demazure step.  The
 string-reflection shift and its palindromicity check live here too: the
@@ -26,41 +29,30 @@ which for odd N is the midpoint b = ((N*N - 1)/4 + (a-b)^2 - (a-b)) / 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from itertools import accumulate
+from operator import sub
 
 from .demazure import WeightDistribution, apply_demazure
 from .lattice import HighestWeight, LatticePoint
 
 
-# the last q-Pascal row built, as (index, row): the next build starts from it
-# when it is not past the request and from row 0 otherwise, so ascending
-# sweeps (the common access pattern) pay each row once while the memory
-# held stays one row
-_last_row: tuple[int, tuple[tuple[int, ...], ...]] = (0, ((1,),))
+def _binomial_row(N: int, top: int) -> list[list[int]]:
+    """Coefficient lists of [N k]_q for k = 0 .. top, constant term first.
 
-
-def _pascal_row(N: int) -> tuple[tuple[int, ...], ...]:
-    global _last_row
-    base, start = _last_row
-    if base == N:
-        return start
-    if base > N:
-        base, start = 0, ((1,),)
-    row = [list(cs) for cs in start]
-    for n in range(base + 1, N + 1):
-        new: list[list[int]] = [[1]]
-        for k in range(1, n):
-            left = row[k - 1]
-            right = row[k]
-            # [n k] = [n-1 k-1] + q^k [n-1 k]; length k*(n-k)+1
-            cs = left + [0] * (k * (n - k) + 1 - len(left))
-            cs[k:] = map(add, cs[k:], right)
-            new.append(cs)
-        new.append([1])
-        row = new
-    result = tuple(tuple(cs) for cs in row)
-    _last_row = (N, result)
-    return result
+    [N k+1] = [N k] (1 - q^(N-k)) / (1 - q^(k+1)): the product is one shifted
+    subtraction, and the quotient c of p by 1 - q^m obeys c_i = p_i + c_(i-m),
+    a running sum over each residue class mod m whose top m terms are 0.
+    """
+    row = [[1]]
+    for k in range(top):
+        cs, m = row[-1], k + 1
+        p = cs + [0] * (N - k)
+        p[N - k :] = map(sub, p[N - k :], cs)
+        for r in range(m):
+            p[r::m] = accumulate(p[r::m])
+        del p[-m:]
+        row.append(p)
+    return row
 
 
 def gaussian_binomial(N: int, k: int) -> tuple[int, ...]:
@@ -69,7 +61,7 @@ def gaussian_binomial(N: int, k: int) -> tuple[int, ...]:
         raise ValueError("N must be nonnegative")
     if k < 0 or k > N:
         return ()
-    return _pascal_row(N)[k]
+    return tuple(_binomial_row(N, min(k, N - k))[-1])
 
 
 def level1_distribution(N: int) -> WeightDistribution:
@@ -87,12 +79,12 @@ def level1_distribution(N: int) -> WeightDistribution:
         return WeightDistribution.delta(hw)
     if N % 2:
         return apply_demazure(0, level1_distribution(N - 1))
-    # column d = k - N/2 holds [N k]_q with q^i at degree a = N^2/4 - i
+    # column d = k - N/2 holds [N k]_q with q^i at degree a = N^2/4 - i; the
+    # coefficients are palindromic and [N k] = [N N-k], so columns d and -d
+    # share one vector, already in ascending-degree order
+    half = _binomial_row(N, N // 2)
     peak = N * N // 4
-    cols = {
-        k - N // 2: (peak + 1 - len(cs), list(reversed(cs)))
-        for k, cs in enumerate(_pascal_row(N))
-    }
+    cols = {k - N // 2: (peak + 1 - len(cs), cs) for k, cs in enumerate(half + half[-2::-1])}
     return WeightDistribution.from_columns(hw, cols)
 
 

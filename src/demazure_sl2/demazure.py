@@ -68,12 +68,8 @@ class WeylWord:
 Column = tuple[int, list[int]]
 
 
-# builds a LatticePoint from an (a, b) pair in C, skipping the Python-level
-# namedtuple constructor; the read paths make one per support point
-_new_tuple = tuple.__new__
-
-
-def _triples(d: int, a0: int, vals: list[int]) -> Iterator[tuple[int, int, int]]:
+def column_triples(d: int, a0: int, vals: list[int]) -> Iterator[tuple[int, int, int]]:
+    """(a, b, mult) per entry of the column d = a - b whose row a0 holds vals[0]."""
     return zip(range(a0, a0 + len(vals)), range(a0 - d, a0 - d + len(vals)), vals)
 
 
@@ -132,15 +128,21 @@ class WeightDistribution:
         a0, vals = self._cols.get(a - b, (a, ()))
         return vals[a - a0] if 0 <= a - a0 < len(vals) else 0
 
-    def _column_items(self, d: int) -> Iterator[tuple[LatticePoint, int]]:
+    def _column_items(self, d: int) -> Iterator[tuple[tuple[int, int], int]]:
         a0, vals = self._cols[d]
         pairs = zip(range(a0, a0 + len(vals)), range(a0 - d, a0 - d + len(vals)))
-        return compress(zip(map(_new_tuple, repeat(LatticePoint), pairs), vals), vals)
+        return compress(zip(pairs, vals), vals)
 
-    def items(self) -> Iterator[tuple[LatticePoint, int]]:
+    def items(self) -> Iterator[tuple[tuple[int, int], int]]:
+        """((a, b), mult) per support point, a column at a time.
+
+        Keys are plain tuples, equal to (and hashing like) the LatticePoint
+        of the same point, so no object is built per point for a consumer
+        that unpacks and drops it; sorted_items() gives LatticePoint keys.
+        """
         return chain.from_iterable(map(self._column_items, self._cols))
 
-    def canonical(self, cells: Callable[[int, int, list[int]], Iterable] = _triples) -> Iterator:
+    def canonical(self, cells: Callable[[int, int, list[int]], Iterable] = column_triples) -> Iterator:
         """One cell per support point in (a, b) order, the export order.
 
         ``cells(d, a0, vals)`` gives a truthy cell per column entry, by default

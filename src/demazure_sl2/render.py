@@ -143,7 +143,11 @@ def ellipse_document(e: Ellipse, samples: int = 64) -> str:
 
 
 def degree_histogram(mu: WeightDistribution) -> str:
-    """Bar chart of total mass per degree, degrees left to right."""
+    """Bar chart of total mass per degree, degrees left to right.
+
+    Bars are scaled to the largest total, and drawn with height 0 when every
+    total cancels to 0; a negative degree total raises ValueError.
+    """
     a_min, a_end = mu.degree_range()
     if a_min == a_end:
         return _svg(2 * PADDING, 2 * PADDING, [])
@@ -153,11 +157,13 @@ def degree_histogram(mu: WeightDistribution) -> str:
         i, j = a0 - a_min, a0 - a_min + len(vals)
         totals[i:j] = map(add, totals[i:j], vals)
         occupied[i:j] = map(or_, occupied[i:j], map(bool, vals))
+    if min(totals) < 0:
+        raise ValueError("degree histogram needs nonnegative degree totals")
     max_mass = max(compress(totals, occupied))
     body = []
     for a in compress(range(a_min, a_end), occupied):
         mass = totals[a - a_min]
-        h = PLOT_HEIGHT * mass / max_mass
+        h = PLOT_HEIGHT * mass / max_mass if max_mass else 0
         x = PADDING + (a - a_min) * CELL_SIZE
         y = PADDING + PLOT_HEIGHT - h
         body.append(

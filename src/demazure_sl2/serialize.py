@@ -5,10 +5,13 @@ rather than numbers; rationals are rendered "p/q" (or "p" when integral).
 Entry order is always (a, b) ascending, which makes equal inputs serialize
 to identical bytes.  All text is UTF-8 with LF line endings.
 
-Distribution tables map one %-template over WeightDistribution.canonical()
-triples.  JSON entry blocks are spliced into the "[]" of json.dumps(header,
-indent=2), byte-identical to json.dumps of the whole document with indent=2
-but without its pure-Python encoder (the C one runs only without indent).
+Distribution tables format their cells a column at a time, as the heatmap
+does: WeightDistribution.canonical() is handed a cell function that maps one
+%-template over the column's (a, b, mult) triples, so only the formatted
+string is kept per support point.  JSON entry blocks are spliced into the
+"[]" of json.dumps(header, indent=2), byte-identical to json.dumps of the
+whole document with indent=2 but without its pure-Python encoder (the C one
+runs only without indent).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 from fractions import Fraction
 
 from .asymptotics import ConjectureReport, RescaledSummary
-from .demazure import WeightDistribution, WeylWord
+from .demazure import WeightDistribution, WeylWord, column_triples
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -25,6 +28,12 @@ def format_rational(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _formatted_cells(template: str):
+    """Cell function for canonical(): template % (a, b, mult) per column entry."""
+    fmt = template.__mod__
+    return lambda d, a0, vals: map(fmt, column_triples(d, a0, vals))
 
 
 def distribution_json(mu: WeightDistribution, word: WeylWord) -> str:
@@ -35,7 +44,7 @@ def distribution_json(mu: WeightDistribution, word: WeylWord) -> str:
     }
     text = json.dumps(doc, indent=2)
     entry = '    {\n      "a": %d,\n      "b": %d,\n      "mult": "%d"\n    }'
-    entries = ",\n".join(map(entry.__mod__, mu.canonical()))
+    entries = ",\n".join(mu.canonical(_formatted_cells(entry)))
     if entries:
         head, _, tail = text.rpartition("[]")
         text = f"{head}[\n{entries}\n  ]{tail}"
@@ -43,7 +52,7 @@ def distribution_json(mu: WeightDistribution, word: WeylWord) -> str:
 
 
 def distribution_csv(mu: WeightDistribution) -> str:
-    return "a,b,mult\n" + "".join(map("%d,%d,%d\n".__mod__, mu.canonical()))
+    return "a,b,mult\n" + "".join(mu.canonical(_formatted_cells("%d,%d,%d\n")))
 
 
 def wlln_csv(summaries: list[RescaledSummary]) -> str:

@@ -35,9 +35,9 @@ def test_rescaled_support_is_in_unit_box():
     for N in (3, 5, 8):
         mu = weight_distribution(L0, WeylWord(N, 0))
         s = rescaled_summary(L0, WeylWord(N, 0))
-        for p, _ in mu.items():
-            assert 0 <= Fraction(p.a, s.max_degree) <= 1
-            assert abs(Fraction(finite_weight_functional(L0).evaluate(p), s.max_abs_finite_weight)) <= 1
+        for (a, b), _ in mu.items():
+            assert 0 <= Fraction(a, s.max_degree) <= 1
+            assert abs(Fraction(finite_weight_functional(L0).evaluate((a, b)), s.max_abs_finite_weight)) <= 1
 
 
 def test_rescaled_summary_degenerate_axis():

@@ -131,6 +131,21 @@ def test_sorted_items_order_on_gaps_single_column_and_empty():
         assert all(lo <= a < hi for (a, _), _ in mu.items())
 
 
+def test_items_yields_one_plain_tuple_pair_per_support_point():
+    import random
+
+    rng = random.Random(23)
+    cases = [WeightDistribution(L0, {}), WeightDistribution(L1, SIGNED)]
+    cases += [random_signed_measure(rng) for _ in range(60)]
+    assert sum(0 in vals for mu in cases for _, (_, vals) in mu.columns()) >= 20  # interior zeros
+    for mu in cases:
+        pairs = list(mu.items())
+        assert all(type(p) is tuple and len(p) == 2 for p, _ in pairs)
+        assert len(pairs) == len({p for p, _ in pairs}) == len(mu)
+        assert all(c and mu.mass(p) == c for p, c in pairs)
+        assert dict(mu.items()) == dict(mu.sorted_items())
+
+
 def test_marginal_matches_pointwise_oracle():
     import random
     from fractions import Fraction

@@ -134,6 +134,21 @@ def test_degree_histogram(mu6):
     assert svg == degree_histogram(mu6)
 
 
+def test_degree_histogram_draws_flat_bars_when_every_total_cancels():
+    mu = WeightDistribution(L0, {(0, 0): 1, (0, 1): -1})
+    svg = degree_histogram(mu)
+    assert re.findall(r'height="([\d.]+)"[^>]*data-degree="(-?\d+)" data-mass="(-?\d+)"', svg) == [
+        ("0.0000", "0", "0")
+    ]
+
+
+def test_degree_histogram_rejects_negative_degree_totals():
+    with pytest.raises(ValueError):
+        degree_histogram(WeightDistribution(L0, {(0, 0): 1, (1, 0): -2}))
+    with pytest.raises(ValueError):
+        degree_histogram(WeightDistribution(L0, {(0, 0): 3, (0, 1): -1, (2, 0): 2, (2, 3): -5}))
+
+
 def test_renderers_match_frozen_digests():
     cases = {
         "level1_24": level1_distribution(24),

@@ -27,3 +27,14 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 if node.value.id in imported:
                     offenders.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert offenders == []
+
+
+def test_no_module_keeps_global_state():
+    # module-level state that functions rebind is shared by every caller in
+    # the process; state belongs to objects that callers create and pass
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        globals_ = [node for node in ast.walk(tree) if isinstance(node, ast.Global)]
+        offenders += [f"{path.name}:{node.lineno}: global {', '.join(node.names)}" for node in globals_]
+    assert offenders == []
