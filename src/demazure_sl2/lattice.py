@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, product, repeat
 from math import comb, lcm
 from operator import add, mul
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -84,10 +84,10 @@ def coroot_pairing(j: int, hw: HighestWeight, p: LatticePoint) -> int:
 def _norm_coeff(c: Scalar) -> Scalar:
     # keep integral coefficients as plain ints so integer functionals
     # evaluate in pure int arithmetic
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
     if isinstance(c, int):
         return c
+    if isinstance(c, Fraction):
+        return int(c) if c.denominator == 1 else c
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
@@ -170,45 +170,27 @@ class Functional:
         return q, vals
 
     def __add__(self, other: "Functional | Scalar") -> "Functional":
-        other = _as_functional(other)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = _norm_coeff(s)
-            else:
-                out.pop(key, None)
-        return _raw(out)
+        return _collect(chain(self._terms.items(), _as_functional(other)._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Functional":
-        return _raw({k: -c for k, c in self._terms.items()})
+        return _collect((k, -c) for k, c in self._terms.items())
 
     def __sub__(self, other: "Functional | Scalar") -> "Functional":
-        return self + (-_as_functional(other))
+        negated = ((k, -c) for k, c in _as_functional(other)._terms.items())
+        return _collect(chain(self._terms.items(), negated))
 
     def __rsub__(self, other: "Functional | Scalar") -> "Functional":
-        return _as_functional(other) + (-self)
+        return _as_functional(other) - self
 
     def __mul__(self, other: "Functional | Scalar") -> "Functional":
         if isinstance(other, (int, Fraction)):
-            other = _norm_coeff(other)
-            if not other:
-                return _raw({})
-            return _raw({k: _norm_coeff(c * other) for k, c in self._terms.items()})
+            other = Functional.constant(other)
         if not isinstance(other, Functional):
             return NotImplemented
-        out: dict[tuple[int, int], Scalar] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                key = (i1 + i2, j1 + j2)
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = _norm_coeff(s)
-                else:
-                    out.pop(key, None)
-        return _raw(out)
+        pairs = product(self._terms.items(), other._terms.items())
+        return _collect(((i1 + i2, j1 + j2), c1 * c2) for ((i1, j1), c1), ((i2, j2), c2) in pairs)
 
     __rmul__ = __mul__
 
@@ -228,6 +210,9 @@ class Functional:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant hashes as the scalar it equals
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
@@ -241,9 +226,13 @@ class Functional:
         return "Functional(" + " + ".join(bits) + ")"
 
 
-def _raw(terms: dict[tuple[int, int], Scalar]) -> Functional:
+def _collect(terms: Iterable[tuple[tuple[int, int], Scalar]]) -> Functional:
+    """Functional of the terms summed per monomial, normalised, zeros dropped."""
+    sums: dict[tuple[int, int], Scalar] = {}
+    for key, c in terms:
+        sums[key] = sums.get(key, 0) + c
     f = Functional()
-    f._terms = terms
+    f._terms = {key: _norm_coeff(c) for key, c in sums.items() if c}
     return f
 
 

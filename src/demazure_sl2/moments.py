@@ -46,7 +46,13 @@ class MomentTable(NamedTuple):
         """Mean of f, exact; f's total degree must not exceed the table's."""
         if self.mass == 0:
             raise EmptyDistributionError("empty distribution")
-        return Fraction(sum(c * self.sums[key] for key, c in f.terms()), self.mass)
+        try:
+            return Fraction(sum(c * self.sums[key] for key, c in f.terms()), self.mass)
+        except KeyError:
+            # the table holds every power sum of degree i + j <= its degree
+            degree = max(i for i, _ in self.sums)
+            msg = f"functional of degree {f.total_degree} exceeds the moment table's degree {degree}"
+            raise ValueError(msg) from None
 
     def cov(self, f: Functional, g: Functional) -> Fraction:
         """E[fg] - E[f]E[g]."""

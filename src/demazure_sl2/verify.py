@@ -1,8 +1,11 @@
 """Identity suites: every closed-form law the computed distributions obey.
 
-Each suite walks the relevant word lengths and emits one CheckResult per
-identity per length, comparing exact rationals (or whole mass tables) and
-never tolerances.  Suites:
+Each suite walks the relevant word lengths and yields one check per
+identity per length, a tuple (name, N, lhs, rhs) whose sides are exact
+rationals or, for whole mass tables, tags and witnesses; never tolerances.
+run_suite is the one place that turns checks into CheckResult lines: it
+adds the suite name and prints rationals with format_rational, which is
+canonical, so a check passes exactly when its printed sides agree.  Suites:
 
   sanderson   binomial marginal of the weight-difference coordinate and
               its first two moment laws
@@ -34,11 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb
+from typing import Iterator
 
 from .asymptotics import CONJECTURED_DEGREE_VARIANCE, FitMismatchError, conjecture_check
 from .closedform import palindromicity_check
 from .demazure import WeightDistribution, WeylWord, apply_demazure, marginal
-from .lattice import A, B, HighestWeight
+from .lattice import A, B, HighestWeight, Scalar
 from .moments import (
     CoordinateMap,
     CovarianceMatrix,
@@ -57,7 +61,10 @@ class CheckResult:
     n: int
     lhs: str
     rhs: str
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
 
 
 def format_check(c: CheckResult) -> str:
@@ -90,9 +97,8 @@ class SuiteContext:
 
 _L0 = HighestWeight.fundamental(0)
 
-
-def _scalar(suite: str, name: str, n: int, lhs: Fraction, rhs: Fraction) -> CheckResult:
-    return CheckResult(suite, name, n, format_rational(lhs), format_rational(rhs), lhs == rhs)
+# one check of a suite: name, N and the two sides, each a text or a rational
+Checks = Iterator[tuple[str, int, str | Scalar, str | Scalar]]
 
 
 def _level1(ctx: SuiteContext, N: int) -> MomentTable:
@@ -100,9 +106,8 @@ def _level1(ctx: SuiteContext, N: int) -> MomentTable:
     return ctx.moments(_L0, 0, N, 4)
 
 
-def suite_sanderson(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
+def suite_sanderson(max_N: int, ctx: SuiteContext) -> Checks:
     """Marginal of a - b is a binomial row; its moments obey N/4 laws."""
-    out = []
     diff = A - B
     sq = diff * diff
     for N in range(1, max_N + 1):
@@ -110,52 +115,28 @@ def suite_sanderson(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
         got = marginal(mu, diff)
         want = {k - N // 2: comb(N, k) for k in range(N + 1)}
         if got == want:
-            tag = f"binomial-row({N})"
-            out.append(CheckResult("sanderson", "binomial-marginal", N, tag, tag, True))
+            yield "binomial-marginal", N, f"binomial-row({N})", f"binomial-row({N})"
         else:
             t = next(t for t in sorted(set(got) | set(want)) if got.get(t, 0) != want.get(t, 0))
-            out.append(
-                CheckResult(
-                    "sanderson",
-                    "binomial-marginal",
-                    N,
-                    f"{got.get(t, 0)} at t={t}",
-                    f"{want.get(t, 0)} at t={t}",
-                    False,
-                )
-            )
+            yield "binomial-marginal", N, f"{got.get(t, 0)} at t={t}", f"{want.get(t, 0)} at t={t}"
         table = _level1(ctx, N)
-        out.append(_scalar("sanderson", "var-weight-diff", N, table.cov(diff, diff), Fraction(N, 4)))
-        out.append(_scalar("sanderson", "cov-sqdiff-diff", N, table.cov(sq, diff), Fraction((N % 2) * N, 4)))
-    return out
+        yield "var-weight-diff", N, table.cov(diff, diff), Fraction(N, 4)
+        yield "cov-sqdiff-diff", N, table.cov(sq, diff), Fraction((N % 2) * N, 4)
 
 
-def suite_palindrome(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
+def suite_palindrome(max_N: int, ctx: SuiteContext) -> Checks:
     """Shifted mirror symmetry of every delta string, level 1."""
-    out = []
     for N in range(1, max_N + 1):
         mu = ctx.chain(_L0, 0, max_N)[N]
         res = palindromicity_check(mu, N)
         if res.ok:
-            out.append(CheckResult("palindrome", "string-palindrome", N, "palindromic", "palindromic", True))
+            yield "string-palindrome", N, "palindromic", "palindromic"
         else:
-            p = res.witness
-            out.append(
-                CheckResult(
-                    "palindrome",
-                    "string-palindrome",
-                    N,
-                    f"mass{tuple(p)}={mu.mass(p)}",
-                    "mirror mass",
-                    False,
-                )
-            )
-    return out
+            yield "string-palindrome", N, f"mass{tuple(res.witness)}={mu.mass(res.witness)}", "mirror mass"
 
 
-def suite_stretch(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
+def suite_stretch(max_N: int, ctx: SuiteContext) -> Checks:
     """Squared-difference covariances and the pushforward route agreement."""
-    out = []
     diff = A - B
     sq = diff * diff
     for N in range(2, max_N + 1):
@@ -164,14 +145,13 @@ def suite_stretch(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
         c = N % 2
         lead = (A, B)[c]
         rhs = reference_formula("stretch_covariance", N)
-        out.append(_scalar("stretch", "stretch-cov", N, table.cov(lead, sq), rhs))
+        yield "stretch-cov", N, table.cov(lead, sq), rhs
         f, g = sq - c * diff - 2 * lead, sq - c * diff
-        out.append(_scalar("stretch", "sym-cov-zero", N, table.cov(f, g), Fraction(0)))
+        yield "sym-cov-zero", N, table.cov(f, g), 0
         x = diff - Fraction(c, 2)
         y = lead - Fraction(N * N - 2 * c, 8)
         pushed = pushforward_covariance(mu, CoordinateMap(x * x, y))
-        out.append(_scalar("stretch", "pushforward-cov-route", N, table.cov(x * x, y), pushed))
-    return out
+        yield "pushforward-cov-route", N, table.cov(x * x, y), pushed
 
 
 # the closed-form lines of the recurrence suite in line order: check name and
@@ -185,9 +165,8 @@ _RECURRENCE_CLOSED_FORMS = (
 )
 
 
-def suite_recurrence(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
+def suite_recurrence(max_N: int, ctx: SuiteContext) -> Checks:
     """Second-moment recurrences in N and the degree-moment closed forms."""
-    out = []
     diff = A - B
     sq = diff * diff
     ctx.chain(_L0, 0, max_N + 1)
@@ -198,14 +177,13 @@ def suite_recurrence(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
         incr = after.expect(nxt * nxt) - now.expect(nxt * nxt)
         # the step cubic: N(N^2 + N + 2)/16 for odd N, N^2(N + 1)/16 for even N
         step_rhs = Fraction(N * (N * N + N + 2 * c), 16)
-        out.append(_scalar("recurrence", "second-moment-step", N, incr - 2 * now.cov(lead, sq), step_rhs))
+        yield "second-moment-step", N, incr - 2 * now.cov(lead, sq), step_rhs
         cross = after.expect(nxt * nxt) - now.expect(lead * lead)
         got = (incr, cross, now.cov(lead, lead), now.expect(lead * lead), now.expect(lead))
         for (name, catalog), lhs in zip(_RECURRENCE_CLOSED_FORMS, got):
-            out.append(_scalar("recurrence", name, N, lhs, reference_formula(catalog, N)))
+            yield name, N, lhs, reference_formula(catalog, N)
         if c:
-            out.append(_scalar("recurrence", "cov-b-weight-diff", N, now.cov(B, diff), Fraction(0)))
-    return out
+            yield "cov-b-weight-diff", N, now.cov(B, diff), 0
 
 
 def theorem_covariance_matrix(N: int, j: int) -> CovarianceMatrix:
@@ -226,9 +204,8 @@ _COVMAT_ENTRIES = (
 )
 
 
-def suite_covariance(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
+def suite_covariance(max_N: int, ctx: SuiteContext) -> Checks:
     """Degree/finite-weight covariance matrices for both fundamental weights."""
-    out = []
     for j in (0, 1):
         hw = HighestWeight.fundamental(j)
         ctx.chain(hw, j, max_N)
@@ -236,38 +213,26 @@ def suite_covariance(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
             got = ctx.moments(hw, j, N, 2).covariance_matrix(hw)
             want = theorem_covariance_matrix(N, j)
             for tag, field in _COVMAT_ENTRIES:
-                lhs, rhs = getattr(got, field), getattr(want, field)
-                out.append(_scalar("covariance", f"covmat-j{j}-{tag}", N, lhs, rhs))
-    return out
+                yield f"covmat-j{j}-{tag}", N, getattr(got, field), getattr(want, field)
 
 
-def suite_conjecture(max_N: int, ctx: SuiteContext) -> list[CheckResult]:
+def suite_conjecture(max_N: int, ctx: SuiteContext) -> Checks:
     """Cubic interpolation of the degree variance at levels 2-4; always at N = 2, 4, ..., 10."""
     N_list = (2, 4, 6, 8, 10)
-    out = []
     for m in sorted(CONJECTURED_DEGREE_VARIANCE):
         try:
             report = conjecture_check(m, N_list)
         except FitMismatchError as err:
             for n, got, predicted in err.witnesses:
-                out.append(_scalar("conjecture", f"conjecture-cubic-m{m}", n, got, predicted))
+                yield f"conjecture-cubic-m{m}", n, got, predicted
             continue
         for n in report.held_out:
             row = next(r for r in report.rows if r.N == n)
-            out.append(_scalar("conjecture", f"conjecture-cubic-m{m}", n, row.variance, report.fit.evaluate(n)))
+            yield f"conjecture-cubic-m{m}", n, row.variance, report.fit.evaluate(n)
         for i, (got, want) in enumerate(zip(report.fit.coefficients, CONJECTURED_DEGREE_VARIANCE[m])):
-            out.append(_scalar("conjecture", f"conjecture-table-m{m}-c{i}", max(N_list), got, want))
+            yield f"conjecture-table-m{m}-c{i}", max(N_list), got, want
         for row in report.rows:
-            out.append(
-                _scalar(
-                    "conjecture",
-                    f"conjecture-max-degree-m{m}",
-                    row.N,
-                    Fraction(row.max_degree),
-                    Fraction(row.expected_max_degree),
-                )
-            )
-    return out
+            yield f"conjecture-max-degree-m{m}", row.N, row.max_degree, row.expected_max_degree
 
 
 _SUITES = {
@@ -282,14 +247,19 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, max_N: int = 20, ctx: SuiteContext | None = None) -> list[CheckResult]:
-    """Run one named suite, or all of them in the order of SUITE_NAMES."""
+    """Run one named suite, or all of them in the order of SUITE_NAMES, into check lines."""
     if max_N < 1:
         raise ValueError("max_N must be at least 1")
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
     ctx = ctx or SuiteContext()
     names = SUITE_NAMES if name == "all" else (name,)
-    checks = [check for suite in names for check in _SUITES[suite](max_N, ctx)]
+    checks = []
+    for suite in names:
+        for check, n, lhs, rhs in _SUITES[suite](max_N, ctx):
+            lhs = lhs if isinstance(lhs, str) else format_rational(lhs)
+            rhs = rhs if isinstance(rhs, str) else format_rational(rhs)
+            checks.append(CheckResult(suite, check, n, lhs, rhs))
     if not checks:
         raise ValueError(f"suite {name!r} has no checks at max_N={max_N}")
     return checks

@@ -1,8 +1,11 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
+from demazure_sl2 import cli
+from demazure_sl2.asymptotics import FitMismatchError
 from demazure_sl2.cli import main
 from frozen import README_COMMAND_SHA256
 
@@ -83,6 +86,17 @@ def test_conjecture_json_stdout(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["level"] == 2
     assert doc["table_match"] is True
+
+
+def test_conjecture_fit_mismatch_reports_witnesses(monkeypatch, capsys):
+    def mismatch(m, N_list):
+        raise FitMismatchError("not cubic on sampled range", [(10, Fraction(1), Fraction(2))])
+
+    monkeypatch.setattr(cli, "conjecture_check", mismatch)
+    assert main(["conjecture", "--m", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not cubic on sampled range\n  N=10 computed=1 cubic-predicts=2\n"
 
 
 def test_conjecture_rejects_bad_level_and_short_list(capsys):

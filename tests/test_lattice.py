@@ -107,6 +107,21 @@ _functionals = st.builds(
 )
 
 
+def test_float_coefficients_raise_even_at_zero():
+    with pytest.raises(TypeError):
+        Functional({(1, 0): 0.0})
+    with pytest.raises(TypeError):
+        A * 0.0
+
+
+@given(c=_coeffs)
+@settings(max_examples=60, deadline=None)
+def test_constant_functional_hashes_as_its_scalar(c):
+    assert hash(Functional.constant(c)) == hash(c)
+    assert Functional.constant(c) in {c}
+    assert c in {Functional.constant(c)}
+
+
 @given(f=_functionals, g=_functionals, p=_points)
 @settings(max_examples=60, deadline=None)
 def test_evaluation_is_ring_homomorphism(f, g, p):

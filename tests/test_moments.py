@@ -175,6 +175,14 @@ def test_reference_formula_errors():
         reference_formula("var_degree", 0)
 
 
+def test_expect_above_table_degree_names_both_degrees():
+    table = raw_moments(level1_distribution(4), 2)
+    with pytest.raises(ValueError, match="degree 3 exceeds the moment table's degree 2"):
+        table.expect(A**3)
+    with pytest.raises(ValueError, match="degree 3 exceeds"):
+        table.cov(A * B, A)
+
+
 def test_reference_formulas_match_exact_moments_at_every_parity():
     sq = (A - B) * (A - B)
     tables = [raw_moments(level1_distribution(N), 4) for N in range(26)]

@@ -38,3 +38,24 @@ def test_no_module_keeps_global_state():
         globals_ = [node for node in ast.walk(tree) if isinstance(node, ast.Global)]
         offenders += [f"{path.name}:{node.lineno}: global {', '.join(node.names)}" for node in globals_]
     assert offenders == []
+
+
+def test_only_run_suite_builds_check_results():
+    # suites yield (name, N, lhs, rhs); run_suite alone turns them into
+    # CheckResult lines, so the suite name, the printing of rationals and
+    # the verdict are written once
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "verify.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "run_suite":
+                    allowed.update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "CheckResult":
+                    offenders.append(f"{path.name}:{node.lineno}: CheckResult(...)")
+    assert offenders == []

@@ -6,12 +6,15 @@ from demazure_sl2 import (
     CheckResult,
     CovarianceMatrix,
     HighestWeight,
+    WeightDistribution,
     WeylWord,
     format_check,
     run_suite,
     theorem_covariance_matrix,
     weight_distribution,
 )
+from demazure_sl2 import verify
+from demazure_sl2.asymptotics import FitMismatchError
 from demazure_sl2.verify import SUITE_NAMES, SuiteContext
 
 
@@ -35,8 +38,8 @@ def test_theorem_covariance_matrix_values():
 
 
 def test_format_check_lines():
-    ok = CheckResult("sanderson", "var-weight-diff", 4, "1", "1", True)
-    bad = CheckResult("stretch", "stretch-cov", 7, "3/2", "5/2", False)
+    ok = CheckResult("sanderson", "var-weight-diff", 4, "1", "1")
+    bad = CheckResult("stretch", "stretch-cov", 7, "3/2", "5/2")
     assert format_check(ok) == "PASS var-weight-diff N=4 lhs=1 rhs=1"
     assert format_check(bad) == "FAIL stretch-cov N=7 lhs=3/2 rhs=5/2"
 
@@ -86,3 +89,34 @@ def test_suite_context_caches_and_extends_chains():
     assert mass == 16
     assert table[(0, 0)] == 16
     assert ctx.moments(hw, 0, 4, 2) is not None
+
+
+def test_corrupted_chain_prints_fail_lines():
+    ctx = SuiteContext()
+    chain = ctx.chain(HighestWeight.fundamental(0), 0, 8)
+    entries = dict(chain[5].items())
+    entries[(3, 2)] += 1
+    chain[5] = WeightDistribution(chain[5].hw, entries)
+    lines = [format_check(r) for suite in ("sanderson", "palindrome") for r in run_suite(suite, 8, ctx)]
+    assert [line for line in lines if not line.startswith("PASS ")] == [
+        "FAIL binomial-marginal N=5 lhs=11 at t=1 rhs=10 at t=1",
+        "FAIL var-weight-diff N=5 lhs=1328/1089 rhs=5/4",
+        "FAIL cov-sqdiff-diff N=5 lhs=1312/1089 rhs=5/4",
+        "FAIL string-palindrome N=5 lhs=mass(3, 2)=3 rhs=mirror mass",
+    ]
+
+
+def test_conjecture_fit_mismatch_prints_witness_lines(monkeypatch):
+    def mismatch(m, N_list):
+        raise FitMismatchError("not cubic on sampled range", [(10, Fraction(1), Fraction(2))])
+
+    monkeypatch.setattr(verify, "conjecture_check", mismatch)
+    assert [format_check(r) for r in run_suite("conjecture", 10)] == [
+        f"FAIL conjecture-cubic-m{m} N=10 lhs=1 rhs=2" for m in (2, 3, 4)
+    ]
+
+
+def test_verdict_is_equality_of_printed_sides():
+    results = run_suite("all", 12)
+    assert results
+    assert all(r.passed == (r.lhs == r.rhs) for r in results)
