@@ -186,7 +186,7 @@ class Functional:
 
     def __mul__(self, other: "Functional | Scalar") -> "Functional":
         if isinstance(other, (int, Fraction)):
-            other = Functional.constant(other)
+            return _collect((k, c * other) for k, c in self._terms.items())
         if not isinstance(other, Functional):
             return NotImplemented
         pairs = product(self._terms.items(), other._terms.items())
@@ -230,7 +230,8 @@ def _collect(terms: Iterable[tuple[tuple[int, int], Scalar]]) -> Functional:
     """Functional of the terms summed per monomial, normalised, zeros dropped."""
     sums: dict[tuple[int, int], Scalar] = {}
     for key, c in terms:
-        sums[key] = sums.get(key, 0) + c
+        # a first term is stored as is: 0 + Fraction would build a new Fraction
+        sums[key] = sums[key] + c if key in sums else c
     f = Functional()
     f._terms = {key: _norm_coeff(c) for key, c in sums.items() if c}
     return f

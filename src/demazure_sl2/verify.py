@@ -96,6 +96,9 @@ class SuiteContext:
 
 
 _L0 = HighestWeight.fundamental(0)
+# the weight-difference coordinate a - b and its square
+_DIFF = A - B
+_SQ = _DIFF * _DIFF
 
 # one check of a suite: name, N and the two sides, each a text or a rational
 Checks = Iterator[tuple[str, int, str | Scalar, str | Scalar]]
@@ -108,11 +111,9 @@ def _level1(ctx: SuiteContext, N: int) -> MomentTable:
 
 def suite_sanderson(max_N: int, ctx: SuiteContext) -> Checks:
     """Marginal of a - b is a binomial row; its moments obey N/4 laws."""
-    diff = A - B
-    sq = diff * diff
     for N in range(1, max_N + 1):
         mu = ctx.chain(_L0, 0, max_N)[N]
-        got = marginal(mu, diff)
+        got = marginal(mu, _DIFF)
         want = {k - N // 2: comb(N, k) for k in range(N + 1)}
         if got == want:
             yield "binomial-marginal", N, f"binomial-row({N})", f"binomial-row({N})"
@@ -120,8 +121,8 @@ def suite_sanderson(max_N: int, ctx: SuiteContext) -> Checks:
             t = next(t for t in sorted(set(got) | set(want)) if got.get(t, 0) != want.get(t, 0))
             yield "binomial-marginal", N, f"{got.get(t, 0)} at t={t}", f"{want.get(t, 0)} at t={t}"
         table = _level1(ctx, N)
-        yield "var-weight-diff", N, table.cov(diff, diff), Fraction(N, 4)
-        yield "cov-sqdiff-diff", N, table.cov(sq, diff), Fraction((N % 2) * N, 4)
+        yield "var-weight-diff", N, table.cov(_DIFF, _DIFF), Fraction(N, 4)
+        yield "cov-sqdiff-diff", N, table.cov(_SQ, _DIFF), Fraction((N % 2) * N, 4)
 
 
 def suite_palindrome(max_N: int, ctx: SuiteContext) -> Checks:
@@ -137,18 +138,16 @@ def suite_palindrome(max_N: int, ctx: SuiteContext) -> Checks:
 
 def suite_stretch(max_N: int, ctx: SuiteContext) -> Checks:
     """Squared-difference covariances and the pushforward route agreement."""
-    diff = A - B
-    sq = diff * diff
     for N in range(2, max_N + 1):
         mu = ctx.chain(_L0, 0, max_N)[N]
         table = _level1(ctx, N)
         c = N % 2
         lead = (A, B)[c]
         rhs = reference_formula("stretch_covariance", N)
-        yield "stretch-cov", N, table.cov(lead, sq), rhs
-        f, g = sq - c * diff - 2 * lead, sq - c * diff
+        yield "stretch-cov", N, table.cov(lead, _SQ), rhs
+        f, g = _SQ - c * _DIFF - 2 * lead, _SQ - c * _DIFF
         yield "sym-cov-zero", N, table.cov(f, g), 0
-        x = diff - Fraction(c, 2)
+        x = _DIFF - Fraction(c, 2)
         y = lead - Fraction(N * N - 2 * c, 8)
         pushed = pushforward_covariance(mu, CoordinateMap(x * x, y))
         yield "pushforward-cov-route", N, table.cov(x * x, y), pushed
@@ -167,8 +166,6 @@ _RECURRENCE_CLOSED_FORMS = (
 
 def suite_recurrence(max_N: int, ctx: SuiteContext) -> Checks:
     """Second-moment recurrences in N and the degree-moment closed forms."""
-    diff = A - B
-    sq = diff * diff
     ctx.chain(_L0, 0, max_N + 1)
     for N in range(2, max_N + 1):
         now, after = _level1(ctx, N), _level1(ctx, N + 1)
@@ -177,13 +174,13 @@ def suite_recurrence(max_N: int, ctx: SuiteContext) -> Checks:
         incr = after.expect(nxt * nxt) - now.expect(nxt * nxt)
         # the step cubic: N(N^2 + N + 2)/16 for odd N, N^2(N + 1)/16 for even N
         step_rhs = Fraction(N * (N * N + N + 2 * c), 16)
-        yield "second-moment-step", N, incr - 2 * now.cov(lead, sq), step_rhs
+        yield "second-moment-step", N, incr - 2 * now.cov(lead, _SQ), step_rhs
         cross = after.expect(nxt * nxt) - now.expect(lead * lead)
         got = (incr, cross, now.cov(lead, lead), now.expect(lead * lead), now.expect(lead))
         for (name, catalog), lhs in zip(_RECURRENCE_CLOSED_FORMS, got):
             yield name, N, lhs, reference_formula(catalog, N)
         if c:
-            yield "cov-b-weight-diff", N, now.cov(B, diff), 0
+            yield "cov-b-weight-diff", N, now.cov(B, _DIFF), 0
 
 
 def theorem_covariance_matrix(N: int, j: int) -> CovarianceMatrix:

@@ -1,4 +1,7 @@
+import dataclasses
+import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -116,7 +119,16 @@ def test_conjecture_fit_mismatch_prints_witness_lines(monkeypatch):
     ]
 
 
-def test_verdict_is_equality_of_printed_sides():
-    results = run_suite("all", 12)
-    assert results
-    assert all(r.passed == (r.lhs == r.rhs) for r in results)
+def test_benchmark_counts_a_suite_fail_line_as_a_failed_job(monkeypatch):
+    # bench/worker.py fails a suite job on its FAIL lines, not only when it raises
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    worker = importlib.import_module("worker")
+    original = verify.run_suite
+
+    def corrupted(*args):
+        results = original(*args)
+        return results[:-1] + [dataclasses.replace(results[-1], rhs=results[-1].rhs + "!")]
+
+    monkeypatch.setattr(verify, "run_suite", corrupted)
+    result = worker.run_pass([{"kind": "suite", "suite": "recurrence", "max_N": 6}], trace=False)
+    assert [f["problems"] for f in result["failures"]] == [["FAIL first-moment-closed N=6 lhs=21/4 rhs=21/4!"]]
