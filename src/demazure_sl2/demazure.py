@@ -21,9 +21,12 @@ equal to output column C - e, is
 
     sum of columns s >= e with k >= 0  minus  sum of columns s <= C - 1 - e with k <= -2.
 
-A downward sweep over e keeps both running sums, so one application costs
-O(columns x rows) integer operations, all inside map().  The definitional
-per-point expansion is kept in the test suite as an independent oracle.
+A downward sweep over e keeps both running sums as lists of its own over
+the input's rows, adding each column into its slice in place.  Per entry
+one application costs one addition into a running sum, one copy into the
+output and one subtraction where the second sum has reached, all inside
+map().  The definitional per-point expansion is kept in the test suite as
+an independent oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import add, neg, sub
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .lattice import Functional, HighestWeight, LatticePoint, Scalar
@@ -187,45 +190,41 @@ class WeightDistribution:
         return f"WeightDistribution(hw={self.hw}, support={len(self)}, mass={self.total_mass()})"
 
 
-def _spread(col: Column, lo: int, hi: int) -> list[int]:
-    """The column's vector padded with zeros onto rows lo .. hi - 1."""
-    r0, vals = col
-    if r0 == lo and r0 + len(vals) == hi:
-        return vals
-    return [0] * (r0 - lo) + vals + [0] * (hi - r0 - len(vals))
-
-
-def _combine(x: Column, y: Column, op) -> Column:
-    lo = min(x[0], y[0])
-    hi = max(x[0] + len(x[1]), y[0] + len(y[1]))
-    return lo, list(map(op, _spread(x, lo, hi), _spread(y, lo, hi)))
-
-
 def _fold(cols: dict[int, Column], C: int) -> dict[int, Column]:
     """D_j on columns keyed by string coordinate s, pairing k = 2s - C.
 
     Vectors run over rows that D_j does not move.  Dominant columns
     (k >= 0) are summed from the top down, antidominant ones (k <= -2)
-    from the bottom up; k = -1 columns contribute nothing.
+    from the bottom up; k = -1 columns contribute nothing.  Both running
+    sums are private lists over the input's rows: each column is added
+    into its own slice in place, and each output column is a copy of the
+    rows either sum has reached, less the antidominant sum on its rows.
     """
     dom = {s: col for s, col in cols.items() if 2 * s >= C}
     anti = {s: col for s, col in cols.items() if 2 * s <= C - 2}
     out: dict[int, Column] = {}
     stop = (C - 1) // 2  # the last e with 2e < C
     top = max(max(dom, default=stop), C - 1 - min(anti, default=C - 1 - stop))
-    psum = qsum = None
+    lo = min((r0 for r0, _ in cols.values()), default=0)
+    rows = max((r0 + len(vals) for r0, vals in cols.values()), default=lo) - lo
+    psum, qsum = [0] * rows, [0] * rows
+    l = ql = rows  # rows l..h-1 hold either sum, rows ql..qh-1 the antidominant one
+    h = qh = 0
     for e in range(top, stop, -1):
         if e in dom:
-            psum = dom[e] if psum is None else _combine(psum, dom[e], add)
+            r0, vals = dom[e]
+            i, j = r0 - lo, r0 - lo + len(vals)
+            psum[i:j] = map(add, psum[i:j], vals)
+            l, h = min(l, i), max(h, j)
         if C - 1 - e in anti:
-            col = anti[C - 1 - e]
-            qsum = col if qsum is None else _combine(qsum, col, add)
-        if qsum is None:
-            res = _trim(*psum)
-        elif psum is None:
-            res = _trim(qsum[0], list(map(neg, qsum[1])))
-        else:
-            res = _trim(*_combine(psum, qsum, sub))
+            r0, vals = anti[C - 1 - e]
+            i, j = r0 - lo, r0 - lo + len(vals)
+            qsum[i:j] = map(add, qsum[i:j], vals)
+            ql, qh, l, h = min(ql, i), max(qh, j), min(l, i), max(h, j)
+        res = psum[l:h]
+        if ql < qh:
+            res[ql - l : qh - l] = map(sub, res[ql - l : qh - l], qsum[ql:qh])
+        res = _trim(lo + l, res)
         if res is not None:
             out[e] = out[C - e] = res
     return out

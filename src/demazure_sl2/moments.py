@@ -9,7 +9,10 @@ every expectation, covariance and degree/finite-weight covariance matrix
 in the package is read from one.  Pushforwards are built on the integer
 image of demazure.integer_image; pushforward_covariance and
 coordinate_covariance share one kernel that sums int numerators and
-divides once.  Per support point the work is int map and sum only.
+divides once.  Per support point the work is int arithmetic inside map,
+accumulate and sum only: raw_moments makes degree + 1 additions per point
+(iterated prefix sums and a final sum) and no multiplication, and turns
+their results into power sums per column, as vectors over the columns.
 reference_formula exposes the catalog of closed-form values the identity
 suites compare against.
 """
@@ -18,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
-from operator import mul
+from itertools import accumulate, repeat
+from math import comb, factorial, lcm
+from operator import add, mul, sub
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .demazure import WeightDistribution, image_measure, integer_image
@@ -67,21 +71,39 @@ class MomentTable(NamedTuple):
 def raw_moments(mu: WeightDistribution, degree: int) -> MomentTable:
     """Total mass and the power sums sum(c * a^i * b^j) for i + j <= degree.
 
-    Per column of fixed d = a - b the sums s_p = sum(c * a^p) are taken over
-    the column vector and gathered into one vector per p across the columns.
-    The sums over columns of (-d)^r * s_p are dot products with per-column
-    power vectors, and b^j = (a - d)^j is expanded binomially once per table:
+    Per column of fixed d = a - b, with hi one past its top row, the last
+    entries of `degree` iterated prefix sums of the column vector, and the
+    sum of the last one, are sum(c * C(w + k - 1, k)) for k <= degree,
+    w = hi - a.  Times k! these are the rising-factorial sums
+    sum(c * w(w+1)...(w+k-1)), and multiplying by a = hi - w in that basis,
+
+        a * w(w+1)...(w+k-1) = (hi + k) * w(w+1)...(w+k-1) - w(w+1)...(w+k),
+
+    takes them to s_p = sum(c * a^p) in `degree` rounds of one column-vector
+    map per k, for all columns at once.  The sums over columns of
+    (-d)^r * s_p are dot products with per-column power vectors, and
+    b^j = (a - d)^j is expanded binomially once per table:
     sum(c * a^i * b^j) = sum over k of C(j, k) * sum((-d)^(j-k) * s_{i+k}).
     """
-    s: list[list[int]] = [[] for _ in range(degree + 1)]
-    neg_d = []
+    if not isinstance(degree, int) or degree < 0:
+        raise ValueError("degree must be a nonnegative integer")
+    t: list[list[int]] = [[] for _ in range(degree + 1)]
+    heads, last = t[:-1], t[-1]
+    his, neg_d = [], []
     for d, (a0, vals) in mu.columns():
-        heights = range(a0, a0 + len(vals))
+        his.append(a0 + len(vals))
         neg_d.append(-d)
-        s[0].append(sum(vals))
-        for sp in s[1:]:
-            vals = list(map(mul, vals, heights))
-            sp.append(sum(vals))
+        for tk in heads:
+            vals = list(accumulate(vals))
+            tk.append(vals[-1])
+        last.append(sum(vals))
+    for k in range(2, degree + 1):  # 0! = 1! = 1
+        t[k] = list(map(mul, repeat(factorial(k)), t[k]))
+    shifted = [his] + [list(map(add, his, repeat(k))) for k in range(1, degree)]  # hi + k
+    s = [t[0]]
+    for _ in range(degree):  # round p leaves t[k] = sum(c * a^p * w(w+1)...(w+k-1))
+        t = [list(map(sub, map(mul, hk, tk), up)) for hk, tk, up in zip(shifted, t, t[1:])]
+        s.append(t[0])
     powers = [[1] * len(neg_d)]
     for _ in range(degree):
         powers.append(list(map(mul, powers[-1], neg_d)))

@@ -272,6 +272,25 @@ def test_output_is_reflection_symmetric(hw, entries, j):
         assert out.mass(mirror) == c
 
 
+@given(hw=_hws, entries=_entries, j=_js)
+@settings(max_examples=60, deadline=None)
+def test_operator_never_mutates_a_vector(hw, entries, j):
+    # column vectors are shared between columns and distributions, and the
+    # kernel adds into lists of its own: no input vector may change
+    def snapshot(mu):
+        return [(d, r0, list(vals)) for d, (r0, vals) in mu.columns()]
+
+    mu = WeightDistribution(hw, entries)
+    before = snapshot(mu)
+    once = apply_demazure(j, mu)
+    assert snapshot(mu) == before
+    after_once = snapshot(once)
+    for k in (j, 1 - j):
+        apply_demazure(k, once)
+        assert snapshot(once) == after_once
+        assert snapshot(mu) == before
+
+
 @given(hw=_hws, e1=_entries, e2=_entries, j=_js)
 @settings(max_examples=60, deadline=None)
 def test_operator_is_linear(hw, e1, e2, j):

@@ -17,6 +17,7 @@ from demazure_sl2 import (
     WeylWord,
     covariance,
     covariance_matrix,
+    distribution_chain,
     expectation,
     level1_distribution,
     pushforward,
@@ -216,27 +217,35 @@ def test_moments_match_brute_force_sweep():
 
 
 def test_raw_moments_degree4_match_pointwise_sums():
-    # per-column power sums expanded binomially in b = a - d, against the
-    # definition sum(c * a^i * b^j) point by point, at every degree 0..5
+    # the power sums against the definition sum(c * a^i * b^j) point by
+    # point, at every degree 0..6: on random signed measures, which reach
+    # negative coordinates, and on genuine chains, whose long columns run
+    # every round of the prefix sums and of the basis change
     rng = random.Random(4)
-    negative_points = 0
-    for _ in range(60):
-        mu = random_signed_measure(rng)
-        negative_points += sum(1 for (a, b), _ in mu.items() if a < 0 or b < 0)
-        for degree in range(6):
+    measures = [random_signed_measure(rng) for _ in range(60)]
+    for m, n, first in ((1, 0, 0), (2, 1, 1), (0, 3, 1)):
+        measures += [mu for _, mu in distribution_chain(HighestWeight(m, n), WeylWord(14, first))]
+    assert any(a < 0 or b < 0 for mu in measures for (a, b), _ in mu.items())
+    assert max(len(vals) for mu in measures for _, (_, vals) in mu.columns()) > 10
+    for mu in measures:
+        pointwise = {(i, j): sum(c * a**i * b**j for (a, b), c in mu.items()) for i in range(7) for j in range(7 - i)}
+        for degree in range(7):
             mass, table = raw_moments(mu, degree)
-            assert mass == sum(c for _, c in mu.items())
-            assert set(table) == {(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)}
-            for (i, j), value in table.items():
-                assert value == sum(c * a**i * b**j for (a, b), c in mu.items()), (i, j)
-    assert negative_points > 0
+            assert mass == mu.total_mass()
+            assert table == {key: v for key, v in pointwise.items() if sum(key) <= degree}
     empty = WeightDistribution(L0, {})
-    for degree in range(6):
+    for degree in range(7):
         moments = raw_moments(empty, degree)
         assert moments.mass == 0
         assert set(moments.sums.values()) == {0}
         with pytest.raises(EmptyDistributionError):
             moments.expect(A)
+
+
+def test_raw_moments_rejects_a_negative_degree():
+    for mu in (weight_distribution(L0, WeylWord(3, 0)), WeightDistribution(L0, {})):
+        with pytest.raises(ValueError, match="^degree must be a nonnegative integer$"):
+            raw_moments(mu, -1)
 
 
 @given(

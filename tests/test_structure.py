@@ -59,3 +59,25 @@ def test_only_run_suite_builds_check_results():
                 if name == "CheckResult":
                     offenders.append(f"{path.name}:{node.lineno}: CheckResult(...)")
     assert offenders == []
+
+
+def test_floats_only_in_render():
+    # exact arithmetic everywhere but the SVG coordinates: outside render.py
+    # no float literal, no float(...), no math module and no float-valued
+    # function imported from it
+    integer_math = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "render.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                offenders.append(f"{where}: literal {node.value!r}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                offenders.append(f"{where}: float(...)")
+            elif isinstance(node, ast.Import) and any(a.name == "math" for a in node.names):
+                offenders.append(f"{where}: import math")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                offenders += [f"{where}: from math import {a.name}" for a in node.names if a.name not in integer_math]
+    assert offenders == []
