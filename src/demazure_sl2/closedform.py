@@ -1,29 +1,30 @@
 """Closed form for level-1 weight distributions via Gaussian binomial columns.
 
-For the fundamental weight L0 and the even alternating word of length N
-(first letter 0), the multiplicity at (a, b) equals the number of monotone
-lattice paths from (0, 0) to (k, N - k) with area i, where the string index
-k and the depth i are read off the coordinates by
+Take hw = L0 and the alternating word of length N with first letter 0, and
+write c = N % 2.  For k = 0 .. N, the delta string d = a - b = k - N//2
+holds the Gaussian binomial [N choose k]_q from its lowest row a = d*d up:
+the multiplicity at (d*d + i, d*d + i - d) counts the monotone lattice
+paths from (0, 0) to (k, N - k) with area i.  [N k]_q has degree
+k(N - k) = (N*N - c)/4 - d*d + c*d, so the string's highest row is
+(N*N - c)/4 + c*d.  One formula serves both parities and no Demazure
+operator is applied, so it checks the recursion independently at every N
+(level-1 Demazure characters are specialised nonsymmetric Macdonald
+polynomials: Sanderson, J. Algebraic Combin. 11 (2000)).
 
-    i = N*N//4 - a,      k = (a - b) + N//2.
-
-Those path counts are exactly the coefficients of the Gaussian binomial
-[N choose k]_q, generated here along row N by the product recurrence
+Row N comes from the product recurrence
 
     [N k+1]_q = [N k]_q (1 - q^(N-k)) / (1 - q^(k+1)),
 
 one shifted subtraction and one running sum per residue class mod k + 1,
-so a row costs no earlier row and nothing is cached between calls.
+so a row costs no earlier row and nothing is cached between calls; by
+[N k] = [N N-k] it is built only to k = N//2.
 
-Odd words extend the even closed form by one more Demazure step.  The
-string-reflection shift and its palindromicity check live here too: the
-level-1 distribution restricted to a column of fixed a - b (a delta
-string) is a palindrome, mirrored by (a, b) -> (a + S, b + S) with
+The coefficients of [N k]_q are palindromic, so each string is mirrored by
+a -> lowest + highest - a, that is (a, b) -> (a + S, b + S) with
 
-    S = (N*N - c)/4 + (a-b)^2 + c(a-b) - 2a,      c = N % 2,
+    S = d*d + (N*N - c)/4 + c*d - 2a,
 
-derived from the string midpoint a = ((N*N - c)/4 + (a-b)^2 + c(a-b)) / 2,
-which for odd N is the midpoint b = ((N*N - 1)/4 + (a-b)^2 - (a-b)) / 2.
+the shift behind `string_symmetry_shift` and `palindromicity_check`.
 """
 
 from __future__ import annotations
@@ -32,8 +33,13 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 
-from .demazure import WeightDistribution, apply_demazure
+from .demazure import WeightDistribution
 from .lattice import HighestWeight, LatticePoint
+
+
+def _check_word_length(N: int) -> None:
+    if not isinstance(N, int) or N < 0:
+        raise ValueError("word length must be a nonnegative integer")
 
 
 def _binomial_row(N: int, top: int) -> list[list[int]]:
@@ -57,43 +63,33 @@ def _binomial_row(N: int, top: int) -> list[list[int]]:
 
 def gaussian_binomial(N: int, k: int) -> tuple[int, ...]:
     """[N choose k]_q as its coefficient tuple, constant term first; () outside 0 <= k <= N."""
-    if N < 0:
-        raise ValueError("N must be nonnegative")
+    _check_word_length(N)
     if k < 0 or k > N:
         return ()
     return tuple(_binomial_row(N, min(k, N - k))[-1])
 
 
 def level1_distribution(N: int) -> WeightDistribution:
-    """Closed-form distribution for hw = L0 and the word (N, first=0).
+    """Closed-form distribution for hw = L0 and the word (N, first=0), for every N >= 0.
 
-    Even N is assembled directly from the Gaussian binomial columns; odd N
-    applies one more D_0 to the closed form at N - 1.  No operator
-    recursion from the highest weight is involved for even N, which is what
-    makes this an independent cross-check of the recursion.
+    String d = k - N//2 is [N k]_q from row d*d up; strings k and N - k share
+    one coefficient list.  No Demazure operator is applied, so this checks
+    the recursion independently at both parities.
     """
-    if N < 0:
-        raise ValueError("word length must be nonnegative")
-    hw = HighestWeight.fundamental(0)
-    if N == 0:
-        return WeightDistribution.delta(hw)
-    if N % 2:
-        return apply_demazure(0, level1_distribution(N - 1))
-    # column d = k - N/2 holds [N k]_q with q^i at degree a = N^2/4 - i; the
-    # coefficients are palindromic and [N k] = [N N-k], so columns d and -d
-    # share one vector, already in ascending-degree order
-    half = _binomial_row(N, N // 2)
-    peak = N * N // 4
-    cols = {k - N // 2: (peak + 1 - len(cs), cs) for k, cs in enumerate(half + half[-2::-1])}
-    return WeightDistribution.from_columns(hw, cols)
+    _check_word_length(N)
+    half = _binomial_row(N, N // 2)  # [N k] = [N N-k]: read back past the middle row at even N
+    cols = {d: (d * d, cs) for d, cs in enumerate(half + half[N % 2 - 2 :: -1], -(N // 2))}
+    return WeightDistribution.from_columns(HighestWeight.fundamental(0), cols)
 
 
 def string_symmetry_shift(N: int, p: LatticePoint) -> int:
-    """Shift S with mass(a, b) = mass(a + S, b + S) on level-1 delta strings."""
-    if N < 0:
-        raise ValueError("word length must be nonnegative")
+    """Shift S with mass(a, b) = mass(a + S, b + S) on level-1 delta strings.
+
+    S = lowest + highest row of the string through (a, b), less 2a.
+    """
+    _check_word_length(N)
     a, d, c = p[0], p[0] - p[1], N % 2
-    return (N * N - c) // 4 + d * d + c * d - 2 * a
+    return d * d + (N * N - c) // 4 + c * d - 2 * a
 
 
 @dataclass(frozen=True)

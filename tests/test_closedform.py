@@ -11,13 +11,11 @@ from demazure_sl2 import (
     HighestWeight,
     LatticePoint,
     WeightDistribution,
-    WeylWord,
     apply_demazure,
     gaussian_binomial,
     level1_distribution,
     palindromicity_check,
     string_symmetry_shift,
-    weight_distribution,
 )
 from oracles import lattice_path_area_counts
 
@@ -91,10 +89,31 @@ def test_row_cache_holds_one_row():
     assert retained <= before, (before, retained)
 
 
-def test_level1_matches_recursion():
-    hw = HighestWeight.fundamental(0)
-    for N in range(0, 21):
-        assert level1_distribution(N) == weight_distribution(hw, WeylWord(N, 0)), N
+def test_level1_matches_recursion(chain41):
+    for N, mu in enumerate(chain41):
+        assert level1_distribution(N) == mu, N
+
+
+def test_level1_column_geometry():
+    # string d = k - N//2 is [N k]_q on rows d^2 .. (N^2 - c)/4 + c*d, and
+    # the palindromicity shift at its lowest row spans the whole string
+    for N in range(0, 62):
+        c = N % 2
+        cols = dict(level1_distribution(N).columns())
+        assert sorted(cols) == list(range(-(N // 2), N - N // 2 + 1)), N
+        for d, (a0, vals) in cols.items():
+            assert tuple(vals) == gaussian_binomial(N, d + N // 2), (N, d)
+            assert (a0, a0 + len(vals) - 1) == (d * d, (N * N - c) // 4 + c * d), (N, d)
+            assert string_symmetry_shift(N, LatticePoint(a0, a0 - d)) == len(vals) - 1, (N, d)
+
+
+def test_level1_mirror_matches_the_l1_recursion(chain40_j1):
+    # (L1, first letter 1) is (L0, first letter 0) with the generators
+    # swapped, which swaps the coordinates a and b
+    L1 = HighestWeight.fundamental(1)
+    for N, mu in enumerate(chain40_j1):
+        mirror = WeightDistribution(L1, {(b, a): c for (a, b), c in level1_distribution(N).items()})
+        assert mirror == mu, N
 
 
 def test_level1_odd_extends_even_by_one_step():
@@ -102,6 +121,22 @@ def test_level1_odd_extends_even_by_one_step():
         assert level1_distribution(N) == apply_demazure(0, level1_distribution(N - 1))
     with pytest.raises(ValueError):
         level1_distribution(-2)
+
+
+@pytest.mark.parametrize("N", [2.0, -1, "4", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda N: gaussian_binomial(N, 1),
+        level1_distribution,
+        lambda N: string_symmetry_shift(N, LatticePoint(0, 0)),
+        lambda N: palindromicity_check(level1_distribution(4), N),
+    ],
+    ids=["gaussian_binomial", "level1_distribution", "string_symmetry_shift", "palindromicity_check"],
+)
+def test_closed_forms_reject_a_bad_word_length(call, N):
+    with pytest.raises(ValueError, match="^word length must be a nonnegative integer$"):
+        call(N)
 
 
 def test_string_symmetry_shift_values():

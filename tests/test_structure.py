@@ -81,3 +81,20 @@ def test_floats_only_in_render():
             elif isinstance(node, ast.ImportFrom) and node.module == "math":
                 offenders += [f"{where}: from math import {a.name}" for a in node.names if a.name not in integer_math]
     assert offenders == []
+
+
+def test_closed_form_imports_no_operator():
+    # closedform is the second, independent route to level-1 distributions:
+    # from .demazure it may take the distribution type, nothing that computes
+    tree = ast.parse((PACKAGE / "closedform.py").read_text(encoding="utf-8"))
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("demazure_sl2").lstrip(".")
+            if module == "demazure" or (module == "" and node.level == 0):
+                offenders += [a.name for a in node.names if a.name != "WeightDistribution"]
+            elif module == "":
+                offenders += [a.name for a in node.names if a.name == "demazure"]
+        elif isinstance(node, ast.Import):
+            offenders += [a.name for a in node.names if a.name.startswith("demazure_sl2")]
+    assert offenders == []
