@@ -21,10 +21,11 @@ equal to output column C - e, is
 
     sum of columns s >= e with k >= 0  minus  sum of columns s <= C - 1 - e with k <= -2.
 
-A downward sweep over e keeps both running sums as lists of its own over
-the input's rows, adding each column into its slice in place.  Per entry
-one application costs one addition into a running sum, one copy into the
-output and one subtraction where the second sum has reached, all inside
+A downward sweep over e keeps that difference as one list of its own over
+the input's rows, out[e] = out[e + 1] + column e - column C - 1 - e (each
+term only where it is dominant resp. antidominant), adding or subtracting
+the column into its slice in place.  One application costs one addition
+or subtraction per input entry and one copy per output entry, all inside
 map().  The definitional per-point expansion is kept in the test suite as
 an independent oracle.
 """
@@ -195,10 +196,11 @@ def _fold(cols: dict[int, Column], C: int) -> dict[int, Column]:
 
     Vectors run over rows that D_j does not move.  Dominant columns
     (k >= 0) are summed from the top down, antidominant ones (k <= -2)
-    from the bottom up; k = -1 columns contribute nothing.  Both running
-    sums are private lists over the input's rows: each column is added
-    into its own slice in place, and each output column is a copy of the
-    rows either sum has reached, less the antidominant sum on its rows.
+    from the bottom up; k = -1 columns contribute nothing.  One running
+    list over the input's rows holds output column e: stepping e down
+    adds dominant column e into its slice and subtracts antidominant
+    column C - 1 - e from its slice, both in place, and the output is a
+    copy of the rows reached so far.
     """
     dom = {s: col for s, col in cols.items() if 2 * s >= C}
     anti = {s: col for s, col in cols.items() if 2 * s <= C - 2}
@@ -207,24 +209,16 @@ def _fold(cols: dict[int, Column], C: int) -> dict[int, Column]:
     top = max(max(dom, default=stop), C - 1 - min(anti, default=C - 1 - stop))
     lo = min((r0 for r0, _ in cols.values()), default=0)
     rows = max((r0 + len(vals) for r0, vals in cols.values()), default=lo) - lo
-    psum, qsum = [0] * rows, [0] * rows
-    l = ql = rows  # rows l..h-1 hold either sum, rows ql..qh-1 the antidominant one
-    h = qh = 0
+    run = [0] * rows
+    l, h = rows, 0  # rows l..h-1 are the ones some column has reached
     for e in range(top, stop, -1):
-        if e in dom:
-            r0, vals = dom[e]
-            i, j = r0 - lo, r0 - lo + len(vals)
-            psum[i:j] = map(add, psum[i:j], vals)
-            l, h = min(l, i), max(h, j)
-        if C - 1 - e in anti:
-            r0, vals = anti[C - 1 - e]
-            i, j = r0 - lo, r0 - lo + len(vals)
-            qsum[i:j] = map(add, qsum[i:j], vals)
-            ql, qh, l, h = min(ql, i), max(qh, j), min(l, i), max(h, j)
-        res = psum[l:h]
-        if ql < qh:
-            res[ql - l : qh - l] = map(sub, res[ql - l : qh - l], qsum[ql:qh])
-        res = _trim(lo + l, res)
+        for op, col in ((add, dom.get(e)), (sub, anti.get(C - 1 - e))):
+            if col is not None:
+                r0, vals = col
+                i, j = r0 - lo, r0 - lo + len(vals)
+                run[i:j] = map(op, run[i:j], vals)
+                l, h = min(l, i), max(h, j)
+        res = _trim(lo + l, run[l:h])
         if res is not None:
             out[e] = out[C - e] = res
     return out

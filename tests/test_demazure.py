@@ -195,13 +195,43 @@ def test_single_point_operator_cases():
         apply_demazure(2, WeightDistribution.delta(L0))
 
 
+def test_running_sum_edge_cases_match_oracle():
+    # at L0 under D_1 (C = 0): the antidominant column d = -3 sits on rows
+    # 9..10, above every other column; at e = 1 column d = 1 and column
+    # d = -2 cancel on row 5, so the running sum's bottom rows are zero
+    mu = WeightDistribution(L0, {(5, 3): 1, (5, 4): 1, (5, 7): 2, (5, 5): 3, (9, 12): 4, (10, 13): -1})
+    # at L1 under D_1 (C = -1, odd): column d = -1 has k = -1 and drops out
+    odd = WeightDistribution(L1, {(5, 4): 1, (2, 2): 1, (3, 4): 7, (4, 6): 2})
+    for m in (mu, odd):
+        for j in (0, 1):
+            assert apply_demazure(j, m) == apply_demazure_pointwise(j, m), (m, j)
+    assert dict(apply_demazure(1, mu).columns()) == {
+        2: (5, [1, 0, 0, 0, -4, 1]),
+        -2: (5, [1, 0, 0, 0, -4, 1]),
+        1: (9, [-4, 1]),
+        -1: (9, [-4, 1]),
+        0: (5, [3, 0, 0, 0, -4, 1]),
+    }
+    assert dict(apply_demazure(1, odd).columns()) == {
+        1: (5, [1]),
+        -2: (5, [1]),
+        0: (2, [1, 0, -2, 1]),
+        -1: (2, [1, 0, -2, 1]),
+    }
+
+
 def test_matches_definitional_oracle_on_chains():
-    for hw, first in ((L0, 0), (L0, 1), (L1, 0), (L1, 1)):
-        mu = WeightDistribution.delta(hw)
-        for t, j in enumerate(WeylWord(12, first).letters()):
-            fast = apply_demazure(j, mu)
-            assert fast == apply_demazure_pointwise(j, mu), (hw, first, t)
-            mu = fast
+    # level 1 to N = 12; at higher levels several antidominant columns
+    # overlap per step
+    cases = [(L0, 12), (L1, 12)]
+    cases += [(HighestWeight(1, 1), 13), (HighestWeight(2, 1), 11), (HighestWeight(4, 0), 10), (HighestWeight(0, 3), 10)]
+    for hw, N in cases:
+        for first in (0, 1):
+            mu = WeightDistribution.delta(hw)
+            for t, j in enumerate(WeylWord(N, first).letters()):
+                fast = apply_demazure(j, mu)
+                assert fast == apply_demazure_pointwise(j, mu), (hw, first, t)
+                mu = fast
 
 
 def test_total_mass_doubles_on_matched_words():
