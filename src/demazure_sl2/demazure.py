@@ -68,7 +68,11 @@ class WeylWord:
 # Column storage: d -> (a0, vals) with vals[i] the mass at (a0 + i, a0 + i - d).
 # Both ends of vals are nonzero and empty columns are absent, so equal
 # measures have equal column dicts; interior zeros are allowed.  Vectors
-# are shared between columns and distributions and never mutated.
+# are shared between columns and distributions and never mutated.  A D_j
+# output is s_j-invariant and holds one list per mirrored pair: after D_1
+# columns d and -n - d, after D_0 columns d and m - d, and in
+# closedform.level1_distribution strings k and N - k.  moments.raw_moments
+# relies on this to sum each shared list once.
 Column = tuple[int, list[int]]
 
 

@@ -10,9 +10,11 @@ in the package is read from one.  Pushforwards are built on the integer
 image of demazure.integer_image; pushforward_covariance and
 coordinate_covariance share one kernel that sums int numerators and
 divides once.  Per support point the work is int arithmetic inside map,
-accumulate and sum only: raw_moments makes degree + 1 additions per point
-(iterated prefix sums and a final sum) and no multiplication, and turns
-their results into power sums per column, as vectors over the columns.
+accumulate and sum only: raw_moments makes degree + 1 additions per entry
+of each distinct column vector (iterated prefix sums and a final sum) and
+no multiplication, and turns their results into power sums per column, as
+vectors over the columns.  Mirrored columns share one vector (see the
+Column storage comment in demazure.py), so each pair is summed once.
 reference_formula exposes the catalog of closed-form values the identity
 suites compare against.
 """
@@ -74,7 +76,11 @@ def raw_moments(mu: WeightDistribution, degree: int) -> MomentTable:
     Per column of fixed d = a - b, with hi one past its top row, the last
     entries of `degree` iterated prefix sums of the column vector, and the
     sum of the last one, are sum(c * C(w + k - 1, k)) for k <= degree,
-    w = hi - a.  Times k! these are the rising-factorial sums
+    w = hi - a.  They depend on the vector alone, so this stage costs
+    degree + 1 additions per entry of each distinct vector: columns that
+    hold the same list, as the mirrored columns d and -n - d after D_1,
+    d and m - d after D_0, and the level-1 strings k and N - k do, reuse
+    one result.  Times k! these are the rising-factorial sums
     sum(c * w(w+1)...(w+k-1)), and multiplying by a = hi - w in that basis,
 
         a * w(w+1)...(w+k-1) = (hi + k) * w(w+1)...(w+k-1) - w(w+1)...(w+k),
@@ -87,16 +93,20 @@ def raw_moments(mu: WeightDistribution, degree: int) -> MomentTable:
     """
     if not isinstance(degree, int) or degree < 0:
         raise ValueError("degree must be a nonnegative integer")
-    t: list[list[int]] = [[] for _ in range(degree + 1)]
-    heads, last = t[:-1], t[-1]
-    his, neg_d = [], []
+    his, neg_d, rows = [], [], []
+    done: dict[int, list[int]] = {}  # id(vals) -> its stage; mu keeps every vals alive and unmutated
     for d, (a0, vals) in mu.columns():
         his.append(a0 + len(vals))
         neg_d.append(-d)
-        for tk in heads:
-            vals = list(accumulate(vals))
-            tk.append(vals[-1])
-        last.append(sum(vals))
+        row = done.get(id(vals))
+        if row is None:
+            row = done[id(vals)] = []
+            for _ in range(degree):
+                vals = list(accumulate(vals))
+                row.append(vals[-1])
+            row.append(sum(vals))
+        rows.append(row)
+    t = [list(tk) for tk in zip(*rows)] if rows else [[] for _ in range(degree + 1)]
     for k in range(2, degree + 1):  # 0! = 1! = 1
         t[k] = list(map(mul, repeat(factorial(k)), t[k]))
     shifted = [his] + [list(map(add, his, repeat(k))) for k in range(1, degree)]  # hi + k

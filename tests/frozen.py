@@ -98,3 +98,7 @@ README_COMMAND_SHA256 = {
     "render --m 1 --n 0 --N 6 --kind histogram --out hist.svg": "052dc540cfd8fd16aa1548043266f6d696988f53f4460c0be0db65b74e3cbb90",
     "render --m 1 --n 0 --N 6 --kind ellipse --out ellipse.svg": "2d1144e6388f8e7edd62eb2dd772321e3731e5d751a9539f4b288bbbf1d5f729",
 }
+
+# sha256 of the check lines of run_suite("conjecture", 10), one line each as
+# format_check prints them, recorded at a107ef4 (30 lines at N = 2..10).
+CONJECTURE_SUITE_SHA256 = "51888db462a18fc30583c60b91dfbc14a64a623196068f703622f55e950f7e2a"

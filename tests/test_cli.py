@@ -67,6 +67,15 @@ def test_verify_rejects_unknown_suite(capsys):
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
+def test_verify_conjecture_below_max_N_10_is_usage_error(capsys):
+    # five even lengths up to max-N are needed for the fit and its held-out check
+    assert main(["verify", "--suite", "conjecture", "--max-N", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
 def test_wlln_csv_stdout(capsys):
     assert main(["wlln", "--m", "1", "--n", "0", "--N-list", "2,4"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -107,6 +107,14 @@ def test_level1_column_geometry():
             assert string_symmetry_shift(N, LatticePoint(a0, a0 - d)) == len(vals) - 1, (N, d)
 
 
+def test_level1_mirrored_strings_share_one_list():
+    # strings k and N - k hold one coefficient list, as a D_j output does
+    for N in range(12):
+        cols = dict(level1_distribution(N).columns())
+        for k in range(N + 1):
+            assert cols[k - N // 2][1] is cols[N - k - N // 2][1], (N, k)
+
+
 def test_level1_mirror_matches_the_l1_recursion(chain40_j1):
     # (L1, first letter 1) is (L0, first letter 0) with the generators
     # swapped, which swaps the coordinates a and b

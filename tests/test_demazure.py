@@ -104,6 +104,26 @@ def test_rebuilt_distribution_equals_kernel_output():
         assert WeightDistribution(mu.hw, dict(mu.items())) == mu
 
 
+def test_mirrored_output_columns_share_one_list():
+    # a D_j output is s_j-invariant and _fold stores one list per mirrored
+    # pair: after D_1 columns d and -n - d, after D_0 columns d and m - d;
+    # raw_moments sums each shared list once
+    shared = 0
+    for m, n in ((1, 0), (0, 1), (2, 1), (1, 3), (4, 0)):
+        hw = HighestWeight(m, n)
+        for first in (0, 1):
+            for t, mu in distribution_chain(hw, WeylWord(9, first)):
+                if t == 0:
+                    continue
+                j = (first + t - 1) % 2  # the letter applied last
+                cols = dict(mu.columns())
+                for d, (_, vals) in cols.items():
+                    e = -n - d if j else m - d
+                    assert cols[e][1] is vals, (m, n, first, t, d)
+                    shared += e != d
+    assert shared > 0
+
+
 def test_sorted_and_string_orders():
     mu = WeightDistribution(L0, {(2, 0): 1, (0, 0): 1, (1, 2): 1, (1, 0): 1})
     assert [tuple(p) for p, _ in mu.sorted_items()] == [(0, 0), (1, 0), (1, 2), (2, 0)]

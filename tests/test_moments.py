@@ -242,6 +242,23 @@ def test_raw_moments_degree4_match_pointwise_sums():
             moments.expect(A)
 
 
+def test_raw_moments_agrees_on_shared_and_unshared_columns():
+    # raw_moments runs its column stage once per distinct list; columns that
+    # share a list differ in d and a0, so everything after the stage stays
+    # per column.  The rebuild from entries shares nothing.
+    vals = [3, -1, 0, 2]
+    cols = {-2: (0, vals), 1: (5, vals), 4: (-3, vals), 0: (1, [1, 4]), 6: (2, vals[:2])}
+    mu = WeightDistribution.from_columns(HighestWeight(2, 1), cols)
+    rebuilt = WeightDistribution(mu.hw, dict(mu.items()))
+    assert rebuilt == mu
+    assert len({id(v) for _, (_, v) in rebuilt.columns()}) == len(cols)
+    for degree in range(7):
+        table = raw_moments(mu, degree)
+        assert table == raw_moments(rebuilt, degree), degree
+        keys = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+        assert table.sums == {(i, j): sum(c * a**i * b**j for (a, b), c in mu.items()) for i, j in keys}
+
+
 def test_raw_moments_rejects_a_negative_degree():
     for mu in (weight_distribution(L0, WeylWord(3, 0)), WeightDistribution(L0, {})):
         with pytest.raises(ValueError, match="^degree must be a nonnegative integer$"):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +20,7 @@ from demazure_sl2 import (
 from demazure_sl2 import verify
 from demazure_sl2.asymptotics import FitMismatchError
 from demazure_sl2.verify import SUITE_NAMES, SuiteContext
+from frozen import CONJECTURE_SUITE_SHA256
 
 
 def test_theorem_covariance_matrix_values():
@@ -50,10 +52,19 @@ def test_format_check_lines():
 def test_every_suite_passes_at_small_depth():
     ctx = SuiteContext()
     for name in SUITE_NAMES:
-        results = run_suite(name, 8, ctx)
+        results = run_suite(name, 10, ctx)
         assert results, name
         assert all(r.passed for r in results), [r for r in results if not r.passed]
         assert all(r.suite == name for r in results)
+
+
+def test_conjecture_suite_needs_five_lengths_up_to_max_N():
+    # the suite samples the even N <= min(10, max_N) and needs five of them
+    assert not [r for r in run_suite("all", 9) if r.suite == "conjecture"]
+    with pytest.raises(ValueError, match="has no checks at max_N=9"):
+        run_suite("conjecture", 9)
+    lines = "".join(format_check(r) + "\n" for r in run_suite("conjecture", 10))
+    assert hashlib.sha256(lines.encode()).hexdigest() == CONJECTURE_SUITE_SHA256
 
 
 def test_run_all_concatenates_in_order():
