@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an identity suite")
     p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     p.add_argument("--max-N", dest="max_n", type=int, default=20,
-                   help="largest word length; the conjecture suite always samples N = 2, 4, ..., 10")
+                   help="largest word length; the conjecture suite needs it >= 10 and samples N = 2, 4, ..., 10")
 
     p = sub.add_parser("wlln", help="rescaled summaries along a word family")
     add_hw(p)

@@ -64,6 +64,8 @@ def _binomial_row(N: int, top: int) -> list[list[int]]:
 def gaussian_binomial(N: int, k: int) -> tuple[int, ...]:
     """[N choose k]_q as its coefficient tuple, constant term first; () outside 0 <= k <= N."""
     _check_word_length(N)
+    if not isinstance(k, int):
+        raise ValueError("k must be an integer")
     if k < 0 or k > N:
         return ()
     return tuple(_binomial_row(N, min(k, N - k))[-1])

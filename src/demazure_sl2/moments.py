@@ -7,12 +7,12 @@ sum(mass * a^i * b^j), which raw_moments collects in a single pass per
 distribution into a MomentTable.  MomentTable is the one moment engine:
 every expectation, covariance and degree/finite-weight covariance matrix
 in the package is read from one.  Pushforwards are built on the integer
-image of demazure.integer_image; pushforward_covariance and
-coordinate_covariance share one kernel that sums int numerators and
-divides once.  Per support point the work is int arithmetic inside map,
-accumulate and sum only: raw_moments makes degree + 1 additions per entry
-of each distinct column vector (iterated prefix sums and a final sum) and
-no multiplication, and turns their results into power sums per column, as
+image of demazure.integer_image; pushforward_covariance sums per column
+instead and shares one final division with coordinate_covariance.  Per
+support point the work is int arithmetic inside map, accumulate and sum
+only: raw_moments makes degree + 1 additions per entry of each distinct
+column vector (iterated prefix sums and a final sum) and no
+multiplication, and turns their results into power sums per column, as
 vectors over the columns.  Mirrored columns share one vector (see the
 Column storage comment in demazure.py), so each pair is summed once.
 reference_formula exposes the catalog of closed-form values the identity
@@ -26,9 +26,9 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial, lcm
 from operator import add, mul, sub
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .demazure import WeightDistribution, image_measure, integer_image
+from .demazure import WeightDistribution, image_measure
 from .lattice import (
     Functional,
     HighestWeight,
@@ -174,9 +174,28 @@ def pushforward(mu: WeightDistribution, cmap: CoordinateMap) -> dict[tuple[Scala
 
 
 def pushforward_covariance(mu: WeightDistribution, cmap: CoordinateMap) -> Fraction:
-    """coordinate_covariance(pushforward(mu, cmap)), read off the integer image."""
-    (qx, qy), image = integer_image(mu, (cmap.x, cmap.y))
-    return _covariance(qx, qy, image, image.values())
+    """coordinate_covariance(pushforward(mu, cmap)), summed per column without building the image.
+
+    On each column Functional.on_column gives x and y as int numerators (one
+    int where constant), so mass, sum(c*x), sum(c*y) and sum(c*x*y) take at
+    most three dot products.  Covariance is linear in the measure, so equal
+    image points need not be merged first.
+    """
+    qx = qy = 1
+    mass = sx = sy = sxy = 0
+    for d, (a0, vals) in mu.columns():
+        rows = range(a0, a0 + len(vals))
+        (qx, xs), (qy, ys) = cmap.x.on_column(d, rows), cmap.y.on_column(d, rows)
+        m = sum(vals)
+        if type(xs) is int:
+            cy = ys * m if type(ys) is int else sum(map(mul, vals, ys))
+            cx, cxy = xs * m, xs * cy
+        else:
+            cxs = list(map(mul, vals, xs))
+            ys = [ys] * len(vals) if type(ys) is int else list(ys)
+            cx, cy, cxy = sum(cxs), sum(map(mul, vals, ys)), sum(map(mul, cxs, ys))
+        mass, sx, sy, sxy = mass + m, sx + cx, sy + cy, sxy + cxy
+    return _covariance(qx, qy, mass, sx, sy, sxy)
 
 
 def _numerators(axis: Sequence[Scalar]) -> tuple[int, list[int]]:
@@ -188,18 +207,15 @@ def _numerators(axis: Sequence[Scalar]) -> tuple[int, list[int]]:
 def coordinate_covariance(measure: Mapping[tuple[Scalar, Scalar], int]) -> Fraction:
     """Covariance of the two coordinates of a pushed measure."""
     (qx, xs), (qy, ys) = (_numerators([key[i] for key in measure]) for i in (0, 1))
-    return _covariance(qx, qy, zip(xs, ys), measure.values())
+    cs = list(measure.values())
+    cxs = list(map(mul, cs, xs))
+    return _covariance(qx, qy, sum(cs), sum(cxs), sum(map(mul, cs, ys)), sum(map(mul, cxs, ys)))
 
 
-def _covariance(qx: int, qy: int, keys: Iterable[tuple[int, int]], masses: Iterable[int]) -> Fraction:
-    """Covariance of (x / qx, y / qy) under the masses at the int keys (x, y)."""
-    cs = list(masses)
-    mass = sum(cs)
+def _covariance(qx: int, qy: int, mass: int, sx: int, sy: int, sxy: int) -> Fraction:
+    """Covariance of (x / qx, y / qy) from the int sums of c, c*x, c*y and c*x*y."""
     if mass == 0:
         raise EmptyDistributionError("empty distribution")
-    xs, ys = zip(*keys)
-    sx, sy = sum(map(mul, cs, xs)), sum(map(mul, cs, ys))
-    sxy = sum(map(mul, map(mul, cs, xs), ys))
     return Fraction(mass * sxy - sx * sy, mass * mass * qx * qy)
 
 

@@ -13,7 +13,7 @@ canonical, so a check passes exactly when its printed sides agree.  Suites:
   stretch     covariance of a coordinate with the squared difference, the
               two vanishing covariances behind it, and agreement of the
               direct moment-table route with the pushforward route, which
-              aggregates the image on integer numerators
+              sums int numerators per column without building the image
   recurrence  consecutive-length second-moment recurrences and the degree
               moment closed forms
   covariance  full degree/finite-weight covariance matrices for both

@@ -29,6 +29,9 @@ def test_gaussian_binomial_small_values():
     assert gaussian_binomial(3, 4) == ()
     with pytest.raises(ValueError):
         gaussian_binomial(-1, 0)
+    for k in (2.5, "2"):
+        with pytest.raises(ValueError, match="^k must be an integer$"):
+            gaussian_binomial(5, k)
 
 
 def test_gaussian_binomial_counts_paths_by_area():

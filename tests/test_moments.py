@@ -26,7 +26,7 @@ from demazure_sl2 import (
     variance,
     weight_distribution,
 )
-from demazure_sl2 import moments
+from demazure_sl2 import demazure, moments
 from demazure_sl2.moments import (
     coordinate_covariance,
     pushforward_covariance,
@@ -123,6 +123,8 @@ def test_pushforward_matches_pointwise_oracle():
         CoordinateMap(Functional.constant(0), A + B),
         # both coordinates constant on every column of fixed a - b
         CoordinateMap((A - B - half) ** 2, third * (A - B)),
+        # both coordinates vary along a column and repeat values on it
+        CoordinateMap((A - 2) ** 2, (B - 1) ** 2 - A),
     ]
     for _ in range(40):
         mu = random_signed_measure(rng)
@@ -143,6 +145,17 @@ def test_pushforward_matches_pointwise_oracle():
                     with pytest.raises(EmptyDistributionError):
                         pushforward_covariance(nu, cmap)
         assert pushforward(both, CoordinateMap((A - B) ** 2, third * (A + B))) == {}
+
+
+def test_pushforward_covariance_builds_no_image(mu6, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("integer_image called")
+
+    monkeypatch.setattr(moments, "integer_image", refuse, raising=False)
+    monkeypatch.setattr(demazure, "integer_image", refuse)
+    x, y = A - B, A - Fraction(36, 8)
+    got = pushforward_covariance(mu6, CoordinateMap(x * x, y))
+    assert got == reference_formula("stretch_covariance", 6)
 
 
 def test_coordinate_statistics():
