@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import chain, product, repeat
 from math import comb, lcm
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -81,6 +81,12 @@ def coroot_pairing(j: int, hw: HighestWeight, p: LatticePoint) -> int:
     raise ValueError("generator index must be 0 or 1")
 
 
+def scaled_numerators(values: Collection[Scalar]) -> tuple[int, list[int]]:
+    """(q, [q * v for v in values]), all ints, with q the lcm of the denominators."""
+    q = lcm(*(v.denominator for v in values))
+    return q, [v.numerator * (q // v.denominator) for v in values]
+
+
 def _norm_coeff(c: Scalar) -> Scalar:
     # keep integral coefficients as plain ints so integer functionals
     # evaluate in pure int arithmetic
@@ -100,7 +106,7 @@ class Functional:
     up to degree 4).
     """
 
-    __slots__ = ("_terms", "_column_form")
+    __slots__ = ("_terms", "_numerators", "_column_form")
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
         data: dict[tuple[int, int], Scalar] = {}
@@ -112,7 +118,7 @@ class Functional:
                 if c:
                     data[(i, j)] = c
         self._terms = data
-        self._column_form = None
+        self._numerators = self._column_form = None
 
     @classmethod
     def constant(cls, c: Scalar) -> "Functional":
@@ -133,6 +139,13 @@ class Functional:
             acc += c * a**i * b**j
         return acc
 
+    def numerators(self) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
+        """(q, ((i, j), q * c) per term a^i * b^j with coefficient c), q the lcm of the denominators."""
+        if self._numerators is None:
+            q, ns = scaled_numerators(self._terms.values())
+            self._numerators = q, tuple(zip(self._terms, ns))
+        return self._numerators
+
     def on_column(self, d: int, rows: range) -> tuple[int, int | Iterator[int]]:
         """(q, q * f(a, a - d) for a in rows), with q the lcm of the denominators.
 
@@ -145,11 +158,10 @@ class Functional:
         """
         if self._column_form is None:
             # q * f(a, a - d) = sum(form[p][r] * a^p * d^r), b expanded binomially
-            q = lcm(*(c.denominator for c in self._terms.values()))
+            q, nums = self.numerators()
             degree = self.total_degree
             form = [[0] * (degree + 1 - p) for p in range(degree + 1)]
-            for (i, j), c in self._terms.items():
-                n = c.numerator * (q // c.denominator)
+            for (i, j), n in nums:
                 for k in range(j + 1):
                     form[i + k][j - k] += n * comb(j, k) * (-1) ** (j - k)
             self._column_form = q, form

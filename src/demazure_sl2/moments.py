@@ -6,17 +6,19 @@ functionals in the lattice coordinates reduce to the raw power sums
 sum(mass * a^i * b^j), which raw_moments collects in a single pass per
 distribution into a MomentTable.  MomentTable is the one moment engine:
 every expectation, covariance and degree/finite-weight covariance matrix
-in the package is read from one.  Pushforwards are built on the integer
-image of demazure.integer_image; pushforward_covariance sums per column
-instead and shares one final division with coordinate_covariance.  Per
-support point the work is int arithmetic inside map, accumulate and sum
-only: raw_moments makes degree + 1 additions per entry of each distinct
-column vector (iterated prefix sums and a final sum) and no
-multiplication, and turns their results into power sums per column, as
-vectors over the columns.  Mirrored columns share one vector (see the
-Column storage comment in demazure.py), so each pair is summed once.
-reference_formula exposes the catalog of closed-form values the identity
-suites compare against.
+in the package is read from one, as int dot products of its power sums
+with the numerators of Functional.numerators and one division at the end:
+cov pairs the terms of f and g and never builds f * g, and it ends in the
+final division it shares with pushforward_covariance, which sums per column
+without the image, and coordinate_covariance.  Per support point the work
+is int arithmetic inside map, accumulate and sum only: raw_moments makes
+degree + 1 additions per entry of each distinct column vector (iterated
+prefix sums and a final sum) and no multiplication, and turns their results
+into power sums per column, as vectors over the columns.  Mirrored columns
+share one vector (see the Column storage comment in demazure.py), so each
+pair is summed once.  pushforward builds its measure on the integer image
+of demazure.integer_image.  reference_formula exposes the catalog of
+closed-form values the identity suites compare against.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import add, mul, sub
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .demazure import WeightDistribution, image_measure
 from .lattice import (
@@ -35,6 +37,7 @@ from .lattice import (
     Scalar,
     degree_functional,
     finite_weight_functional,
+    scaled_numerators,
 )
 
 
@@ -50,19 +53,28 @@ class MomentTable(NamedTuple):
 
     def expect(self, f: Functional) -> Fraction:
         """Mean of f, exact; f's total degree must not exceed the table's."""
+        q, nf = f.numerators()
+        return Fraction(self._dot(nf, f), self.mass * q)
+
+    def cov(self, f: Functional, g: Functional) -> Fraction:
+        """E[fg] - E[f]E[g], with sum(c*f*g) read term pair by term pair: f * g is never built."""
+        (qf, nf), (qg, ng) = f.numerators(), g.numerators()
+        fg = (((i1 + i2, j1 + j2), n1 * n2) for (i1, j1), n1 in nf for (i2, j2), n2 in ng)
+        sfg = self._dot(fg, f, g)
+        return _covariance(qf, qg, self.mass, self._dot(nf, f), self._dot(ng, g), sfg)
+
+    def _dot(self, terms: Iterable[tuple[tuple[int, int], int]], *factors: Functional) -> int:
+        """sum(n * sums[key]) over terms, the int numerators of the product of factors."""
         if self.mass == 0:
             raise EmptyDistributionError("empty distribution")
         try:
-            return Fraction(sum(c * self.sums[key] for key, c in f.terms()), self.mass)
+            return sum(n * self.sums[key] for key, n in terms)
         except KeyError:
-            # the table holds every power sum of degree i + j <= its degree
-            degree = max(i for i, _ in self.sums)
-            msg = f"functional of degree {f.total_degree} exceeds the moment table's degree {degree}"
+            # the table holds every power sum of degree i + j <= its degree;
+            # deg(fg) = deg f + deg g, as Q[a, b] has no zero divisors
+            degree, top = sum(f.total_degree for f in factors), max(i for i, _ in self.sums)
+            msg = f"functional of degree {degree} exceeds the moment table's degree {top}"
             raise ValueError(msg) from None
-
-    def cov(self, f: Functional, g: Functional) -> Fraction:
-        """E[fg] - E[f]E[g]."""
-        return self.expect(f * g) - self.expect(f) * self.expect(g)
 
     def covariance_matrix(self, hw: HighestWeight) -> CovarianceMatrix:
         """Covariance matrix of the pair (degree, finite weight); needs degree 2."""
@@ -198,15 +210,9 @@ def pushforward_covariance(mu: WeightDistribution, cmap: CoordinateMap) -> Fract
     return _covariance(qx, qy, mass, sx, sy, sxy)
 
 
-def _numerators(axis: Sequence[Scalar]) -> tuple[int, list[int]]:
-    """(q, [q * v for v in axis]) with q the lcm of the denominators."""
-    q = lcm(*(v.denominator for v in axis))
-    return q, [v.numerator * (q // v.denominator) for v in axis]
-
-
 def coordinate_covariance(measure: Mapping[tuple[Scalar, Scalar], int]) -> Fraction:
     """Covariance of the two coordinates of a pushed measure."""
-    (qx, xs), (qy, ys) = (_numerators([key[i] for key in measure]) for i in (0, 1))
+    (qx, xs), (qy, ys) = (scaled_numerators([key[i] for key in measure]) for i in (0, 1))
     cs = list(measure.values())
     cxs = list(map(mul, cs, xs))
     return _covariance(qx, qy, sum(cs), sum(cxs), sum(map(mul, cs, ys)), sum(map(mul, cxs, ys)))

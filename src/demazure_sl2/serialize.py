@@ -24,7 +24,8 @@ from .demazure import WeightDistribution, WeylWord, column_triples
 
 
 def format_rational(x: Fraction | int) -> str:
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):  # a float would print its binary expansion
+        raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

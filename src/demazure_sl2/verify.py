@@ -100,6 +100,10 @@ _L0 = HighestWeight.fundamental(0)
 # the weight-difference coordinate a - b and its square
 _DIFF = A - B
 _SQ = _DIFF * _DIFF
+# by parity c: lead, its square, and suite_stretch's f, g and x^2 for
+# x = a - b - c/2.  Built once, each reuses its int numerators at every N.
+_LEAD, _LEAD_SQ = (A, B), (A * A, B * B)
+_STRETCH = tuple((_SQ - c * _DIFF - 2 * _LEAD[c], _SQ - c * _DIFF, (_DIFF - Fraction(c, 2)) ** 2) for c in (0, 1))
 
 # one check of a suite: name, N and the two sides, each a text or a rational
 Checks = Iterator[tuple[str, int, str | Scalar, str | Scalar]]
@@ -143,15 +147,13 @@ def suite_stretch(max_N: int, ctx: SuiteContext) -> Checks:
         mu = ctx.chain(_L0, 0, max_N)[N]
         table = _level1(ctx, N)
         c = N % 2
-        lead = (A, B)[c]
+        lead, (f, g, x2) = _LEAD[c], _STRETCH[c]
         rhs = reference_formula("stretch_covariance", N)
         yield "stretch-cov", N, table.cov(lead, _SQ), rhs
-        f, g = _SQ - c * _DIFF - 2 * lead, _SQ - c * _DIFF
         yield "sym-cov-zero", N, table.cov(f, g), 0
-        x = _DIFF - Fraction(c, 2)
         y = lead - Fraction(N * N - 2 * c, 8)
-        pushed = pushforward_covariance(mu, CoordinateMap(x * x, y))
-        yield "pushforward-cov-route", N, table.cov(x * x, y), pushed
+        pushed = pushforward_covariance(mu, CoordinateMap(x2, y))
+        yield "pushforward-cov-route", N, table.cov(x2, y), pushed
 
 
 # the closed-form lines of the recurrence suite in line order: check name and
@@ -171,13 +173,13 @@ def suite_recurrence(max_N: int, ctx: SuiteContext) -> Checks:
     for N in range(2, max_N + 1):
         now, after = _level1(ctx, N), _level1(ctx, N + 1)
         c = N % 2
-        lead, nxt = (A, B)[c], (B, A)[c]
-        incr = after.expect(nxt * nxt) - now.expect(nxt * nxt)
+        lead, lead_sq, nxt_sq = _LEAD[c], _LEAD_SQ[c], _LEAD_SQ[1 - c]
+        incr = after.expect(nxt_sq) - now.expect(nxt_sq)
         # the step cubic: N(N^2 + N + 2)/16 for odd N, N^2(N + 1)/16 for even N
         step_rhs = Fraction(N * (N * N + N + 2 * c), 16)
         yield "second-moment-step", N, incr - 2 * now.cov(lead, _SQ), step_rhs
-        cross = after.expect(nxt * nxt) - now.expect(lead * lead)
-        got = (incr, cross, now.cov(lead, lead), now.expect(lead * lead), now.expect(lead))
+        cross = after.expect(nxt_sq) - now.expect(lead_sq)
+        got = (incr, cross, now.cov(lead, lead), now.expect(lead_sq), now.expect(lead))
         for (name, catalog), lhs in zip(_RECURRENCE_CLOSED_FORMS, got):
             yield name, N, lhs, reference_formula(catalog, N)
         if c:

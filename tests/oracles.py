@@ -71,7 +71,22 @@ def brute_expectation(mu: WeightDistribution, f: Functional) -> Fraction:
 
 
 def brute_covariance(mu: WeightDistribution, f: Functional, g: Functional) -> Fraction:
-    return brute_expectation(mu, f * g) - brute_expectation(mu, f) * brute_expectation(mu, g)
+    """E[fg] - E[f]E[g] with f and g evaluated per support point; f * g is never built."""
+    mass = sum(c for _, c in mu.items())
+    if mass == 0:
+        raise ZeroDivisionError("zero mass")
+    fg = sum(Fraction(c) * f.evaluate(p) * g.evaluate(p) for p, c in mu.items()) / mass
+    return fg - brute_expectation(mu, f) * brute_expectation(mu, g)
+
+
+def random_functional(rng, degree: int = 2) -> Functional:
+    """Seeded random functional of total degree <= degree, coefficients with mixed denominators."""
+    terms = {}
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            if rng.random() < 0.6:
+                terms[(i, j)] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 6, 7, 12]))
+    return Functional(terms)
 
 
 def random_signed_measure(rng, max_abs: int = 20, max_support: int = 40) -> WeightDistribution:
@@ -109,3 +124,26 @@ def brute_pushforward(mu: WeightDistribution, fs) -> dict[tuple, int]:
         key = tuple(f.evaluate(p) for f in fs)
         acc[key] = acc.get(key, 0) + c
     return {key: c for key, c in acc.items() if c}
+
+
+def tensor_character_row(hw: HighestWeight, first: int, N: int) -> dict[int, int]:
+    """Coefficients of x^(s * [leftmost letter is 0]) * chi_r * chi_s^(N - 1), N >= 1.
+
+    chi_k = x^-k + x^(-k+2) + ... + x^k is the character of the sl2 module
+    V(k), s = m + n is the level, r = m for first letter 0 and r = n for
+    first letter 1, and the leftmost letter of the word (N, first) is first
+    for odd N and 1 - first for even N.  Built by repeated multiplication
+    of exponent dicts, with no lattice coordinates.
+    """
+    s = hw.level
+    r = hw.n if first else hw.m
+    leftmost = first if N % 2 else 1 - first
+    shift = s if leftmost == 0 else 0
+    row = {shift + t: 1 for t in range(-r, r + 1, 2)}
+    for _ in range(N - 1):
+        product: dict[int, int] = {}
+        for e, c in row.items():
+            for t in range(-s, s + 1, 2):
+                product[e + t] = product.get(e + t, 0) + c
+        row = product
+    return row

@@ -1,12 +1,17 @@
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demazure_sl2 import cli
 from demazure_sl2.asymptotics import FitMismatchError
 from demazure_sl2.cli import main
+from demazure_sl2.verify import SUITE_NAMES
 from frozen import README_COMMAND_SHA256
 
 
@@ -154,3 +159,54 @@ def test_readme_commands_match_golden_digests(tmp_path, capsys):
         stdout = capsys.readouterr().out
         data = out.read_bytes() if out else stdout.encode("utf-8")
         assert hashlib.sha256(data).hexdigest() == digest, command
+
+
+# (valid, invalid) values per flag of each subcommand: the invalid ones are
+# non-int tokens, negative numbers, bad choices and malformed length lists.
+# N <= 6 and --max-N <= 10, so no example computes anything large.
+_BAD_INTS = ("x", "1.5", "-3", "")
+_LEVEL = (("0", "1", "2"), _BAD_INTS)
+_LENGTH = (("0", "1", "3", "6"), _BAD_INTS)
+_FIRST = (("0", "1"), ("2", "x"))
+_N_LIST = (("2,4", "1,3,6"), ("4,2", "2,2", "1,,3", "a,b", "", "-1,3"))
+_ARGV_FLAGS = {
+    "dist": {"--m": _LEVEL, "--n": _LEVEL, "--N": _LENGTH, "--first": _FIRST, "--format": (("csv", "json"), ("xml",))},
+    "verify": {
+        "--suite": (("all",) + SUITE_NAMES, ("bogus",)),
+        "--max-N": (("1", "2", "5", "10"), ("0",) + _BAD_INTS),
+    },
+    "wlln": {"--m": _LEVEL, "--n": _LEVEL, "--N-list": _N_LIST, "--first": _FIRST},
+    "conjecture": {"--m": (("2", "3", "4"), ("1", "5") + _BAD_INTS), "--N-list": (("2,4,6,8,10",), _N_LIST[1] + ("2,4",))},
+    "render": {
+        "--m": _LEVEL,
+        "--n": _LEVEL,
+        "--N": _LENGTH,
+        "--first": _FIRST,
+        "--kind": (("heatmap", "histogram", "ellipse"), ("pie",)),
+        "--samples": (("3", "64"), ("0", "-1", "x")),
+    },
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_ARGV_FLAGS)))
+    argv = [command]
+    for flag, (valid, invalid) in _ARGV_FLAGS[command].items():
+        pick = draw(st.integers(0, 7))  # omit the flag, an invalid value, or mostly a valid one
+        if pick:
+            argv += [flag, draw(st.sampled_from(invalid if pick == 1 else valid))]
+    return argv
+
+
+@given(argv=_argvs())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_random_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    lines = err.getvalue().splitlines()
+    assert not any("Traceback" in line for line in lines), argv
+    if code == 2:
+        assert sum("error:" in line for line in lines) == 1, (argv, err.getvalue())

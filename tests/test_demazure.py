@@ -1,3 +1,4 @@
+from itertools import islice
 from math import comb
 
 import pytest
@@ -14,11 +15,12 @@ from demazure_sl2 import (
     apply_demazure,
     coroot_pairing,
     distribution_chain,
+    finite_weight_functional,
     marginal,
     weight_distribution,
 )
 from frozen import MU2, MU3, MU5, SIGNED
-from oracles import apply_demazure_pointwise, brute_pushforward, random_signed_measure, step
+from oracles import apply_demazure_pointwise, brute_pushforward, random_signed_measure, step, tensor_character_row
 
 L0 = HighestWeight.fundamental(0)
 L1 = HighestWeight.fundamental(1)
@@ -281,6 +283,21 @@ def test_marginal_of_weight_difference_is_binomial():
         got = marginal(mu, A - B)
         half = N // 2
         assert got == {t: comb(N, t + half) for t in range(-half, N - half + 1)}
+
+
+def test_finite_weight_marginal_is_tensor_character_row():
+    # an independent whole-marginal route at every level: the finite-weight
+    # marginal of the word (N, first) is a product of sl2 characters
+    weights = ((1, 0), (0, 1), (2, 1), (1, 2), (3, 0), (0, 3), (2, 2), (4, 1), (1, 3), (3, 2))
+    checked = 0
+    for m, n in weights:
+        hw = HighestWeight(m, n)
+        w = finite_weight_functional(hw)
+        for first in (0, 1):
+            for N, mu in islice(distribution_chain(hw, WeylWord(12, first)), 1, None):
+                assert marginal(mu, w) == tensor_character_row(hw, first, N), (m, n, first, N)
+                checked += 1
+    assert checked == 240
 
 
 def test_marginal_drops_cancelled_values():

@@ -37,6 +37,7 @@ from oracles import (
     brute_covariance,
     brute_expectation,
     brute_pushforward,
+    random_functional,
     random_mirror_symmetric_pairs,
     random_signed_measure,
 )
@@ -63,6 +64,11 @@ def test_expectation_requires_mass():
     cancelled = WeightDistribution(L0, {(0, 0): 2, (1, 1): -2})
     with pytest.raises(EmptyDistributionError):
         expectation(cancelled, A)
+    # zero mass is reported before the degree check, even for a product above the table's degree
+    table = raw_moments(cancelled, 1)
+    for read in (lambda: table.cov(A * B, A), lambda: table.expect(A * A), lambda: table.cov(A, B)):
+        with pytest.raises(EmptyDistributionError):
+            read()
 
 
 def test_raw_moments_table():
@@ -197,6 +203,21 @@ def test_expect_above_table_degree_names_both_degrees():
         table.cov(A * B, A)
 
 
+def test_table_cov_builds_no_product(monkeypatch):
+    mu = level1_distribution(7)  # odd N: the lead coordinate is b
+    table = raw_moments(mu, 4)
+    sq = (A - B) * (A - B)
+    f, g = A + B, sq - Fraction(1, 3) * A
+
+    def refuse(self, other):
+        raise AssertionError("Functional product built")
+
+    monkeypatch.setattr(Functional, "__mul__", refuse)
+    assert table.cov(f, g) == brute_covariance(mu, f, g)
+    assert table.cov(B, sq) == reference_formula("stretch_covariance", 7)
+    assert variance(mu, B) == reference_formula("var_degree", 7)
+
+
 def test_reference_formulas_match_exact_moments_at_every_parity():
     sq = (A - B) * (A - B)
     tables = [raw_moments(level1_distribution(N), 4) for N in range(26)]
@@ -218,15 +239,21 @@ def test_reference_formulas_match_exact_moments_at_every_parity():
 
 
 def test_moments_match_brute_force_sweep():
+    # table reads of int numerators against Fractions summed per support
+    # point; a + b and a - b have cross terms that cancel in their product,
+    # and the random functionals mix denominators
     rng = random.Random(97)
-    diff = A - B
+    diff, half = A - B, Fraction(1, 2)
+    fixed = [(A, B), (diff, diff), (A * B, diff), (A + B, diff), (A, Functional())]
+    fixed.append((half * A - Fraction(1, 3) * B, Fraction(2, 7) * B * B))
     for _ in range(50):
         mu = random_signed_measure(rng, max_abs=8, max_support=12)
         if mu.total_mass() == 0:
             continue
-        for f, g in ((A, B), (diff, diff), (A * B, diff)):
-            assert expectation(mu, f) == brute_expectation(mu, f)
-            assert covariance(mu, f, g) == brute_covariance(mu, f, g)
+        table = raw_moments(mu, 4)
+        for f, g in fixed + [(random_functional(rng), random_functional(rng)) for _ in range(3)]:
+            assert expectation(mu, f) == table.expect(f) == brute_expectation(mu, f)
+            assert covariance(mu, f, g) == table.cov(f, g) == brute_covariance(mu, f, g)
 
 
 def test_raw_moments_degree4_match_pointwise_sums():

@@ -3,6 +3,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from demazure_sl2 import (
     HighestWeight,
     WeightDistribution,
@@ -36,6 +38,11 @@ def test_format_rational():
     assert format_rational(4) == "4"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     assert format_rational(Fraction(0)) == "0"
+    assert format_rational(-7) == "-7"
+    # a float would print its binary expansion, 3602879701896397/36028797018963968
+    for bad in (0.1, 2.0, "1/2"):
+        with pytest.raises(TypeError, match="expected an int or Fraction"):
+            format_rational(bad)
 
 
 def test_distribution_csv_exact_bytes():
