@@ -40,7 +40,7 @@ from .verify import SUITE_NAMES, format_check, run_suite
 
 def _parse_n_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in text.split(",")]
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad length list {text!r}") from err
 

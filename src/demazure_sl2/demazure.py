@@ -266,36 +266,27 @@ def distribution_chain(hw: HighestWeight, word: WeylWord) -> Iterator[tuple[int,
         yield t, mu
 
 
-def integer_image(
-    mu: WeightDistribution, fs: Sequence[Functional]
-) -> tuple[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """(qs, image): the pushforward of mu along p -> (q * f(p) for q, f in zip(qs, fs)).
+def image_measure(mu: WeightDistribution, fs: Sequence[Functional]) -> dict[tuple[Scalar, ...], int]:
+    """Pushforward of mu along p -> (f(p) for f in fs); cancels to 0 are dropped.
 
-    Every q is the lcm of the denominators of its functional (1 when mu is
-    empty), so the keys are int numerators; cancels to 0 are dropped.  Keys
-    come from Functional.on_column, and a column on which every functional
-    is constant adds its total mass to one key.
+    Summed over int numerators from Functional.on_column: with q the lcm of
+    a functional's denominators, the image is first taken along q * f, and
+    a column on which every functional is constant adds its total mass to
+    one key.  Then each axis is divided by its q once per distinct value;
+    an axis whose functional has int coefficients keeps int values.
     """
+    qs = [f.numerators()[0] for f in fs]
     acc: dict[tuple[int, ...], int] = {}
     get = acc.get
-    qs = (1,) * len(fs)
     for d, (a0, vals) in mu.columns():
-        qs, nums = zip(*(f.on_column(d, range(a0, a0 + len(vals))) for f in fs))
+        rows = range(a0, a0 + len(vals))
+        nums = tuple(f.on_column(d, rows)[1] for f in fs)
         if all(type(n) is int for n in nums):
             acc[nums] = get(nums, 0) + sum(vals)
             continue
         for key, c in zip(zip(*(repeat(n) if type(n) is int else n for n in nums)), vals):
             acc[key] = get(key, 0) + c
-    return qs, {key: c for key, c in acc.items() if c}
-
-
-def image_measure(mu: WeightDistribution, fs: Sequence[Functional]) -> dict[tuple[Scalar, ...], int]:
-    """Pushforward of mu along p -> (f(p) for f in fs); cancels to 0 are dropped.
-
-    The integer image, divided once per distinct value; an axis whose
-    functional has int coefficients keeps int values.
-    """
-    qs, image = integer_image(mu, fs)
+    image = {key: c for key, c in acc.items() if c}
     axes = [
         axis if q == 1 else map({n: Fraction(n, q) for n in set(axis)}.__getitem__, axis)
         for q, axis in zip(qs, zip(*image))

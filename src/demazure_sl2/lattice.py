@@ -21,6 +21,9 @@ coordinates a and b over the rationals.  Moments of weight distributions
 are always expectations of such functionals, so keeping them symbolic and
 exact (int / fractions.Fraction coefficients, no floats) is what makes
 every identity in this package checkable as literal equality of rationals.
+A Functional is written in a and b; Functional.numerators gives it in the
+column coordinates (a, d), d = a - b, in which distributions are stored and
+moment tables are summed.  That is the one change of basis in the package.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ class Functional:
     up to degree 4).
     """
 
-    __slots__ = ("_terms", "_numerators", "_column_form")
+    __slots__ = ("_terms", "_numerators")
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
         data: dict[tuple[int, int], Scalar] = {}
@@ -118,7 +121,7 @@ class Functional:
                 if c:
                     data[(i, j)] = c
         self._terms = data
-        self._numerators = self._column_form = None
+        self._numerators = None
 
     @classmethod
     def constant(cls, c: Scalar) -> "Functional":
@@ -140,38 +143,36 @@ class Functional:
         return acc
 
     def numerators(self) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
-        """(q, ((i, j), q * c) per term a^i * b^j with coefficient c), q the lcm of the denominators."""
+        """(q, ((p, r), n) ...): the nonzero int coefficients n of q * f(a, a - d) in a^p * d^r, sorted.
+
+        q is the lcm of the denominators.  These are the column coordinates
+        of a distribution (columns of fixed d = a - b) and of its moment
+        tables; b = a - d is expanded binomially here, once per functional,
+        and nowhere else.
+        """
         if self._numerators is None:
             q, ns = scaled_numerators(self._terms.values())
-            self._numerators = q, tuple(zip(self._terms, ns))
+            form: dict[tuple[int, int], int] = {}
+            for (i, j), n in zip(self._terms, ns):
+                for k in range(j + 1):
+                    key = (i + k, j - k)
+                    form[key] = form.get(key, 0) + n * comb(j, k) * (-1) ** (j - k)
+            self._numerators = q, tuple(sorted((key, n) for key, n in form.items() if n))
         return self._numerators
 
     def on_column(self, d: int, rows: range) -> tuple[int, int | Iterator[int]]:
         """(q, q * f(a, a - d) for a in rows), with q the lcm of the denominators.
 
         On the column b = a - d, f is a polynomial in a whose coefficients are
-        polynomials in d; they are expanded once per functional, evaluated at
-        d, and the polynomial in a is evaluated in ints by Horner's rule over
-        all rows at once.  Zero top coefficients are dropped; where f is
-        constant on the column the second item is that one int instead of an
-        iterator over the rows.
+        read from the numerators at d, and it is evaluated in ints by Horner's
+        rule over all rows at once.  Zero top coefficients are dropped; where
+        f is constant on the column the second item is that one int instead
+        of an iterator over the rows.
         """
-        if self._column_form is None:
-            # q * f(a, a - d) = sum(form[p][r] * a^p * d^r), b expanded binomially
-            q, nums = self.numerators()
-            degree = self.total_degree
-            form = [[0] * (degree + 1 - p) for p in range(degree + 1)]
-            for (i, j), n in nums:
-                for k in range(j + 1):
-                    form[i + k][j - k] += n * comb(j, k) * (-1) ** (j - k)
-            self._column_form = q, form
-        q, form = self._column_form
-        poly = []
-        for by_d in form:
-            v = 0
-            for c in reversed(by_d):
-                v = v * d + c
-            poly.append(v)
+        q, nums = self.numerators()
+        poly = [0] * (nums[-1][0][0] + 1 if nums else 1)  # sorted, so the last term has the top power of a
+        for (p, r), n in nums:
+            poly[p] += n * d**r
         while len(poly) > 1 and not poly[-1]:
             poly.pop()
         if len(poly) == 1:

@@ -2,23 +2,26 @@
 
 All statistics are rationals computed with fractions.Fraction; nothing in
 this module touches floating point.  Expectations of polynomial
-functionals in the lattice coordinates reduce to the raw power sums
-sum(mass * a^i * b^j), which raw_moments collects in a single pass per
-distribution into a MomentTable.  MomentTable is the one moment engine:
-every expectation, covariance and degree/finite-weight covariance matrix
-in the package is read from one, as int dot products of its power sums
-with the numerators of Functional.numerators and one division at the end:
-cov pairs the terms of f and g and never builds f * g, and it ends in the
-final division it shares with pushforward_covariance, which sums per column
-without the image, and coordinate_covariance.  Per support point the work
-is int arithmetic inside map, accumulate and sum only: raw_moments makes
-degree + 1 additions per entry of each distinct column vector (iterated
-prefix sums and a final sum) and no multiplication, and turns their results
-into power sums per column, as vectors over the columns.  Mirrored columns
-share one vector (see the Column storage comment in demazure.py), so each
-pair is summed once.  pushforward builds its measure on the integer image
-of demazure.integer_image.  reference_formula exposes the catalog of
-closed-form values the identity suites compare against.
+functionals in the lattice coordinates reduce to raw power sums, which
+raw_moments collects in a single pass per distribution into a MomentTable.
+Tables and functionals are both written in the column coordinates (a, d),
+d = a - b, of the distribution's storage: the table holds
+sum(mass * a^p * d^r), and Functional.numerators, the one change of basis,
+gives a functional's int coefficients in the same monomials.  MomentTable
+is the one moment engine: every expectation, covariance and
+degree/finite-weight covariance matrix in the package is read from one, as
+int dot products of its power sums with those numerators and one division
+at the end: cov pairs the terms of f and g and never builds f * g, and it
+ends in the final division it shares with pushforward_covariance, which
+sums per column without the image, and coordinate_covariance.  Per support
+point the work is int arithmetic inside map, accumulate and sum only:
+raw_moments makes degree + 1 additions per entry of each distinct column
+vector (iterated prefix sums and a final sum) and no multiplication, and
+turns their results into power sums per column, as vectors over the
+columns.  Mirrored columns share one vector (see the Column storage comment
+in demazure.py), so each pair is summed once.  pushforward is
+demazure.image_measure on the two coordinates.  reference_formula exposes
+the catalog of closed-form values the identity suites compare against.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, factorial
+from math import factorial
 from operator import add, mul, sub
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -46,7 +49,11 @@ class EmptyDistributionError(ValueError):
 
 
 class MomentTable(NamedTuple):
-    """Total mass and the power sums sum(c * a^i * b^j) keyed by (i, j), from raw_moments."""
+    """Total mass and the power sums sum(c * a^p * d^r), d = a - b, keyed by (p, r), from raw_moments.
+
+    A read pairs these with Functional.numerators, the functional's int
+    coefficients in the same monomials a^p * d^r.
+    """
 
     mass: int
     sums: dict[tuple[int, int], int]
@@ -70,8 +77,9 @@ class MomentTable(NamedTuple):
         try:
             return sum(n * self.sums[key] for key, n in terms)
         except KeyError:
-            # the table holds every power sum of degree i + j <= its degree;
-            # deg(fg) = deg f + deg g, as Q[a, b] has no zero divisors
+            # the table holds every power sum of degree p + r <= its degree;
+            # the change of basis keeps total degrees, and deg(fg) = deg f + deg g,
+            # as Q[a, b] has no zero divisors
             degree, top = sum(f.total_degree for f in factors), max(i for i, _ in self.sums)
             msg = f"functional of degree {degree} exceeds the moment table's degree {top}"
             raise ValueError(msg) from None
@@ -83,7 +91,7 @@ class MomentTable(NamedTuple):
 
 
 def raw_moments(mu: WeightDistribution, degree: int) -> MomentTable:
-    """Total mass and the power sums sum(c * a^i * b^j) for i + j <= degree.
+    """Total mass and the power sums sum(c * a^p * d^r), d = a - b, for p + r <= degree.
 
     Per column of fixed d = a - b, with hi one past its top row, the last
     entries of `degree` iterated prefix sums of the column vector, and the
@@ -98,18 +106,16 @@ def raw_moments(mu: WeightDistribution, degree: int) -> MomentTable:
         a * w(w+1)...(w+k-1) = (hi + k) * w(w+1)...(w+k-1) - w(w+1)...(w+k),
 
     takes them to s_p = sum(c * a^p) in `degree` rounds of one column-vector
-    map per k, for all columns at once.  The sums over columns of
-    (-d)^r * s_p are dot products with per-column power vectors, and
-    b^j = (a - d)^j is expanded binomially once per table:
-    sum(c * a^i * b^j) = sum over k of C(j, k) * sum((-d)^(j-k) * s_{i+k}).
+    map per k, for all columns at once.  The table entry (p, r) is the dot
+    product of s_p with the per-column powers d^r.
     """
     if not isinstance(degree, int) or degree < 0:
         raise ValueError("degree must be a nonnegative integer")
-    his, neg_d, rows = [], [], []
+    his, ds, rows = [], [], []
     done: dict[int, list[int]] = {}  # id(vals) -> its stage; mu keeps every vals alive and unmutated
     for d, (a0, vals) in mu.columns():
         his.append(a0 + len(vals))
-        neg_d.append(-d)
+        ds.append(d)
         row = done.get(id(vals))
         if row is None:
             row = done[id(vals)] = []
@@ -126,15 +132,10 @@ def raw_moments(mu: WeightDistribution, degree: int) -> MomentTable:
     for _ in range(degree):  # round p leaves t[k] = sum(c * a^p * w(w+1)...(w+k-1))
         t = [list(map(sub, map(mul, hk, tk), up)) for hk, tk, up in zip(shifted, t, t[1:])]
         s.append(t[0])
-    powers = [[1] * len(neg_d)]
+    powers = [[1] * len(ds)]
     for _ in range(degree):
-        powers.append(list(map(mul, powers[-1], neg_d)))
-    dots = {(p, r): sum(map(mul, s[p], powers[r])) for p in range(degree + 1) for r in range(degree + 1 - p)}
-    sums = {
-        (i, j): sum(comb(j, k) * dots[(i + k, j - k)] for k in range(j + 1))
-        for i in range(degree + 1)
-        for j in range(degree + 1 - i)
-    }
+        powers.append(list(map(mul, powers[-1], ds)))
+    sums = {(p, r): sum(map(mul, s[p], powers[r])) for p in range(degree + 1) for r in range(degree + 1 - p)}
     return MomentTable(sums[(0, 0)], sums)
 
 

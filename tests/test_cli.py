@@ -93,6 +93,10 @@ def test_wlln_rejects_bad_lists(capsys):
     assert main(["wlln", "--m", "1", "--n", "0", "--N-list", "4,2"]) == 2
     assert main(["wlln", "--m", "1", "--n", "0", "--N-list", "x,y"]) == 2
     assert main(["wlln", "--m", "1", "--n", "0", "--N-list", ""]) == 2
+    capsys.readouterr()
+    for text in ("1,,3", "2,4,", ",2,4"):
+        assert main(["wlln", "--m", "1", "--n", "0", "--N-list", text]) == 2
+        assert capsys.readouterr().err.count("error:") == 1
 
 
 def test_conjecture_json_stdout(capsys):
@@ -116,6 +120,7 @@ def test_conjecture_fit_mismatch_reports_witnesses(monkeypatch, capsys):
 def test_conjecture_rejects_bad_level_and_short_list(capsys):
     assert main(["conjecture", "--m", "5"]) == 2
     assert main(["conjecture", "--m", "2", "--N-list", "2,4,6,8"]) == 2
+    assert main(["conjecture", "--m", "2", "--N-list", "2,4,6,8,10,"]) == 2
 
 
 def test_render_heatmap(tmp_path):

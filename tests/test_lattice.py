@@ -128,3 +128,21 @@ def test_evaluation_is_ring_homomorphism(f, g, p):
     assert (f + g).evaluate(p) == f.evaluate(p) + g.evaluate(p)
     assert (f * g).evaluate(p) == f.evaluate(p) * g.evaluate(p)
     assert (f - g).evaluate(p) == f.evaluate(p) - g.evaluate(p)
+
+
+@given(f=_functionals, p=_points)
+@settings(max_examples=100, deadline=None)
+def test_numerators_and_on_column_are_f_in_column_coordinates(f, p):
+    # q * f(a, b) = sum(n * a^p * (a - b)^r) over the numerators, and
+    # on_column reads them on the column d = a - b; f + (a - b)^2 - a varies
+    # along most columns (an iterator over rows), (a - b)^2 + 1 along none
+    # (one int)
+    a, d = p[0], p[0] - p[1]
+    for g in (f + (A - B) ** 2 - A, (A - B) ** 2 + f.evaluate(p)):
+        q, nums = g.numerators()
+        assert list(nums) == sorted(nums) and all(type(n) is int and n for _, n in nums)
+        value = q * g.evaluate(p)
+        assert sum(n * a**i * d**r for (i, r), n in nums) == value
+        q_col, vals = g.on_column(d, range(a, a + 1))
+        assert q_col == q
+        assert ([vals] if type(vals) is int else list(vals)) == [value]

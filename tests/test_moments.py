@@ -72,15 +72,16 @@ def test_expectation_requires_mass():
 
 
 def test_raw_moments_table():
+    # keys (p, r) of sum(c * a^p * d^r), d = a - b: both points lie on d = -1
     mu = WeightDistribution(L0, {(1, 2): 3, (0, 1): -1})
     mass, table = raw_moments(mu, 2)
     assert mass == 2
     assert table[(0, 0)] == 2
     assert table[(1, 0)] == 3
-    assert table[(0, 1)] == 3 * 2 - 1
-    assert table[(1, 1)] == 3 * 2
+    assert table[(0, 1)] == 3 * -1 - 1 * -1
+    assert table[(1, 1)] == 3 * -1
     assert table[(2, 0)] == 3
-    assert table[(0, 2)] == 3 * 4 - 1
+    assert table[(0, 2)] == 3 * 1 - 1 * 1
     assert set(table) == {(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (1, 1)}
 
 
@@ -155,10 +156,10 @@ def test_pushforward_matches_pointwise_oracle():
 
 def test_pushforward_covariance_builds_no_image(mu6, monkeypatch):
     def refuse(*args):
-        raise AssertionError("integer_image called")
+        raise AssertionError("image_measure called")
 
-    monkeypatch.setattr(moments, "integer_image", refuse, raising=False)
-    monkeypatch.setattr(demazure, "integer_image", refuse)
+    monkeypatch.setattr(moments, "image_measure", refuse)
+    monkeypatch.setattr(demazure, "image_measure", refuse)
     x, y = A - B, A - Fraction(36, 8)
     got = pushforward_covariance(mu6, CoordinateMap(x * x, y))
     assert got == reference_formula("stretch_covariance", 6)
@@ -257,8 +258,8 @@ def test_moments_match_brute_force_sweep():
 
 
 def test_raw_moments_degree4_match_pointwise_sums():
-    # the power sums against the definition sum(c * a^i * b^j) point by
-    # point, at every degree 0..6: on random signed measures, which reach
+    # the power sums against the definition sum(c * a^p * (a - b)^r) point
+    # by point, at every degree 0..6: on random signed measures, which reach
     # negative coordinates, and on genuine chains, whose long columns run
     # every round of the prefix sums and of the basis change
     rng = random.Random(4)
@@ -268,7 +269,7 @@ def test_raw_moments_degree4_match_pointwise_sums():
     assert any(a < 0 or b < 0 for mu in measures for (a, b), _ in mu.items())
     assert max(len(vals) for mu in measures for _, (_, vals) in mu.columns()) > 10
     for mu in measures:
-        pointwise = {(i, j): sum(c * a**i * b**j for (a, b), c in mu.items()) for i in range(7) for j in range(7 - i)}
+        pointwise = {(p, r): sum(c * a**p * (a - b) ** r for (a, b), c in mu.items()) for p in range(7) for r in range(7 - p)}
         for degree in range(7):
             mass, table = raw_moments(mu, degree)
             assert mass == mu.total_mass()
@@ -295,8 +296,8 @@ def test_raw_moments_agrees_on_shared_and_unshared_columns():
     for degree in range(7):
         table = raw_moments(mu, degree)
         assert table == raw_moments(rebuilt, degree), degree
-        keys = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
-        assert table.sums == {(i, j): sum(c * a**i * b**j for (a, b), c in mu.items()) for i, j in keys}
+        keys = [(p, r) for p in range(degree + 1) for r in range(degree + 1 - p)]
+        assert table.sums == {(p, r): sum(c * a**p * (a - b) ** r for (a, b), c in mu.items()) for p, r in keys}
 
 
 def test_raw_moments_rejects_a_negative_degree():
