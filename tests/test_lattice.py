@@ -135,7 +135,7 @@ def test_evaluation_is_ring_homomorphism(f, g, p):
 def test_numerators_and_on_column_are_f_in_column_coordinates(f, p):
     # q * f(a, b) = sum(n * a^p * (a - b)^r) over the numerators, and
     # on_column reads them on the column d = a - b; f + (a - b)^2 - a varies
-    # along most columns (an iterator over rows), (a - b)^2 + 1 along none
+    # along most columns (an iterator over rows), (a - b)^2 + c along none
     # (one int)
     a, d = p[0], p[0] - p[1]
     for g in (f + (A - B) ** 2 - A, (A - B) ** 2 + f.evaluate(p)):

@@ -261,7 +261,7 @@ def test_raw_moments_degree4_match_pointwise_sums():
     # the power sums against the definition sum(c * a^p * (a - b)^r) point
     # by point, at every degree 0..6: on random signed measures, which reach
     # negative coordinates, and on genuine chains, whose long columns run
-    # every round of the prefix sums and of the basis change
+    # every round of the prefix sums and of the a^p recurrence
     rng = random.Random(4)
     measures = [random_signed_measure(rng) for _ in range(60)]
     for m, n, first in ((1, 0, 0), (2, 1, 1), (0, 3, 1)):
