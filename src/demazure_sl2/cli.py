@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", dest="length", type=int, required=True)
     p.add_argument("--first", type=int, choices=(0, 1), default=0)
     p.add_argument("--kind", choices=("heatmap", "histogram", "ellipse"), default="heatmap")
-    p.add_argument("--samples", type=int, default=64, help="ellipse polyline vertex count")
+    p.add_argument("--samples", type=int, default=64, help="ellipse polyline vertex count, at least 3")
     p.add_argument("--out", default=None)
 
     return parser

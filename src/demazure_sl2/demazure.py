@@ -156,6 +156,7 @@ class WeightDistribution:
         ``cells(d, a0, vals)`` gives a truthy cell per column entry, by default
         (a, b, mult).  Columns by descending d, padded with None onto the common
         rows, are read row by row: each row of fixed a runs by ascending b.
+        Text exports use canonical_pieces, which hands this cached strings.
         """
         lo, hi = self.degree_range()
         padded = []
@@ -166,6 +167,35 @@ class WeightDistribution:
                 col = [t if c else None for t, c in zip(col, vals)]
             padded.append([None] * (a0 - lo) + col + [None] * (hi - a0 - len(vals)))
         return filter(None, chain.from_iterable(zip(*padded)))
+
+    def canonical_pieces(self, fields: Sequence[tuple[str, Callable[[int], str]]]) -> list[str]:
+        """Text of every support point in canonical order, one piece per field, flat.
+
+        A field is (axis, piece) with axis "d", "a", "b" or "mult" and piece(v) its
+        text at value v.  piece runs once per column, row, b value and entry of
+        each distinct column vector (mirrored columns share one), never per point.
+        """
+        lo, hi = self.degree_range()
+        b_lo = lo - max(self._cols, default=0)
+        spans = {"a": range(lo, hi), "b": range(b_lo, hi - min(self._cols, default=0))}
+        # per field: its pieces over the whole span, or a memo keyed by id(vals)
+        cached = [list(map(piece, spans[axis])) if axis in spans else {} for axis, piece in fields]
+
+        def cells(d: int, a0: int, vals: list[int]) -> Iterator[tuple[str, ...]]:
+            n, strings = len(vals), []
+            for (axis, piece), cache in zip(fields, cached):
+                if axis == "d":
+                    strings.append(repeat(piece(d), n))
+                elif axis == "mult":
+                    if id(vals) not in cache:  # vals stays alive in self._cols
+                        cache[id(vals)] = list(map(piece, vals))
+                    strings.append(cache[id(vals)])
+                else:
+                    i = a0 - lo if axis == "a" else a0 - d - b_lo
+                    strings.append(cache[i : i + n])
+            return zip(*strings)
+
+        return list(chain.from_iterable(self.canonical(cells)))
 
     def sorted_items(self) -> list[tuple[LatticePoint, int]]:
         """Entries ordered by (a, b); the canonical export order."""

@@ -6,8 +6,9 @@ largest multiplicity.  Covariance ellipses are emitted as closed polylines
 sampled from the Cholesky image of the unit circle, so every vertex lies
 on the 1-sigma quadric of the matrix.  Output is plain SVG 1.1 text with
 fixed-precision coordinates; equal inputs render to identical bytes.
-Heatmap cells come a column at a time in canonical order: x is formatted
-once per column, y once per row and the gray once per distinct multiplicity.
+Heatmap cells are fields of WeightDistribution.canonical_pieces, each shade
+string is built once per gray level, and every writer hands _svg pieces
+ending in a newline, joined once with the head and the tail.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import add, or_
-from typing import Iterable, Iterator
+from operator import add, mul, or_, truediv
 
 from .demazure import WeightDistribution
 from .lattice import Scalar
@@ -53,13 +53,15 @@ def _fmt(v: float) -> str:
     return f"{v:.4f}"
 
 
-def _svg(width: float, height: float, body: Iterable[str]) -> str:
+def _svg(width: float, height: float, pieces: list[str]) -> str:
     head = (
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
     )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    pieces[:0] = head, "\n"  # in place: the one join copies no second list of the pieces
+    pieces.append("</svg>\n")
+    return "".join(pieces)
 
 
 def heatmap(mu: WeightDistribution) -> str:
@@ -69,28 +71,25 @@ def heatmap(mu: WeightDistribution) -> str:
         return _svg(2 * PADDING, 2 * PADDING, [])
     d_min, d_max = min(d for d, _ in mu.columns()), max(d for d, _ in mu.columns())
     # an interior zero adds mass 0 here, harmlessly: its cell is dropped
-    masses = set(chain.from_iterable(vals for _, (_, vals) in mu.columns()))
-    log_max = math.log1p(max(masses))
-    fill = {}
-    for c in masses:
-        ratio = math.log1p(c) / log_max if log_max else 1.0
-        gray = LIGHT_GRAY - round(ratio * (LIGHT_GRAY - DARK_GRAY))
-        fill[c] = f"{gray},{gray},{gray}"
-    ys = [_fmt(PADDING + (a - a_min) * CELL_SIZE) for a in range(a_min, a_end)]
+    masses = list(set(chain.from_iterable(vals for _, (_, vals) in mu.columns())))
+    if min(masses) < 0:
+        raise ValueError("heatmap needs nonnegative multiplicities")
+    # gray = LIGHT_GRAY - round(log1p(c) / log1p(max) * (LIGHT_GRAY - DARK_GRAY)), log1p(max) > 0
+    ratios = map(truediv, map(math.log1p, masses), repeat(math.log1p(max(masses))))
+    grays = list(map(LIGHT_GRAY.__sub__, map(round, map(mul, ratios, repeat(LIGHT_GRAY - DARK_GRAY)))))
+    shade = {g: f'{g},{g},{g})" data-a="' for g in set(grays)}
     size = _fmt(CELL_SIZE)
-    rect = (
-        f'<rect x="%s" y="%s" width="{size}" height="{size}" fill="rgb(%s)" '
-        'data-a="%d" data-b="%d" data-mult="%d"/>'
+    fields = (
+        ("d", lambda d: f'<rect x="{_fmt(PADDING + (d - d_min) * CELL_SIZE)}" y="'),
+        ("a", lambda a: f'{_fmt(PADDING + (a - a_min) * CELL_SIZE)}" width="{size}" height="{size}" fill="rgb('),
+        ("mult", dict(zip(masses, map(shade.__getitem__, grays))).__getitem__),
+        ("a", '%d" data-b="'.__mod__),
+        ("b", '%d" data-mult="'.__mod__),
+        ("mult", '%d"/>\n'.__mod__),
     )
-
-    def cells(d: int, a0: int, vals: list[int]) -> Iterator[str]:
-        x, n = _fmt(PADDING + (d - d_min) * CELL_SIZE), len(vals)
-        at = (range(a0, a0 + n), range(a0 - d, a0 - d + n))
-        return map(rect.__mod__, zip(repeat(x), ys[a0 - a_min :], map(fill.get, vals), *at, vals))
-
     width = 2 * PADDING + (d_max - d_min + 1) * CELL_SIZE
     height = 2 * PADDING + (a_end - a_min) * CELL_SIZE
-    return _svg(width, height, mu.canonical(cells))
+    return _svg(width, height, mu.canonical_pieces(fields))
 
 
 def ellipse_path(e: Ellipse, samples: int = 64) -> str:
@@ -100,8 +99,8 @@ def ellipse_path(e: Ellipse, samples: int = 64) -> str:
     circle; each satisfies (p - center)^T Sigma^{-1} (p - center) = 1 up to
     floating-point formatting.
     """
-    if not isinstance(samples, int) or samples < 1:
-        raise ValueError("samples must be a positive integer")
+    if not isinstance(samples, int) or samples < 3:
+        raise ValueError("samples must be an integer of at least 3")
     s11 = Fraction(e.matrix.var_degree)
     s12 = Fraction(e.matrix.covariance)
     det = e.matrix.determinant()
@@ -169,7 +168,7 @@ def degree_histogram(mu: WeightDistribution) -> str:
         body.append(
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" '
             f'width="{_fmt(CELL_SIZE)}" height="{_fmt(h)}" '
-            f'fill="rgb(96,96,96)" data-degree="{a}" data-mass="{mass}"/>'
+            f'fill="rgb(96,96,96)" data-degree="{a}" data-mass="{mass}"/>\n'
         )
     width = 2 * PADDING + (a_end - a_min) * CELL_SIZE
     height = 2 * PADDING + PLOT_HEIGHT

@@ -5,13 +5,13 @@ rather than numbers; rationals are rendered "p/q" (or "p" when integral).
 Entry order is always (a, b) ascending, which makes equal inputs serialize
 to identical bytes.  All text is UTF-8 with LF line endings.
 
-Distribution tables format their cells a column at a time, as the heatmap
-does: WeightDistribution.canonical() is handed a cell function that maps one
-%-template over the column's (a, b, mult) triples, so only the formatted
-string is kept per support point.  JSON entry blocks are spliced into the
-"[]" of json.dumps(header, indent=2), byte-identical to json.dumps of the
-whole document with indent=2 but without its pure-Python encoder (the C one
-runs only without indent).
+Distribution tables are fields of WeightDistribution.canonical_pieces, as
+the heatmap is: the row template is split into one piece per a, b and mult,
+each formatted once per row, b value or distinct column vector, and the
+document is one join.  JSON entry blocks are spliced into the "[]" of
+json.dumps(header, indent=2), byte-identical to json.dumps of the whole
+document with indent=2 but without its pure-Python encoder (the C one runs
+only without indent).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 
 from .asymptotics import ConjectureReport, RescaledSummary
-from .demazure import WeightDistribution, WeylWord, column_triples
+from .demazure import WeightDistribution, WeylWord
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -31,10 +31,13 @@ def format_rational(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _formatted_cells(template: str):
-    """Cell function for canonical(): template % (a, b, mult) per column entry."""
-    fmt = template.__mod__
-    return lambda d, a0, vals: map(fmt, column_triples(d, a0, vals))
+# canonical_pieces fields: "%d,%d,%d\n" and the JSON entry block, split per value
+_CSV_FIELDS = (("a", "%d,".__mod__), ("b", "%d,".__mod__), ("mult", "%d\n".__mod__))
+_JSON_FIELDS = (
+    ("a", '    {\n      "a": %d,\n      "b": '.__mod__),
+    ("b", '%d,\n      "mult": "'.__mod__),
+    ("mult", '%d"\n    },\n'.__mod__),
+)
 
 
 def distribution_json(mu: WeightDistribution, word: WeylWord) -> str:
@@ -44,16 +47,16 @@ def distribution_json(mu: WeightDistribution, word: WeylWord) -> str:
         "entries": [],
     }
     text = json.dumps(doc, indent=2)
-    entry = '    {\n      "a": %d,\n      "b": %d,\n      "mult": "%d"\n    }'
-    entries = ",\n".join(mu.canonical(_formatted_cells(entry)))
-    if entries:
-        head, _, tail = text.rpartition("[]")
-        text = f"{head}[\n{entries}\n  ]{tail}"
-    return text + "\n"
+    pieces = mu.canonical_pieces(_JSON_FIELDS)
+    if not pieces:
+        return text + "\n"
+    pieces[-1] = pieces[-1][:-2]  # the last entry takes no ",\n"
+    head, _, tail = text.rpartition("[]")
+    return "".join([head, "[\n", *pieces, "\n  ]", tail, "\n"])
 
 
 def distribution_csv(mu: WeightDistribution) -> str:
-    return "a,b,mult\n" + "".join(mu.canonical(_formatted_cells("%d,%d,%d\n")))
+    return "".join(["a,b,mult\n", *mu.canonical_pieces(_CSV_FIELDS)])
 
 
 def wlln_csv(summaries: list[RescaledSummary]) -> str:

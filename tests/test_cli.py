@@ -188,7 +188,7 @@ _ARGV_FLAGS = {
         "--N": _LENGTH,
         "--first": _FIRST,
         "--kind": (("heatmap", "histogram", "ellipse"), ("pie",)),
-        "--samples": (("3", "64"), ("0", "-1", "x")),
+        "--samples": (("3", "64"), ("0", "1", "2", "-1", "x")),
     },
 }
 

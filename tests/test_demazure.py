@@ -16,6 +16,7 @@ from demazure_sl2 import (
     coroot_pairing,
     distribution_chain,
     finite_weight_functional,
+    level1_distribution,
     marginal,
     weight_distribution,
 )
@@ -151,6 +152,29 @@ def test_sorted_items_order_on_gaps_single_column_and_empty():
         assert mu.sorted_items() == sorted(mu.items())
         lo, hi = mu.degree_range()
         assert all(lo <= a < hi for (a, _), _ in mu.items())
+
+
+def test_canonical_pieces_format_once_per_column_row_b_and_distinct_vector():
+    mu = level1_distribution(12)
+    distinct = {id(vals): vals for _, (_, vals) in mu.columns()}
+    calls = {"d": [], "a": [], "b": [], "mult": []}
+
+    def field(axis):
+        def piece(v):
+            calls[axis].append(v)
+            return "%s%d;" % (axis, v)
+
+        return axis, piece
+
+    pieces = mu.canonical_pieces([field(axis) for axis in calls])
+    assert pieces == ["%s%d;" % p for a, b, c in mu.canonical() for p in zip(calls, (a - b, a, b, c))]
+    # mirrored strings share one list, so a per-point mult piece would run len(mu) times
+    assert len(calls["mult"]) == sum(map(len, distinct.values())) < len(mu)
+    lo, hi = mu.degree_range()
+    assert sorted(calls["d"]) == sorted(d for d, _ in mu.columns())
+    assert calls["a"] == list(range(lo, hi))
+    assert len(calls["b"]) == len(set(calls["b"])) == max(calls["b"]) - min(calls["b"]) + 1
+    assert WeightDistribution(L0, {}).canonical_pieces([field("a"), field("mult")]) == []
 
 
 def test_items_yields_one_plain_tuple_pair_per_support_point():

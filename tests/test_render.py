@@ -108,8 +108,10 @@ def test_ellipse_path_rejects_degenerate_matrix():
         ellipse_path(Ellipse((0, 0), sigma))
     with pytest.raises(DegenerateCovarianceError):
         ellipse_path(Ellipse((0, 0), CovarianceMatrix(Fraction(0), Fraction(0), Fraction(1))))
-    with pytest.raises(ValueError):
-        ellipse_path(Ellipse((0, 0), CovarianceMatrix(Fraction(1), Fraction(0), Fraction(1))), samples=0)
+    unit = Ellipse((0, 0), CovarianceMatrix(Fraction(1), Fraction(0), Fraction(1)))
+    for samples in (0, 2):  # two vertices trace a segment, not an ellipse
+        with pytest.raises(ValueError, match="at least 3"):
+            ellipse_path(unit, samples=samples)
 
 
 def test_ellipse_document_wraps_path():
@@ -161,7 +163,7 @@ def test_renderers_match_frozen_digests():
 
 
 def test_heatmap_rejects_negative_masses():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="heatmap needs nonnegative multiplicities"):
         heatmap(WeightDistribution(L0, SIGNED))
 
 

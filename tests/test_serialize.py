@@ -78,6 +78,18 @@ def test_distribution_exports_match_frozen_digests():
         assert _sha256(distribution_json(mu, word)) == READ_PATH_SHA256[name]["json"], name
 
 
+def test_distribution_csv_equals_per_point_format():
+    # interior zeros and signed masses, and level-1 strings k and N - k sharing one list
+    rng = random.Random(17)
+    measures = [random_signed_measure(rng) for _ in range(60)]
+    measures += [level1_distribution(N) for N in range(25)]
+    assert sum(0 in vals for mu in measures for _, (_, vals) in mu.columns()) >= 10
+    assert any(len({id(v) for _, (_, v) in mu.columns()}) < len(dict(mu.columns())) for mu in measures)
+    for mu in measures:
+        rows = "".join("%d,%d,%d\n" % (a, b, c) for (a, b), c in sorted(mu.items()))
+        assert distribution_csv(mu) == "a,b,mult\n" + rows
+
+
 def test_distribution_json_equals_indented_dumps():
     # the spliced text is byte-identical to json.dumps of the whole document
     rng = random.Random(9)
