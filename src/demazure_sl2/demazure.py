@@ -178,7 +178,7 @@ class WeightDistribution:
         lo, hi = self.degree_range()
         b_lo = lo - max(self._cols, default=0)
         spans = {"a": range(lo, hi), "b": range(b_lo, hi - min(self._cols, default=0))}
-        # per field: its pieces over the whole span, or a memo keyed by id(vals)
+        # per field: its pieces over the whole a or b span; for mult a memo keyed by id(vals)
         cached = [list(map(piece, spans[axis])) if axis in spans else {} for axis, piece in fields]
 
         def cells(d: int, a0: int, vals: list[int]) -> Iterator[tuple[str, ...]]:
