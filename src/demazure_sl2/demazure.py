@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import add, sub
+from operator import add, not_, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .lattice import Functional, HighestWeight, LatticePoint, Scalar
@@ -150,52 +150,53 @@ class WeightDistribution:
         """
         return chain.from_iterable(map(self._column_items, self._cols))
 
-    def canonical(self, cells: Callable[[int, int, list[int]], Iterable] = column_triples) -> Iterator:
-        """One cell per support point in (a, b) order, the export order.
+    def _fill(self, width: int, cells: Callable[[int, int, list[int]], Iterable[Iterable]]) -> Iterator:
+        """The one canonical-order routine; cells(d, a0, vals) gives width truthy cell lists.
 
-        ``cells(d, a0, vals)`` gives a truthy cell per column entry, by default
-        (a, b, mult).  Columns by descending d, padded with None onto the common
-        rows, are read row by row: each row of fixed a runs by ascending b.
-        Text exports use canonical_pieces, which hands this cached strings.
+        Each list takes its slots of a row-major list over (a, column by descending d, field) by one
+        extended-slice assignment; filter(None, ...) drops padding and interior zeros: no object per
+        point.  Slots: width * K * R (K columns, R rows); K * R / support_size is 1.52-1.65 at levels 1-4.
         """
         lo, hi = self.degree_range()
-        padded = []
-        for d in sorted(self._cols, reverse=True):
-            a0, vals = self._cols[d]
-            col = list(cells(d, a0, vals))
+        step = width * len(self._cols)  # slots per row
+        out = [None] * (step * (hi - lo))
+        for k, (d, (a0, vals)) in enumerate(sorted(self._cols.items(), reverse=True)):
+            slots = range(width * k + step * (a0 - lo), step * (a0 - lo + len(vals)), step)  # field 0 of each entry
+            for f, col in enumerate(cells(d, a0, vals), slots.start):
+                out[f : slots.stop : step] = col
             if 0 in vals:  # interior zeros are not support points
-                col = [t if c else None for t, c in zip(col, vals)]
-            padded.append([None] * (a0 - lo) + col + [None] * (hi - a0 - len(vals)))
-        return filter(None, chain.from_iterable(zip(*padded)))
+                for i in compress(slots, map(not_, vals)):
+                    out[i : i + width] = [None] * width
+        return filter(None, out)
+
+    def canonical(self, cells: Callable[[int, int, list[int]], Iterable] = column_triples) -> Iterator:
+        """One truthy cell per support point in (a, b) order, by default (a, b, mult); see _fill."""
+        return self._fill(1, lambda d, a0, vals: (cells(d, a0, vals),))
 
     def canonical_pieces(self, fields: Sequence[tuple[str, Callable[[int], str]]]) -> list[str]:
         """Text of every support point in canonical order, one piece per field, flat.
 
-        A field is (axis, piece) with axis "d", "a", "b" or "mult" and piece(v) its
-        text at value v.  piece runs once per column, row, b value and entry of
-        each distinct column vector (mirrored columns share one), never per point.
+        A field is (axis, piece): axis "d", "a", "b" or "mult", piece(v) its truthy text at value v.
+        piece runs once per column, row, b value and entry of each distinct column vector, never per point.
         """
         lo, hi = self.degree_range()
         b_lo = lo - max(self._cols, default=0)
         spans = {"a": range(lo, hi), "b": range(b_lo, hi - min(self._cols, default=0))}
-        # per field: its pieces over the whole a or b span; for mult a memo keyed by id(vals)
         cached = [list(map(piece, spans[axis])) if axis in spans else {} for axis, piece in fields]
 
-        def cells(d: int, a0: int, vals: list[int]) -> Iterator[tuple[str, ...]]:
-            n, strings = len(vals), []
+        def cells(d: int, a0: int, vals: list[int]) -> Iterator[list[str]]:
             for (axis, piece), cache in zip(fields, cached):
                 if axis == "d":
-                    strings.append(repeat(piece(d), n))
+                    yield [piece(d)] * len(vals)
                 elif axis == "mult":
-                    if id(vals) not in cache:  # vals stays alive in self._cols
+                    if id(vals) not in cache:  # memo: mirrored columns share vals, kept alive in self._cols
                         cache[id(vals)] = list(map(piece, vals))
-                    strings.append(cache[id(vals)])
+                    yield cache[id(vals)]
                 else:
                     i = a0 - lo if axis == "a" else a0 - d - b_lo
-                    strings.append(cache[i : i + n])
-            return zip(*strings)
+                    yield cache[i : i + len(vals)]
 
-        return list(chain.from_iterable(self.canonical(cells)))
+        return list(self._fill(len(fields), cells))
 
     def sorted_items(self) -> list[tuple[LatticePoint, int]]:
         """Entries ordered by (a, b); the canonical export order."""

@@ -6,9 +6,8 @@ largest multiplicity.  Covariance ellipses are emitted as closed polylines
 sampled from the Cholesky image of the unit circle, so every vertex lies
 on the 1-sigma quadric of the matrix.  Output is plain SVG 1.1 text with
 fixed-precision coordinates; equal inputs render to identical bytes.
-Heatmap cells are fields of WeightDistribution.canonical_pieces, each shade
-string is built once per gray level, and every writer hands _svg pieces
-ending in a newline, joined once with the head and the tail.
+Heatmap cells are fields of WeightDistribution.canonical_pieces, with grays per distinct column
+vector and one shade string per gray level; _svg joins newline-ended pieces once with head and tail.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ def heatmap(mu: WeightDistribution) -> str:
     if a_min == a_end:
         return _svg(2 * PADDING, 2 * PADDING, [])
     d_min, d_max = min(d for d, _ in mu.columns()), max(d for d, _ in mu.columns())
-    # an interior zero adds mass 0 here, harmlessly: its cell is dropped
-    masses = list(set(chain.from_iterable(vals for _, (_, vals) in mu.columns())))
+    # per distinct vector (mirrored columns share one); an interior zero adds a harmless 0
+    masses = list(set(chain.from_iterable({id(v): v for _, (_, v) in mu.columns()}.values())))
     if min(masses) < 0:
         raise ValueError("heatmap needs nonnegative multiplicities")
     # gray = LIGHT_GRAY - round(log1p(c) / log1p(max) * (LIGHT_GRAY - DARK_GRAY)), log1p(max) > 0

@@ -7,11 +7,11 @@ to identical bytes.  All text is UTF-8 with LF line endings.
 
 Distribution tables are fields of WeightDistribution.canonical_pieces, as
 the heatmap is: the row template is split into one piece per a, b and mult,
-each formatted once per row, b value or distinct column vector, and the
-document is one join.  JSON entry blocks are spliced into the "[]" of
-json.dumps(header, indent=2), byte-identical to json.dumps of the whole
-document with indent=2 but without its pure-Python encoder (the C one runs
-only without indent).
+each formatted once per row, b value or distinct column vector and ordered
+by one strided fill with no object per point; the document is one join.
+JSON entry blocks are spliced into the "[]" of json.dumps(header, indent=2),
+byte-identical to json.dumps of the whole document with indent=2 but
+without its pure-Python encoder (the C one runs only without indent).
 """
 
 from __future__ import annotations

@@ -167,7 +167,7 @@ def test_canonical_pieces_format_once_per_column_row_b_and_distinct_vector():
         return axis, piece
 
     pieces = mu.canonical_pieces([field(axis) for axis in calls])
-    assert pieces == ["%s%d;" % p for a, b, c in mu.canonical() for p in zip(calls, (a - b, a, b, c))]
+    assert pieces == ["%s%d;" % p for (a, b), c in sorted(mu.items()) for p in zip(calls, (a - b, a, b, c))]
     # mirrored strings share one list, so a per-point mult piece would run len(mu) times
     assert len(calls["mult"]) == sum(map(len, distinct.values())) < len(mu)
     lo, hi = mu.degree_range()
@@ -175,6 +175,31 @@ def test_canonical_pieces_format_once_per_column_row_b_and_distinct_vector():
     assert calls["a"] == list(range(lo, hi))
     assert len(calls["b"]) == len(set(calls["b"])) == max(calls["b"]) - min(calls["b"]) + 1
     assert WeightDistribution(L0, {}).canonical_pieces([field("a"), field("mult")]) == []
+
+
+def test_canonical_and_canonical_pieces_equal_sorted_items_oracle():
+    import random
+
+    rng = random.Random(41)
+    cases = [random_signed_measure(rng) for _ in range(80)]
+    cases += [WeightDistribution(L0, {(5, 5): 1, (0, 0): 2, (2, 2): 3}), WeightDistribution(L0, {})]
+    cases += [level1_distribution(N) for N in range(0, 31, 3)]
+    assert sum(0 in vals for mu in cases for _, (_, vals) in mu.columns()) >= 20  # interior zeros
+    assert any(a < 0 or b < 0 for mu in cases for (a, b), _ in mu.items())
+    assert any(len({id(v) for _, (_, v) in mu.columns()}) < len(dict(mu.columns())) for mu in cases)
+    # a repeated axis, as the heatmap repeats "a" and "mult"; each field tags its text
+    axes = ("mult", "a", "d", "b", "a", "mult")
+    fields = [(axis, lambda v, i=i: "%d:%d;" % (i, v)) for i, axis in enumerate(axes)]
+    for mu in cases:
+        oracle = sorted(mu.items())
+        cells = mu.canonical()
+        assert iter(cells) is cells
+        assert list(cells) == [(a, b, c) for (a, b), c in oracle]
+        tagged = mu.canonical(lambda d, a0, vals: ["%d@%d" % (d, c) for c in vals])
+        assert list(tagged) == ["%d@%d" % (a - b, c) for (a, b), c in oracle]
+        values = [{"a": a, "b": b, "d": a - b, "mult": c} for (a, b), c in oracle]
+        expected = ["%d:%d;" % (i, v[axis]) for v in values for i, axis in enumerate(axes)]
+        assert mu.canonical_pieces(fields) == expected
 
 
 def test_items_yields_one_plain_tuple_pair_per_support_point():
