@@ -72,13 +72,9 @@ class WeylWord:
 # output is s_j-invariant and holds one list per mirrored pair: after D_1
 # columns d and -n - d, after D_0 columns d and m - d, and in
 # closedform.level1_distribution strings k and N - k.  moments.raw_moments
-# relies on this to sum each shared list once.
+# (to sum each shared list once), WeightDistribution.canonical_pieces and
+# render.heatmap (to format or shade each shared list once) rely on this.
 Column = tuple[int, list[int]]
-
-
-def column_triples(d: int, a0: int, vals: list[int]) -> Iterator[tuple[int, int, int]]:
-    """(a, b, mult) per entry of the column d = a - b whose row a0 holds vals[0]."""
-    return zip(range(a0, a0 + len(vals)), range(a0 - d, a0 - d + len(vals)), vals)
 
 
 def _trim(lo: int, vals: list[int]) -> Column | None:
@@ -150,57 +146,44 @@ class WeightDistribution:
         """
         return chain.from_iterable(map(self._column_items, self._cols))
 
-    def _fill(self, width: int, cells: Callable[[int, int, list[int]], Iterable[Iterable]]) -> Iterator:
-        """The one canonical-order routine; cells(d, a0, vals) gives width truthy cell lists.
-
-        Each list takes its slots of a row-major list over (a, column by descending d, field) by one
-        extended-slice assignment; filter(None, ...) drops padding and interior zeros: no object per
-        point.  Slots: width * K * R (K columns, R rows); K * R / support_size is 1.52-1.65 at levels 1-4.
-        """
-        lo, hi = self.degree_range()
-        step = width * len(self._cols)  # slots per row
-        out = [None] * (step * (hi - lo))
-        for k, (d, (a0, vals)) in enumerate(sorted(self._cols.items(), reverse=True)):
-            slots = range(width * k + step * (a0 - lo), step * (a0 - lo + len(vals)), step)  # field 0 of each entry
-            for f, col in enumerate(cells(d, a0, vals), slots.start):
-                out[f : slots.stop : step] = col
-            if 0 in vals:  # interior zeros are not support points
-                for i in compress(slots, map(not_, vals)):
-                    out[i : i + width] = [None] * width
-        return filter(None, out)
-
-    def canonical(self, cells: Callable[[int, int, list[int]], Iterable] = column_triples) -> Iterator:
-        """One truthy cell per support point in (a, b) order, by default (a, b, mult); see _fill."""
-        return self._fill(1, lambda d, a0, vals: (cells(d, a0, vals),))
-
     def canonical_pieces(self, fields: Sequence[tuple[str, Callable[[int], str]]]) -> list[str]:
-        """Text of every support point in canonical order, one piece per field, flat.
+        """Text of every support point in (a, b) order, one piece per field, flat; the one ordered reader.
 
         A field is (axis, piece): axis "d", "a", "b" or "mult", piece(v) its truthy text at value v.
         piece runs once per column, row, b value and entry of each distinct column vector, never per point.
+        Each field's pieces of a column take their slots of a row-major list over (a, column by descending
+        d, field) by one extended-slice assignment; filter(None, ...) drops padding and interior zeros: no
+        object per point.  Slots: F * K * R (F fields, K columns, R rows); K * R / support_size is 1.52-1.65
+        at levels 1-4.
         """
         lo, hi = self.degree_range()
         b_lo = lo - max(self._cols, default=0)
         spans = {"a": range(lo, hi), "b": range(b_lo, hi - min(self._cols, default=0))}
         cached = [list(map(piece, spans[axis])) if axis in spans else {} for axis, piece in fields]
-
-        def cells(d: int, a0: int, vals: list[int]) -> Iterator[list[str]]:
-            for (axis, piece), cache in zip(fields, cached):
+        width = len(fields)
+        step = width * len(self._cols)  # slots per row
+        out = [None] * (step * (hi - lo))
+        for k, (d, (a0, vals)) in enumerate(sorted(self._cols.items(), reverse=True)):
+            slots = range(width * k + step * (a0 - lo), step * (a0 - lo + len(vals)), step)  # field 0 of each entry
+            for f, ((axis, piece), cache) in enumerate(zip(fields, cached), slots.start):
                 if axis == "d":
-                    yield [piece(d)] * len(vals)
+                    col = [piece(d)] * len(vals)
                 elif axis == "mult":
                     if id(vals) not in cache:  # memo: mirrored columns share vals, kept alive in self._cols
                         cache[id(vals)] = list(map(piece, vals))
-                    yield cache[id(vals)]
+                    col = cache[id(vals)]
                 else:
                     i = a0 - lo if axis == "a" else a0 - d - b_lo
-                    yield cache[i : i + len(vals)]
-
-        return list(self._fill(len(fields), cells))
+                    col = cache[i : i + len(vals)]
+                out[f : slots.stop : step] = col
+            if 0 in vals:  # interior zeros are not support points
+                for i in compress(slots, map(not_, vals)):
+                    out[i : i + width] = [None] * width
+        return list(filter(None, out))
 
     def sorted_items(self) -> list[tuple[LatticePoint, int]]:
-        """Entries ordered by (a, b); the canonical export order."""
-        return [(LatticePoint(a, b), c) for a, b, c in self.canonical()]
+        """items() sorted by (a, b), with LatticePoint keys."""
+        return [(LatticePoint(*p), c) for p, c in sorted(self.items())]
 
     def degree_range(self) -> tuple[int, int]:
         """(lo, hi) with every support degree in range(lo, hi); (0, 0) when empty."""

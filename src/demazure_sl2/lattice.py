@@ -127,9 +127,6 @@ class Functional:
     def constant(cls, c: Scalar) -> "Functional":
         return cls({(0, 0): c})
 
-    def terms(self) -> Iterator[tuple[tuple[int, int], Scalar]]:
-        return iter(sorted(self._terms.items()))
-
     @property
     def total_degree(self) -> int:
         """Largest i + j over the support; 0 for the zero functional."""

@@ -62,19 +62,8 @@ def distribution_csv(mu: WeightDistribution) -> str:
 def wlln_csv(summaries: list[RescaledSummary]) -> str:
     lines = ["level,N,max_degree,mean_deg,var_deg,mean_fin,var_fin"]
     for s in summaries:
-        lines.append(
-            ",".join(
-                [
-                    str(s.level),
-                    str(s.N),
-                    str(s.max_degree),
-                    format_rational(s.mean_degree_scaled),
-                    format_rational(s.var_degree_scaled),
-                    format_rational(s.mean_finweight_scaled),
-                    format_rational(s.var_finweight_scaled),
-                ]
-            )
-        )
+        stats = (s.mean_degree_scaled, s.var_degree_scaled, s.mean_finweight_scaled, s.var_finweight_scaled)
+        lines.append(",".join(map(format_rational, (s.level, s.N, s.max_degree, *stats))))
     return "\n".join(lines) + "\n"
 
 

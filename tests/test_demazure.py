@@ -141,10 +141,9 @@ def test_sorted_items_order_on_gaps_single_column_and_empty():
     assert all(type(p) is LatticePoint for p, _ in mu.sorted_items())
     # a single column with a gap
     col = WeightDistribution(L0, {(5, 5): 1, (0, 0): 2, (2, 2): 3})
-    assert [tuple(p) for p, _ in col.sorted_items()] == [(0, 0), (2, 2), (5, 5)]
-    assert list(col.canonical()) == [(0, 0, 2), (2, 2, 3), (5, 5, 1)]
+    assert [(tuple(p), c) for p, c in col.sorted_items()] == [((0, 0), 2), ((2, 2), 3), ((5, 5), 1)]
     empty = WeightDistribution(L0, {})
-    assert empty.sorted_items() == [] and list(empty.canonical()) == []
+    assert empty.sorted_items() == []
     assert empty.degree_range() == (0, 0)
     rng = random.Random(5)
     for _ in range(60):
@@ -192,11 +191,8 @@ def test_canonical_and_canonical_pieces_equal_sorted_items_oracle():
     fields = [(axis, lambda v, i=i: "%d:%d;" % (i, v)) for i, axis in enumerate(axes)]
     for mu in cases:
         oracle = sorted(mu.items())
-        cells = mu.canonical()
-        assert iter(cells) is cells
-        assert list(cells) == [(a, b, c) for (a, b), c in oracle]
-        tagged = mu.canonical(lambda d, a0, vals: ["%d@%d" % (d, c) for c in vals])
-        assert list(tagged) == ["%d@%d" % (a - b, c) for (a, b), c in oracle]
+        ab = mu.canonical_pieces([("a", "%d,".__mod__), ("b", "%d;".__mod__)])
+        assert "".join(ab) == "".join("%d,%d;" % tuple(p) for p, _ in mu.sorted_items())
         values = [{"a": a, "b": b, "d": a - b, "mult": c} for (a, b), c in oracle]
         expected = ["%d:%d;" % (i, v[axis]) for v in values for i, axis in enumerate(axes)]
         assert mu.canonical_pieces(fields) == expected
