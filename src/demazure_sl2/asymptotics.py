@@ -14,17 +14,21 @@ letter 0) is conjecturally a cubic in N; conjecture_check recovers the
 cubic from four sample points by exact Lagrange interpolation, confirms it
 on the held-out samples, and compares against the conjectured table below.
 The maximum degree is checked against m*N^2/4 alongside.
+
+wlln_series and conjecture_check share one walk of the alternating-word
+chain; each snapshot is read once into its maximum degree, maximum absolute
+finite weight and degree-2 moment table, and both work on those alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .demazure import WeylWord, WeightDistribution, distribution_chain, weight_distribution
 from .lattice import A, HighestWeight, finite_weight_functional
-from .moments import raw_moments
+from .moments import MomentTable, raw_moments
 
 
 @dataclass(frozen=True)
@@ -41,16 +45,27 @@ class RescaledSummary:
     var_finweight_scaled: Fraction
 
 
-def _summarize(mu: WeightDistribution, N: int) -> RescaledSummary:
-    hw = mu.hw
+def _statistics(mu: WeightDistribution) -> tuple[int, int, MomentTable]:
+    """(max degree, max |finite weight|, degree-2 moment table); the one reader of a distribution."""
     max_deg = max(0, mu.degree_range()[1] - 1)
     # a column's finite weight is n + 2d
-    max_fw = max([0] + [abs(hw.n + 2 * d) for d, _ in mu.columns()])
+    max_fw = max([0] + [abs(mu.hw.n + 2 * d) for d, _ in mu.columns()])
+    return max_deg, max_fw, raw_moments(mu, 2)
+
+
+def _walk(hw: HighestWeight, first: int, ns: Sequence[int]) -> Iterator[tuple[int, int, int, MomentTable]]:
+    """(N, *_statistics) at each length of the increasing ns, along one alternating-word chain."""
+    wanted = set(ns)
+    for t, mu in distribution_chain(hw, WeylWord(ns[-1], first)):
+        if t in wanted:
+            yield t, *_statistics(mu)
+
+
+def _summarize(hw: HighestWeight, N: int, max_deg: int, max_fw: int, table: MomentTable) -> RescaledSummary:
     # constant coordinates get scale 1 rather than a zero division; their
     # rescaled mean and variance are exact zeros either way
     dscale = max_deg if max_deg else 1
     wscale = max_fw if max_fw else 1
-    table = raw_moments(mu, 2)
     w = finite_weight_functional(hw)
     ed, ew = table.expect(A), table.expect(w)
     var_d, var_w = table.cov(A, A), table.cov(w, w)
@@ -70,7 +85,7 @@ def rescaled_summary(hw: HighestWeight, word: WeylWord) -> RescaledSummary:
     """Summary of the distribution of one word, rescaled to [0,1] x [-1,1]."""
     if word.length < 1:
         raise ValueError("word length must be at least 1")
-    return _summarize(weight_distribution(hw, word), word.length)
+    return _summarize(hw, word.length, *_statistics(weight_distribution(hw, word)))
 
 
 def wlln_series(hw: HighestWeight, N_list: Sequence[int], first: int = 0) -> list[RescaledSummary]:
@@ -87,12 +102,7 @@ def wlln_series(hw: HighestWeight, N_list: Sequence[int], first: int = 0) -> lis
         raise ValueError("word lengths must be positive integers")
     if any(y <= x for x, y in zip(ns, ns[1:])):
         raise ValueError("N_list must be strictly increasing")
-    wanted = set(ns)
-    out = []
-    for t, mu in distribution_chain(hw, WeylWord(ns[-1], first)):
-        if t in wanted:
-            out.append(_summarize(mu, t))
-    return out
+    return [_summarize(hw, *snapshot) for snapshot in _walk(hw, first, ns)]
 
 
 def degree_mean_limit(level: int) -> Fraction:
@@ -196,28 +206,14 @@ def conjecture_check(m: int, N_list: Iterable[int]) -> ConjectureReport:
         raise ValueError("need at least 5 distinct sample lengths")
     if any(n < 2 or n % 2 for n in ns):
         raise ValueError("sample lengths must be even and at least 2")
-    wanted = set(ns)
-    samples: dict[int, tuple[Fraction, int]] = {}
-    for t, mu in distribution_chain(HighestWeight(m, 0), WeylWord(ns[-1], 0)):
-        if t in wanted:
-            samples[t] = (raw_moments(mu, 2).cov(A, A), mu.degree_range()[1] - 1)
-    fit = fit_polynomial([(n, samples[n][0]) for n in ns[:4]])
-    witnesses = [
-        (n, samples[n][0], fit.evaluate(n))
-        for n in ns[4:]
-        if fit.evaluate(n) != samples[n][0]
-    ]
+    rows = tuple(
+        ConjectureRow(N=t, variance=table.cov(A, A), max_degree=max_deg, expected_max_degree=m * t * t // 4)
+        for t, max_deg, _, table in _walk(HighestWeight(m, 0), 0, ns)
+    )
+    fit = fit_polynomial([(r.N, r.variance) for r in rows[:4]])
+    witnesses = [(r.N, r.variance, fit.evaluate(r.N)) for r in rows[4:] if fit.evaluate(r.N) != r.variance]
     if witnesses:
         raise FitMismatchError("not cubic on sampled range", witnesses)
-    rows = tuple(
-        ConjectureRow(
-            N=n,
-            variance=samples[n][0],
-            max_degree=samples[n][1],
-            expected_max_degree=m * n * n // 4,
-        )
-        for n in ns
-    )
     return ConjectureReport(
         level=m,
         rows=rows,

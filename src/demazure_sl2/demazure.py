@@ -156,6 +156,8 @@ class WeightDistribution:
         object per point.  Slots: F * K * R (F fields, K columns, R rows); K * R / support_size is 1.52-1.65
         at levels 1-4.
         """
+        if not fields:
+            return []
         lo, hi = self.degree_range()
         b_lo = lo - max(self._cols, default=0)
         spans = {"a": range(lo, hi), "b": range(b_lo, hi - min(self._cols, default=0))}
@@ -286,8 +288,8 @@ def image_measure(mu: WeightDistribution, fs: Sequence[Functional]) -> dict[tupl
     Summed over int numerators from Functional.on_column: with q the lcm of
     a functional's denominators, the image is first taken along q * f, and
     a column on which every functional is constant adds its total mass to
-    one key.  Then each axis is divided by its q once per distinct value;
-    an axis whose functional has int coefficients keeps int values.
+    one key.  Then each key's axes are divided by their q; an axis whose
+    functional has int coefficients keeps int values.
     """
     qs = [f.numerators()[0] for f in fs]
     acc: dict[tuple[int, ...], int] = {}
@@ -300,12 +302,7 @@ def image_measure(mu: WeightDistribution, fs: Sequence[Functional]) -> dict[tupl
             continue
         for key, c in zip(zip(*(repeat(n) if type(n) is int else n for n in nums)), vals):
             acc[key] = get(key, 0) + c
-    image = {key: c for key, c in acc.items() if c}
-    axes = [
-        axis if q == 1 else map({n: Fraction(n, q) for n in set(axis)}.__getitem__, axis)
-        for q, axis in zip(qs, zip(*image))
-    ]
-    return dict(zip(zip(*axes), image.values()))
+    return {tuple(n if q == 1 else Fraction(n, q) for n, q in zip(key, qs)): c for key, c in acc.items() if c}
 
 
 def marginal(mu: WeightDistribution, f: Functional) -> dict[Scalar, int]:

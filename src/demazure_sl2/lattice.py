@@ -188,8 +188,7 @@ class Functional:
         return _collect((k, -c) for k, c in self._terms.items())
 
     def __sub__(self, other: "Functional | Scalar") -> "Functional":
-        negated = ((k, -c) for k, c in _as_functional(other)._terms.items())
-        return _collect(chain(self._terms.items(), negated))
+        return self + -other
 
     def __rsub__(self, other: "Functional | Scalar") -> "Functional":
         return _as_functional(other) - self
@@ -237,14 +236,12 @@ class Functional:
 
 
 def _collect(terms: Iterable[tuple[tuple[int, int], Scalar]]) -> Functional:
-    """Functional of the terms summed per monomial, normalised, zeros dropped."""
+    """Functional of the terms summed per monomial; the constructor normalises them."""
     sums: dict[tuple[int, int], Scalar] = {}
     for key, c in terms:
         # a first term is stored as is: 0 + Fraction would build a new Fraction
         sums[key] = sums[key] + c if key in sums else c
-    f = Functional()
-    f._terms = {key: _norm_coeff(c) for key, c in sums.items() if c}
-    return f
+    return Functional(sums)
 
 
 def _as_functional(x: "Functional | Scalar") -> Functional:

@@ -169,7 +169,6 @@ _RECURRENCE_CLOSED_FORMS = (
 
 def suite_recurrence(max_N: int, ctx: SuiteContext) -> Checks:
     """Second-moment recurrences in N and the degree-moment closed forms."""
-    ctx.chain(_L0, 0, max_N + 1)
     for N in range(2, max_N + 1):
         now, after = _level1(ctx, N), _level1(ctx, N + 1)
         c = N % 2
@@ -208,7 +207,6 @@ def suite_covariance(max_N: int, ctx: SuiteContext) -> Checks:
     """Degree/finite-weight covariance matrices for both fundamental weights."""
     for j in (0, 1):
         hw = HighestWeight.fundamental(j)
-        ctx.chain(hw, j, max_N)
         for N in range(1, max_N + 1):
             got = ctx.moments(hw, j, N, 2).covariance_matrix(hw)
             want = theorem_covariance_matrix(N, j)

@@ -4,6 +4,7 @@ import pytest
 
 from demazure_sl2 import (
     CONJECTURED_DEGREE_VARIANCE,
+    A,
     HighestWeight,
     PolynomialFit,
     WeylWord,
@@ -12,6 +13,7 @@ from demazure_sl2 import (
     finite_weight_functional,
     fit_polynomial,
     rescaled_summary,
+    variance,
     weight_distribution,
     wlln_series,
 )
@@ -56,6 +58,11 @@ def test_wlln_series_snapshots_match_single_runs():
     for s in series:
         assert s == rescaled_summary(L0, WeylWord(s.N, 0))
     assert [s.N for s in series] == [2, 4, 6]
+    for hw, first in ((HighestWeight(2, 1), 1), (HighestWeight(0, 3), 0)):
+        series = wlln_series(hw, [1, 2, 5], first)
+        assert [s.N for s in series] == [1, 2, 5]
+        for s in series:
+            assert s == rescaled_summary(hw, WeylWord(s.N, first))
 
 
 def test_wlln_series_validation():
@@ -121,6 +128,17 @@ def test_conjecture_check_levels_2_to_4():
         assert report.fit.coefficients == CONJECTURED_DEGREE_VARIANCE[m]
         for row in report.rows:
             assert row.max_degree == m * row.N * row.N // 4
+
+
+def test_conjecture_rows_match_single_word_distributions():
+    # each row against its own distribution, computed from the word alone
+    for m in (2, 3, 4):
+        report = conjecture_check(m, [2, 4, 6, 8, 10])
+        assert [row.N for row in report.rows] == [2, 4, 6, 8, 10]
+        for row in report.rows:
+            mu = weight_distribution(HighestWeight(m, 0), WeylWord(row.N, 0))
+            assert row.variance == variance(mu, A)
+            assert row.max_degree == mu.degree_range()[1] - 1
 
 
 def test_conjecture_check_is_order_insensitive():

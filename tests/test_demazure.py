@@ -176,6 +176,11 @@ def test_canonical_pieces_format_once_per_column_row_b_and_distinct_vector():
     assert WeightDistribution(L0, {}).canonical_pieces([field("a"), field("mult")]) == []
 
 
+def test_canonical_pieces_of_no_fields_is_empty():
+    assert level1_distribution(3).canonical_pieces([]) == []
+    assert WeightDistribution(L0, {}).canonical_pieces([]) == []
+
+
 def test_canonical_and_canonical_pieces_equal_sorted_items_oracle():
     import random
 

@@ -98,3 +98,20 @@ def test_closed_form_imports_no_operator():
         elif isinstance(node, ast.Import):
             offenders += [a.name for a in node.names if a.name.startswith("demazure_sl2")]
     assert offenders == []
+
+
+def test_asymptotics_walks_the_chain_and_reads_a_distribution_in_one_place_each():
+    # wlln_series and conjecture_check share one chain walk (_walk) and one
+    # reader of a distribution (_statistics), so a second route to the
+    # snapshots replaces one function, not two loops
+    tree = ast.parse((PACKAGE / "asymptotics.py").read_text(encoding="utf-8"))
+    callers: dict[str, set[str]] = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else "." + getattr(func, "attr", "")
+                callers.setdefault(name, set()).add(getattr(top, "name", "<module>"))
+    assert callers.get("distribution_chain") == {"_walk"}
+    for name in ("raw_moments", ".degree_range", ".columns"):
+        assert callers.get(name) == {"_statistics"}, name
