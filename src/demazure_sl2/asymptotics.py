@@ -16,14 +16,16 @@ on the held-out samples, and compares against the conjectured table below.
 The maximum degree is checked against m*N^2/4 alongside.
 
 wlln_series and conjecture_check share one walk of the alternating-word
-chain; each snapshot is read once into its maximum degree, maximum absolute
-finite weight and degree-2 moment table, and both work on those alone.
+chain, an islice of demazure.distribution_chain up to the longest length;
+each snapshot is read once into its maximum degree, maximum absolute finite
+weight and degree-2 moment table, and both work on those alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .demazure import WeylWord, WeightDistribution, distribution_chain, weight_distribution
@@ -56,7 +58,7 @@ def _statistics(mu: WeightDistribution) -> tuple[int, int, MomentTable]:
 def _walk(hw: HighestWeight, first: int, ns: Sequence[int]) -> Iterator[tuple[int, int, int, MomentTable]]:
     """(N, *_statistics) at each length of the increasing ns, along one alternating-word chain."""
     wanted = set(ns)
-    for t, mu in distribution_chain(hw, WeylWord(ns[-1], first)):
+    for t, mu in enumerate(islice(distribution_chain(hw, first), ns[-1] + 1)):
         if t in wanted:
             yield t, *_statistics(mu)
 

@@ -10,7 +10,8 @@ extended linearly to signed integer combinations.  Iterating the operators
 along an alternating word starting from the point mass at the highest
 weight yields the weight multiplicity distribution of the corresponding
 Demazure module; for genuine words all intermediate measures stay
-nonnegative.
+nonnegative.  distribution_chain, the endless chain mu_0, mu_1, ... of the
+prefixes, is the one walk along the word; every other chain reads from it.
 
 Implementation note: a measure is stored as columns of fixed d = a - b
 over consecutive degrees a.  Both pairings depend on d alone, so D_j maps
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, cycle, islice, repeat
 from operator import add, not_, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -58,11 +59,6 @@ class WeylWord:
             raise ValueError("word length must be a nonnegative integer")
         if self.first not in (0, 1):
             raise ValueError("first letter must be generator 0 or 1")
-
-    def letters(self) -> Iterator[int]:
-        """Generator indices in application order (rightmost first)."""
-        for i in range(self.length):
-            yield self.first if i % 2 == 0 else 1 - self.first
 
 
 # Column storage: d -> (a0, vals) with vals[i] the mass at (a0 + i, a0 + i - d).
@@ -260,26 +256,22 @@ def apply_demazure(j: int, mu: WeightDistribution) -> WeightDistribution:
     return WeightDistribution.from_columns(mu.hw, cols)
 
 
+def distribution_chain(hw: HighestWeight, first: int) -> Iterator[WeightDistribution]:
+    """Endless iterator of mu_0, mu_1, mu_2, ...: the one walk along the alternating word.
+
+    mu_t is the distribution of the length-t word whose rightmost letter is
+    ``first``: letter t (counting from 0 in application order) is ``first``
+    for even t and ``1 - first`` for odd t, and mu_{t+1} = D_j mu_t.  Only
+    the latest mu_t is held.  A bad ``first`` raises here, not on next().
+    """
+    WeylWord(0, first)  # raises the WeylWord ValueError for a bad first
+    letters = cycle((first, 1 - first))
+    return accumulate(letters, lambda mu, j: apply_demazure(j, mu), initial=WeightDistribution.delta(hw))
+
+
 def weight_distribution(hw: HighestWeight, word: WeylWord) -> WeightDistribution:
     """Weight multiplicity distribution of the Demazure module for ``word``."""
-    mu = WeightDistribution.delta(hw)
-    for j in word.letters():
-        mu = apply_demazure(j, mu)
-    return mu
-
-
-def distribution_chain(hw: HighestWeight, word: WeylWord) -> Iterator[tuple[int, WeightDistribution]]:
-    """Yield (t, mu_t) for every prefix length t = 0..len(word).
-
-    Each mu_t is the distribution of the length-t prefix of ``word``
-    (applied rightmost-first), so one pass serves every length at the cost
-    of the longest.
-    """
-    mu = WeightDistribution.delta(hw)
-    yield 0, mu
-    for t, j in enumerate(word.letters(), start=1):
-        mu = apply_demazure(j, mu)
-        yield t, mu
+    return next(islice(distribution_chain(hw, word.first), word.length, None))
 
 
 def image_measure(mu: WeightDistribution, fs: Sequence[Functional]) -> dict[tuple[Scalar, ...], int]:

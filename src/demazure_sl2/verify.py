@@ -29,7 +29,8 @@ coordinate.  Each level-1 identity and each catalog entry it is compared
 with is written once in lead, nxt and c.
 
 A SuiteContext caches the operator chains and moment tables so "all" pays
-for each distribution once.
+for each distribution once; a chain is the list read so far from one live
+demazure.distribution_chain per (m, n, first).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Iterator
 
 from .asymptotics import CONJECTURED_DEGREE_VARIANCE, FitMismatchError, conjecture_check
 from .closedform import palindromicity_check
-from .demazure import WeightDistribution, WeylWord, apply_demazure, marginal
+from .demazure import WeightDistribution, distribution_chain, marginal
 from .lattice import A, B, HighestWeight, Scalar
 from .moments import (
     CoordinateMap,
@@ -77,14 +78,16 @@ class SuiteContext:
     """Caches alternating-word chains and raw moment tables across suites."""
 
     def __init__(self) -> None:
-        self._chains: dict[tuple[int, int, int], list[WeightDistribution]] = {}
+        self._chains: dict[tuple[int, int, int], tuple[list[WeightDistribution], Iterator[WeightDistribution]]] = {}
         self._tables: dict[tuple[int, int, int, int, int], MomentTable] = {}
 
     def chain(self, hw: HighestWeight, first: int, max_N: int) -> list[WeightDistribution]:
+        """mu_0..mu_max_N (at least) of the word family (hw, first); the same list on every call."""
         key = (hw.m, hw.n, first)
-        cur = self._chains.setdefault(key, [WeightDistribution.delta(hw)])
-        for j in islice(WeylWord(max_N, first).letters(), len(cur) - 1, None):
-            cur.append(apply_demazure(j, cur[-1]))
+        if key not in self._chains:
+            self._chains[key] = ([], distribution_chain(hw, first))
+        cur, it = self._chains[key]
+        cur.extend(islice(it, max(0, max_N + 1 - len(cur))))
         return cur
 
     def moments(self, hw: HighestWeight, first: int, N: int, degree: int) -> MomentTable:

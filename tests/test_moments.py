@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -265,7 +266,7 @@ def test_raw_moments_degree4_match_pointwise_sums():
     rng = random.Random(4)
     measures = [random_signed_measure(rng) for _ in range(60)]
     for m, n, first in ((1, 0, 0), (2, 1, 1), (0, 3, 1)):
-        measures += [mu for _, mu in distribution_chain(HighestWeight(m, n), WeylWord(14, first))]
+        measures += islice(distribution_chain(HighestWeight(m, n), first), 15)
     assert any(a < 0 or b < 0 for mu in measures for (a, b), _ in mu.items())
     assert max(len(vals) for mu in measures for _, (_, vals) in mu.columns()) > 10
     for mu in measures:

@@ -6,6 +6,18 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "demazure_sl2"
 
 
+def _callers(path: Path) -> dict[str, set[str]]:
+    """Called name -> names of the top-level statements calling it; attribute calls keyed ".attr"."""
+    callers: dict[str, set[str]] = {}
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else "." + getattr(func, "attr", "")
+                callers.setdefault(name, set()).add(getattr(top, "name", "<module>"))
+    return callers
+
+
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
@@ -104,14 +116,21 @@ def test_asymptotics_walks_the_chain_and_reads_a_distribution_in_one_place_each(
     # wlln_series and conjecture_check share one chain walk (_walk) and one
     # reader of a distribution (_statistics), so a second route to the
     # snapshots replaces one function, not two loops
-    tree = ast.parse((PACKAGE / "asymptotics.py").read_text(encoding="utf-8"))
-    callers: dict[str, set[str]] = {}
-    for top in tree.body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else "." + getattr(func, "attr", "")
-                callers.setdefault(name, set()).add(getattr(top, "name", "<module>"))
+    callers = _callers(PACKAGE / "asymptotics.py")
     assert callers.get("distribution_chain") == {"_walk"}
     for name in ("raw_moments", ".degree_range", ".columns"):
         assert callers.get(name) == {"_statistics"}, name
+
+
+def test_one_walk_along_the_alternating_word():
+    # demazure.distribution_chain is the one loop of apply_demazure along a
+    # word and the one statement of the alternation rule; every other chain
+    # (weight_distribution, the asymptotics walk, SuiteContext.chain) reads it
+    operator_callers, letters_callers = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        callers = _callers(path)
+        for name in ("apply_demazure", ".apply_demazure"):
+            operator_callers |= {f"{path.name}: {top}" for top in callers.get(name, ())}
+        letters_callers |= {f"{path.name}: {top}" for top in callers.get(".letters", ())}
+    assert operator_callers == {"demazure.py: distribution_chain"}
+    assert letters_callers == set()

@@ -17,7 +17,7 @@ from demazure_sl2 import (
     theorem_covariance_matrix,
     weight_distribution,
 )
-from demazure_sl2 import verify
+from demazure_sl2 import demazure, verify
 from demazure_sl2.asymptotics import FitMismatchError
 from demazure_sl2.verify import SUITE_NAMES, SuiteContext
 from frozen import CONJECTURE_SUITE_SHA256
@@ -88,8 +88,10 @@ def test_suite_context_caches_and_extends_chains():
     hw = HighestWeight.fundamental(0)
     c5 = ctx.chain(hw, 0, 5)
     assert len(c5) == 6
+    mu5 = c5[5]
     c9 = ctx.chain(hw, 0, 9)
     assert c9 is c5 and len(c9) == 10
+    assert c9[5] is mu5  # extending appends; it recomputes no held prefix
     for t in (0, 3, 7):
         assert c9[t] == weight_distribution(hw, WeylWord(t, 0))
     # extending resumes the alternation on either parity of the stored length
@@ -99,10 +101,38 @@ def test_suite_context_caches_and_extends_chains():
         assert c10 is c5 and len(c10) == 11
         for t in range(11):
             assert c10[t] == weight_distribution(other, WeylWord(t, first))
-    mass, table = ctx.moments(hw, 0, 4, 2)
+    t4 = ctx.moments(hw, 0, 4, 2)
+    mass, table = t4
     assert mass == 16
     assert table[(0, 0)] == 16
-    assert ctx.moments(hw, 0, 4, 2) is not None
+    assert ctx.moments(hw, 0, 4, 2) is t4
+
+
+def test_suite_context_applies_each_operator_once(monkeypatch):
+    # every chain is read from demazure.distribution_chain, so counting the
+    # calls of demazure.apply_demazure counts all the operator work
+    calls = []
+    original = demazure.apply_demazure
+    monkeypatch.setattr(demazure, "apply_demazure", lambda j, mu: calls.append(j) or original(j, mu))
+    L0, L1 = HighestWeight.fundamental(0), HighestWeight.fundamental(1)
+    ctx = SuiteContext()
+    ctx.chain(L0, 0, 5)
+    del calls[:]
+    ctx.chain(L0, 0, 9)
+    assert calls == [1, 0, 1, 0]  # mu_6..mu_9: the alternation resumes where the chain stopped
+    ctx.chain(L0, 0, 9)
+    ctx.chain(L0, 0, 3)
+    assert len(calls) == 4
+    max_N = 10
+    for suite in SUITE_NAMES:
+        if suite == "conjecture":  # walks its own m*L0 chains in asymptotics
+            continue
+        ctx = SuiteContext()
+        ctx.chain(L0, 0, max_N + 1)  # the recurrence suite reads mu_{N+1}
+        ctx.chain(L1, 1, max_N)
+        del calls[:]
+        assert all(r.passed for r in run_suite(suite, max_N, ctx)), suite
+        assert calls == [], suite
 
 
 def test_corrupted_chain_prints_fail_lines():
