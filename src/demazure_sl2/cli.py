@@ -12,6 +12,12 @@ Exit status: 0 on success (and all identities passing), 1 when a
 verification fails, 2 for usage errors and unwritable --out paths.  All
 configuration comes from flags; there are no config files or environment
 variables.
+
+A call imports only the modules its subcommand runs: this module loads
+demazure and lattice, and each handler imports the rest itself (dist:
+serialize; verify: verify; wlln and conjecture: asymptotics and serialize;
+render: moments and render).  Building the parser therefore imports no
+suite code, and verify's run_suite is the one check of a --suite name.
 """
 
 from __future__ import annotations
@@ -19,23 +25,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .asymptotics import FitMismatchError, conjecture_check, wlln_series
 from .demazure import WeylWord, weight_distribution
 from .lattice import HighestWeight, degree_functional, finite_weight_functional
-from .moments import raw_moments
-from .render import (
-    Ellipse,
-    degree_histogram,
-    ellipse_document,
-    heatmap,
-)
-from .serialize import (
-    conjecture_json,
-    distribution_csv,
-    distribution_json,
-    wlln_csv,
-)
-from .verify import SUITE_NAMES, format_check, run_suite
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -64,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("verify", help="run an identity suite")
-    p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
+    p.add_argument("--suite", default="all", help="suite to run, or all for every suite in turn; an unknown name lists them")
     p.add_argument("--max-N", dest="max_n", type=int, default=20,
                    help="largest word length; the conjecture suite needs it >= 10 and samples N = 2, 4, ..., 10")
 
@@ -101,6 +92,8 @@ def _emit(out: str | None, text: str) -> None:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
+    from .serialize import distribution_csv, distribution_json
+
     hw = HighestWeight(args.m, args.n)
     word = WeylWord(args.length, args.first)
     mu = weight_distribution(hw, word)
@@ -110,6 +103,8 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import format_check, run_suite
+
     results = run_suite(args.suite, args.max_n)
     for r in results:
         print(format_check(r))
@@ -119,6 +114,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_wlln(args: argparse.Namespace) -> int:
+    from .asymptotics import wlln_series
+    from .serialize import wlln_csv
+
     hw = HighestWeight(args.m, args.n)
     summaries = wlln_series(hw, args.n_list, args.first)
     _emit(args.out, wlln_csv(summaries))
@@ -126,6 +124,9 @@ def cmd_wlln(args: argparse.Namespace) -> int:
 
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
+    from .asymptotics import FitMismatchError, conjecture_check
+    from .serialize import conjecture_json
+
     try:
         report = conjecture_check(args.m, args.n_list)
     except FitMismatchError as err:
@@ -138,6 +139,9 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from .moments import raw_moments
+    from .render import Ellipse, degree_histogram, ellipse_document, heatmap
+
     hw = HighestWeight(args.m, args.n)
     word = WeylWord(args.length, args.first)
     mu = weight_distribution(hw, word)

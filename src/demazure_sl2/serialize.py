@@ -12,15 +12,20 @@ by one strided fill with no object per point; the document is one join.
 JSON entry blocks are spliced into the "[]" of json.dumps(header, indent=2),
 byte-identical to json.dumps of the whole document with indent=2 but
 without its pure-Python encoder (the C one runs only without indent).
+
+The writers only read the objects they are given, so the types they take
+are imported for annotations alone: loading this module loads no sibling.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .asymptotics import ConjectureReport, RescaledSummary
-from .demazure import WeightDistribution, WeylWord
+if TYPE_CHECKING:
+    from .asymptotics import ConjectureReport, RescaledSummary
+    from .demazure import WeightDistribution, WeylWord
 
 
 def format_rational(x: Fraction | int) -> str:

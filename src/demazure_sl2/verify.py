@@ -258,7 +258,7 @@ def run_suite(name: str, max_N: int = 20, ctx: SuiteContext | None = None) -> li
     if max_N < 1:
         raise ValueError("max_N must be at least 1")
     if name != "all" and name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}")
+        raise ValueError(f"unknown suite {name!r}; expected one of: {', '.join(('all',) + SUITE_NAMES)}")
     ctx = ctx or SuiteContext()
     names = SUITE_NAMES if name == "all" else (name,)
     checks = []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demazure_sl2 import cli
+from demazure_sl2 import asymptotics
 from demazure_sl2.asymptotics import FitMismatchError
 from demazure_sl2.cli import main
 from demazure_sl2.verify import SUITE_NAMES
@@ -60,7 +60,13 @@ def test_verify_passes_and_prints_lines(capsys):
 
 
 def test_verify_rejects_unknown_suite(capsys):
+    # run_suite is the one validator of a suite name: one line naming every suite
     assert main(["verify", "--suite", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: unknown suite 'bogus'"), captured.err
+    assert all(name in lines[0] for name in ("all",) + SUITE_NAMES), captured.err
     assert main(["verify", "--max-N", "0"]) == 2
     # suites that start at N = 2 check nothing at max-N 1
     for suite in ("stretch", "recurrence"):
@@ -110,7 +116,7 @@ def test_conjecture_fit_mismatch_reports_witnesses(monkeypatch, capsys):
     def mismatch(m, N_list):
         raise FitMismatchError("not cubic on sampled range", [(10, Fraction(1), Fraction(2))])
 
-    monkeypatch.setattr(cli, "conjecture_check", mismatch)
+    monkeypatch.setattr(asymptotics, "conjecture_check", mismatch)
     assert main(["conjecture", "--m", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,9 +1,31 @@
-"""Module boundaries of the package, checked on its source."""
+"""Module boundaries of the package, checked on its source and in fresh interpreters."""
 
 import ast
+import os
+import subprocess
+import sys
+from importlib import import_module
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "demazure_sl2"
+import pytest
+
+import demazure_sl2
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "demazure_sl2"
+
+# the package's public names, by the submodule that defines each
+PUBLIC = {
+    "asymptotics": """CONJECTURED_DEGREE_VARIANCE ConjectureReport FitMismatchError PolynomialFit
+        RescaledSummary conjecture_check degree_mean_limit fit_polynomial rescaled_summary wlln_series""",
+    "closedform": "PalindromeResult gaussian_binomial level1_distribution palindromicity_check string_symmetry_shift",
+    "demazure": "WeightDistribution WeylWord apply_demazure distribution_chain marginal weight_distribution",
+    "lattice": "A B Functional HighestWeight LatticePoint coroot_pairing degree_functional finite_weight_functional",
+    "moments": """CoordinateMap CovarianceMatrix EmptyDistributionError covariance covariance_matrix
+        expectation pushforward reference_formula variance""",
+    "render": "DegenerateCovarianceError Ellipse degree_histogram ellipse_path heatmap",
+    "verify": "CheckResult format_check run_suite theorem_covariance_matrix",
+}
 
 
 def _callers(path: Path) -> dict[str, set[str]]:
@@ -134,3 +156,55 @@ def test_one_walk_along_the_alternating_word():
         letters_callers |= {f"{path.name}: {top}" for top in callers.get(".letters", ())}
     assert operator_callers == {"demazure.py: distribution_chain"}
     assert letters_callers == set()
+
+
+def _loaded_by(code: str) -> set[str]:
+    """Package submodules that a fresh interpreter, started in the repo root, has loaded after running code."""
+    probe = code + "\nimport sys; sys.stderr.write(' '.join(m for m in sys.modules if m.startswith('demazure_sl2.')))"
+    path = [str(PACKAGE.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    return {name.removeprefix("demazure_sl2.") for name in proc.stderr.split()}
+
+
+def _bench_setup_code() -> str:
+    for node in ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SETUP_CODE" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py defines no SETUP_CODE")
+
+
+def _cli_call(*argv: str) -> str:
+    return f"from demazure_sl2 import cli; cli.main({list(argv)!r})"
+
+
+def test_modules_load_on_use():
+    # importing the package loads no submodule, and a CLI call loads only the
+    # modules its subcommand runs, so a short call does not pay to compile the rest
+    cases = {
+        "import demazure_sl2": set(),
+        _bench_setup_code(): {"cli", "demazure", "lattice"},
+        _cli_call("dist", "--m", "1", "--n", "0", "--N", "2"): {"cli", "demazure", "lattice", "serialize"},
+        _cli_call("render", "--m", "1", "--n", "0", "--N", "2", "--kind", "ellipse"): {
+            "cli", "demazure", "lattice", "moments", "render"
+        },
+    }
+    for code, loaded in cases.items():
+        assert _loaded_by(code) == loaded, code
+
+
+def test_public_namespace():
+    # every public name resolves, on first read, to the object its submodule
+    # defines; a star import binds them all, and other names do not resolve
+    expected = {name: module for module, names in PUBLIC.items() for name in names.split()}
+    assert demazure_sl2.__all__ == sorted(expected)
+    for name, module in expected.items():
+        assert getattr(demazure_sl2, name) is getattr(import_module(f"demazure_sl2.{module}"), name), name
+        assert vars(demazure_sl2)[name] is getattr(demazure_sl2, name), name  # bound once read
+    namespace: dict = {}
+    exec("from demazure_sl2 import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(expected)
+    with pytest.raises(AttributeError):
+        demazure_sl2.nope
