@@ -16,8 +16,12 @@ variables.
 A call imports only the modules its subcommand runs: this module loads
 demazure and lattice, and each handler imports the rest itself (dist:
 serialize; verify: verify; wlln and conjecture: asymptotics and serialize;
-render: moments and render).  Building the parser therefore imports no
-suite code, and verify's run_suite is the one check of a --suite name.
+render: render, plus moments for --kind ellipse alone).  Building the
+parser therefore imports no suite code, and verify's run_suite is the one
+check of a --suite name.  HighestWeight, WeylWord and Ellipse are named
+tuples, so building the parser, dist and render --kind heatmap|histogram
+load no dataclasses (and none of the inspect, ast and dis it imports);
+the other subcommands return dataclasses and load it.
 """
 
 from __future__ import annotations
@@ -139,7 +143,6 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    from .moments import raw_moments
     from .render import Ellipse, degree_histogram, ellipse_document, heatmap
 
     hw = HighestWeight(args.m, args.n)
@@ -150,6 +153,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     elif args.kind == "histogram":
         text = degree_histogram(mu)
     else:
+        from .moments import raw_moments
+
         table = raw_moments(mu, 2)
         center = (table.expect(degree_functional()), table.expect(finite_weight_functional(hw)))
         text = ellipse_document(Ellipse(center, table.covariance_matrix(hw)), args.samples)

@@ -33,7 +33,7 @@ an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, compress, cycle, islice, repeat
 from operator import add, not_, sub
@@ -42,23 +42,31 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .lattice import Functional, HighestWeight, LatticePoint, Scalar
 
 
-@dataclass(frozen=True)
-class WeylWord:
+class WeylWord(namedtuple("WeylWord", "length first")):
     """Alternating word in the two affine generators.
 
     ``first`` is the index of the rightmost letter, the one applied first;
     a word of length N therefore ends (leftmost letter) with ``first`` when
     N is odd and with ``1 - first`` when N is even.
+
+    A validated named tuple: length and first must be ints (not bools), and
+    every route to an instance runs the checks, as for HighestWeight.  It
+    equals, and hashes as, the plain tuple (length, first).
     """
 
-    length: int
-    first: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.length, int) or self.length < 0:
+    def __new__(cls, length: int, first: int) -> "WeylWord":
+        if type(length) is not int or length < 0:
             raise ValueError("word length must be a nonnegative integer")
-        if self.first not in (0, 1):
+        if type(first) is not int or first not in (0, 1):
             raise ValueError("first letter must be generator 0 or 1")
+        return super().__new__(cls, length, first)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "WeylWord":
+        # namedtuple's own _make, which _replace calls, would skip __new__
+        return cls(*iterable)
 
 
 # Column storage: d -> (a0, vals) with vals[i] the mass at (a0 + i, a0 + i - d).
@@ -247,7 +255,7 @@ def _flip(cols: dict[int, Column]) -> dict[int, Column]:
 
 def apply_demazure(j: int, mu: WeightDistribution) -> WeightDistribution:
     """One application of D_j; input is not modified."""
-    if j not in (0, 1):
+    if type(j) is not int or j not in (0, 1):
         raise ValueError("generator index must be 0 or 1")
     if j == 1:
         cols = _fold(mu._cols, -mu.hw.n)

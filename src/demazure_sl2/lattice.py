@@ -28,7 +28,7 @@ moment tables are summed.  That is the one change of basis in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, product, repeat
 from math import comb, lcm
@@ -38,20 +38,30 @@ from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Union
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class HighestWeight:
-    """Dominant integral weight m*L0 + n*L1 (zero delta-component)."""
+class HighestWeight(namedtuple("HighestWeight", "m n")):
+    """Dominant integral weight m*L0 + n*L1 (zero delta-component).
 
-    m: int
-    n: int
+    A validated named tuple: m and n must be ints (not bools), and every
+    route to an instance (the constructor, _make, _replace, copy and pickle)
+    runs the checks.  Like LatticePoint it equals, and hashes as, the plain
+    tuple (m, n).
+    """
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.m, int) and isinstance(self.n, int)):
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int) -> "HighestWeight":
+        if not (type(m) is int and type(n) is int):
             raise TypeError("highest weight coefficients must be integers")
-        if self.m < 0 or self.n < 0:
+        if m < 0 or n < 0:
             raise ValueError("highest weight must be dominant: m, n >= 0")
-        if self.m + self.n < 1:
+        if m + n < 1:
             raise ValueError("level m + n must be at least 1")
+        return super().__new__(cls, m, n)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "HighestWeight":
+        # namedtuple's own _make, which _replace calls, would skip __new__
+        return cls(*iterable)
 
     @property
     def level(self) -> int:

@@ -13,26 +13,27 @@ vector and one shade string per gray level; _svg joins newline-ended pieces once
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import add, mul, or_, truediv
+from typing import TYPE_CHECKING, NamedTuple
 
-from .demazure import WeightDistribution
-from .lattice import Scalar
-from .moments import CovarianceMatrix
+if TYPE_CHECKING:
+    from .demazure import WeightDistribution
+    from .lattice import Scalar
+    from .moments import CovarianceMatrix
 
 
 class DegenerateCovarianceError(ValueError):
     """Covariance matrix is not positive definite."""
 
 
-@dataclass(frozen=True)
-class Ellipse:
+class Ellipse(NamedTuple):
     """1-sigma ellipse of a covariance matrix, centered at ``center``.
 
     The matrix must be positive definite for a path to exist;
-    ellipse_path raises DegenerateCovarianceError otherwise.
+    ellipse_path raises DegenerateCovarianceError otherwise.  A named tuple,
+    like LatticePoint: it equals the plain tuple (center, matrix).
     """
 
     center: tuple[Scalar, Scalar]

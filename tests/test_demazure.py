@@ -1,3 +1,4 @@
+import pickle
 from itertools import islice
 from math import comb
 
@@ -32,10 +33,46 @@ def test_weyl_word_letters():
         WeylWord(-1, 0)
     with pytest.raises(ValueError):
         WeylWord(3, 2)
+    # int values only: a float or bool would reach the JSON header as 1.0 or true
+    with pytest.raises(ValueError, match="first letter must be generator 0 or 1"):
+        WeylWord(2, 1.0)
+    with pytest.raises(ValueError, match="word length must be a nonnegative integer"):
+        WeylWord(True, 0)
+    with pytest.raises(ValueError, match="word length must be a nonnegative integer"):
+        WeylWord(3, 0)._replace(length=-1)
     # the chain refuses a bad first letter when it is asked for, before any next()
     for bad in (2, WeylWord(3, 0)):
         with pytest.raises(ValueError, match="first letter must be generator 0 or 1"):
             distribution_chain(L0, bad)
+
+
+def test_weights_and_words_behave_as_frozen_values():
+    hw, word = HighestWeight(m=1, n=0), WeylWord(length=3, first=1)
+    assert repr(hw) == "HighestWeight(m=1, n=0)"
+    assert repr(word) == "WeylWord(length=3, first=1)"
+    assert repr(weight_distribution(hw, word)) == "WeightDistribution(hw=HighestWeight(m=1, n=0), support=4, mass=4)"
+    assert hw == HighestWeight(1, 0) and not hw != HighestWeight(1, 0) and hw != HighestWeight(0, 1)
+    assert word == WeylWord(3, 1) and word != WeylWord(3, 0) and word != WeylWord(2, 1)
+    assert hash(HighestWeight(2, 1)) == hash((2, 1))
+    assert hash(word) == hash(WeylWord(3, 1))
+    for value, name in ((hw, "m"), (hw, "n"), (hw, "other"), (word, "length"), (word, "first"), (word, "other")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 2)
+    for value in (hw, word):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value)
+    bad = [
+        (lambda: HighestWeight(1.5, 0), TypeError, "highest weight coefficients must be integers"),
+        (lambda: HighestWeight(-1, 2), ValueError, "highest weight must be dominant: m, n >= 0"),
+        (lambda: HighestWeight(0, 0), ValueError, "level m + n must be at least 1"),
+        (lambda: WeylWord(-1, 0), ValueError, "word length must be a nonnegative integer"),
+        (lambda: WeylWord(2.0, 0), ValueError, "word length must be a nonnegative integer"),
+        (lambda: WeylWord(3, 2), ValueError, "first letter must be generator 0 or 1"),
+    ]
+    for build, error, message in bad:
+        with pytest.raises(error) as caught:
+            build()
+        assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_distribution_basics():
@@ -262,8 +299,9 @@ def test_single_point_operator_cases():
     # k = -3: two negative terms
     out = apply_demazure(0, WeightDistribution(L0, {(2, 0): 1}))
     assert dict(out.items()) == {LatticePoint(0, 0): -1, LatticePoint(1, 0): -1}
-    with pytest.raises(ValueError):
-        apply_demazure(2, WeightDistribution.delta(L0))
+    for bad in (2, 1.0, True):
+        with pytest.raises(ValueError, match="generator index must be 0 or 1"):
+            apply_demazure(bad, WeightDistribution.delta(L0))
 
 
 def test_running_sum_edge_cases_match_oracle():

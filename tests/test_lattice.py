@@ -26,6 +26,11 @@ def test_highest_weight_validation():
         HighestWeight(-1, 2)
     with pytest.raises(TypeError):
         HighestWeight(1.5, 0)
+    # int values only: a bool would reach the JSON header as true
+    with pytest.raises(TypeError, match="highest weight coefficients must be integers"):
+        HighestWeight(True, 0)
+    with pytest.raises(ValueError, match="level m \\+ n must be at least 1"):
+        HighestWeight(1, 0)._replace(m=0)
 
 
 def test_fundamental_weights():

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import re
 from fractions import Fraction
 
@@ -112,6 +113,19 @@ def test_ellipse_path_rejects_degenerate_matrix():
     for samples in (0, 2):  # two vertices trace a segment, not an ellipse
         with pytest.raises(ValueError, match="at least 3"):
             ellipse_path(unit, samples=samples)
+
+
+def test_ellipse_is_a_frozen_value():
+    sigma = CovarianceMatrix(Fraction(1), Fraction(0), Fraction(2))
+    e = Ellipse(center=(0, Fraction(1, 2)), matrix=sigma)
+    assert repr(e) == (
+        "Ellipse(center=(0, Fraction(1, 2)), matrix=CovarianceMatrix(var_degree=Fraction(1, 1), "
+        "covariance=Fraction(0, 1), var_finite_weight=Fraction(2, 1)))"
+    )
+    assert e == Ellipse((0, Fraction(1, 2)), sigma) and e != Ellipse((0, 0), sigma)
+    with pytest.raises(AttributeError):
+        e.center = (0, 0)
+    assert pickle.loads(pickle.dumps(e)) == e
 
 
 def test_ellipse_document_wraps_path():

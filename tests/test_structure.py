@@ -158,15 +158,15 @@ def test_one_walk_along_the_alternating_word():
     assert letters_callers == set()
 
 
-def _loaded_by(code: str) -> set[str]:
-    """Package submodules that a fresh interpreter, started in the repo root, has loaded after running code."""
-    probe = code + "\nimport sys; sys.stderr.write(' '.join(m for m in sys.modules if m.startswith('demazure_sl2.')))"
+def _modules_after(code: str) -> set[str]:
+    """Names in sys.modules of a fresh interpreter, started in the repo root, after running code."""
+    probe = code + "\nimport sys; sys.stderr.write(' '.join(sys.modules))"
     path = [str(PACKAGE.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
         [sys.executable, "-c", probe], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120, check=True
     )
-    return {name.removeprefix("demazure_sl2.") for name in proc.stderr.split()}
+    return set(proc.stderr.split())
 
 
 def _bench_setup_code() -> str:
@@ -182,17 +182,25 @@ def _cli_call(*argv: str) -> str:
 
 def test_modules_load_on_use():
     # importing the package loads no submodule, and a CLI call loads only the
-    # modules its subcommand runs, so a short call does not pay to compile the rest
+    # modules its subcommand runs, so a short call does not pay to compile the
+    # rest; the value types are named tuples, so only the ellipse, whose moment
+    # table returns dataclasses, loads dataclasses (and inspect, ast, dis with it)
+    render = ("render", "--m", "1", "--n", "0", "--N", "2", "--kind")
+    ellipse = _cli_call(*render, "ellipse")
     cases = {
         "import demazure_sl2": set(),
         _bench_setup_code(): {"cli", "demazure", "lattice"},
         _cli_call("dist", "--m", "1", "--n", "0", "--N", "2"): {"cli", "demazure", "lattice", "serialize"},
-        _cli_call("render", "--m", "1", "--n", "0", "--N", "2", "--kind", "ellipse"): {
-            "cli", "demazure", "lattice", "moments", "render"
-        },
+        _cli_call(*render, "heatmap"): {"cli", "demazure", "lattice", "render"},
+        _cli_call(*render, "histogram"): {"cli", "demazure", "lattice", "render"},
+        ellipse: {"cli", "demazure", "lattice", "moments", "render"},
     }
-    for code, loaded in cases.items():
-        assert _loaded_by(code) == loaded, code
+    bare = _modules_after("pass")  # a site .pth may preload stdlib modules; count only what the code adds
+    for code, submodules in cases.items():
+        added = _modules_after(code) - bare
+        assert {m.removeprefix("demazure_sl2.") for m in added if m.startswith("demazure_sl2.")} == submodules, code
+        if code != ellipse:
+            assert "dataclasses" not in added, code
 
 
 def test_public_namespace():
