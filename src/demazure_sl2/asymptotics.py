@@ -100,7 +100,7 @@ def wlln_series(hw: HighestWeight, N_list: Sequence[int], first: int = 0) -> lis
     ns = list(N_list)
     if not ns:
         raise ValueError("N_list must be nonempty")
-    if any(not isinstance(n, int) or n < 1 for n in ns):
+    if any(type(n) is not int or n < 1 for n in ns):
         raise ValueError("word lengths must be positive integers")
     if any(y <= x for x, y in zip(ns, ns[1:])):
         raise ValueError("N_list must be strictly increasing")
@@ -109,7 +109,7 @@ def wlln_series(hw: HighestWeight, N_list: Sequence[int], first: int = 0) -> lis
 
 def degree_mean_limit(level: int) -> Fraction:
     """Conjectured limit of the rescaled degree mean, (s + 2) / (3s + 3)."""
-    if level < 1:
+    if type(level) is not int or level < 1:
         raise ValueError("level must be positive")
     return Fraction(level + 2, 3 * (level + 1))
 
@@ -201,12 +201,12 @@ def conjecture_check(m: int, N_list: Iterable[int]) -> ConjectureReport:
     raised with the offending (N, computed, predicted) triples.  The
     computed maximum degree of each sample is reported against m*N^2/4.
     """
-    if m not in CONJECTURED_DEGREE_VARIANCE:
+    if type(m) is not int or m not in CONJECTURED_DEGREE_VARIANCE:
         raise ValueError("level must be 2, 3, or 4")
     ns = sorted(set(N_list))
     if len(ns) < 5:
         raise ValueError("need at least 5 distinct sample lengths")
-    if any(n < 2 or n % 2 for n in ns):
+    if any(type(n) is not int or n < 2 or n % 2 for n in ns):
         raise ValueError("sample lengths must be even and at least 2")
     rows = tuple(
         ConjectureRow(N=t, variance=table.cov(A, A), max_degree=max_deg, expected_max_degree=m * t * t // 4)

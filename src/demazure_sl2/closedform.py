@@ -38,7 +38,7 @@ from .lattice import HighestWeight, LatticePoint
 
 
 def _check_word_length(N: int) -> None:
-    if not isinstance(N, int) or N < 0:
+    if type(N) is not int or N < 0:
         raise ValueError("word length must be a nonnegative integer")
 
 
@@ -64,7 +64,7 @@ def _binomial_row(N: int, top: int) -> list[list[int]]:
 def gaussian_binomial(N: int, k: int) -> tuple[int, ...]:
     """[N choose k]_q as its coefficient tuple, constant term first; () outside 0 <= k <= N."""
     _check_word_length(N)
-    if not isinstance(k, int):
+    if type(k) is not int:
         raise ValueError("k must be an integer")
     if k < 0 or k > N:
         return ()

@@ -151,14 +151,15 @@ class WeightDistribution:
         return chain.from_iterable(map(self._column_items, self._cols))
 
     def canonical_pieces(self, fields: Sequence[tuple[str, Callable[[int], str]]]) -> list[str]:
-        """Text of every support point in (a, b) order, one piece per field, flat; the one ordered reader.
+        """Text of every support point in (a, b) order, one piece per field, padded; the one ordered reader.
 
-        A field is (axis, piece): axis "d", "a", "b" or "mult", piece(v) its truthy text at value v.
+        A field is (axis, piece): axis "d", "a", "b" or "mult", piece(v) its text at value v.
         piece runs once per column, row, b value and entry of each distinct column vector, never per point.
         Each field's pieces of a column take their slots of a row-major list over (a, column by descending
-        d, field) by one extended-slice assignment; filter(None, ...) drops padding and interior zeros: no
-        object per point.  Slots: F * K * R (F fields, K columns, R rows); K * R / support_size is 1.52-1.65
-        at levels 1-4.
+        d, field) by one extended-slice assignment.  The list is returned as filled, with no filter and no
+        second list: slots of no support point (padding and interior zeros) hold "", so "".join of it is the
+        text, and a caller splices its head and tail in place.  Slots: F * K * R (F fields, K columns, R rows);
+        K * R / support_size is 1.52-1.65 at levels 1-4.
         """
         if not fields:
             return []
@@ -168,7 +169,7 @@ class WeightDistribution:
         cached = [list(map(piece, spans[axis])) if axis in spans else {} for axis, piece in fields]
         width = len(fields)
         step = width * len(self._cols)  # slots per row
-        out = [None] * (step * (hi - lo))
+        out = [""] * (step * (hi - lo))
         for k, (d, (a0, vals)) in enumerate(sorted(self._cols.items(), reverse=True)):
             slots = range(width * k + step * (a0 - lo), step * (a0 - lo + len(vals)), step)  # field 0 of each entry
             for f, ((axis, piece), cache) in enumerate(zip(fields, cached), slots.start):
@@ -184,8 +185,8 @@ class WeightDistribution:
                 out[f : slots.stop : step] = col
             if 0 in vals:  # interior zeros are not support points
                 for i in compress(slots, map(not_, vals)):
-                    out[i : i + width] = [None] * width
-        return list(filter(None, out))
+                    out[i : i + width] = [""] * width
+        return out
 
     def sorted_items(self) -> list[tuple[LatticePoint, int]]:
         """items() sorted by (a, b), with LatticePoint keys."""

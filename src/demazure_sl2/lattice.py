@@ -70,11 +70,9 @@ class HighestWeight(namedtuple("HighestWeight", "m n")):
     @classmethod
     def fundamental(cls, j: int) -> "HighestWeight":
         """The fundamental weight L_j, j in {0, 1}."""
-        if j == 0:
-            return cls(1, 0)
-        if j == 1:
-            return cls(0, 1)
-        raise ValueError("generator index must be 0 or 1")
+        if type(j) is not int or j not in (0, 1):
+            raise ValueError("generator index must be 0 or 1")
+        return cls(1 - j, j)
 
 
 class LatticePoint(NamedTuple):
@@ -86,12 +84,10 @@ class LatticePoint(NamedTuple):
 
 def coroot_pairing(j: int, hw: HighestWeight, p: LatticePoint) -> int:
     """<alpha_j^, lambda> for lambda = hw - a*alpha0 - b*alpha1."""
+    if type(j) is not int or j not in (0, 1):
+        raise ValueError("generator index must be 0 or 1")
     d = p[0] - p[1]
-    if j == 0:
-        return hw.m - 2 * d
-    if j == 1:
-        return hw.n + 2 * d
-    raise ValueError("generator index must be 0 or 1")
+    return hw.n + 2 * d if j else hw.m - 2 * d
 
 
 def scaled_numerators(values: Collection[Scalar]) -> tuple[int, list[int]]:
@@ -214,7 +210,7 @@ class Functional:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Functional":
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
         out = Functional.constant(1)
         for _ in range(k):

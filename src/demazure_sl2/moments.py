@@ -109,7 +109,7 @@ def raw_moments(mu: WeightDistribution, degree: int) -> MomentTable:
     map per k, for all columns at once.  The table entry (p, r) is the dot
     product of s_p with the per-column powers d^r.
     """
-    if not isinstance(degree, int) or degree < 0:
+    if type(degree) is not int or degree < 0:
         raise ValueError("degree must be a nonnegative integer")
     his, ds, rows = [], [], []
     done: dict[int, list[int]] = {}  # id(vals) -> its stage; mu keeps every vals alive and unmutated
@@ -253,6 +253,6 @@ def reference_formula(name: str, N: int) -> Fraction:
     """Closed-form value of a named statistic at word length N; unknown names raise ValueError."""
     if name not in _FORMULAS:
         raise ValueError(f"unknown reference formula {name!r}")
-    if not isinstance(N, int) or N < 1:
+    if type(N) is not int or N < 1:
         raise ValueError("word length must be a positive integer")
     return _FORMULAS[name](N, N % 2)

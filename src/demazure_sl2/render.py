@@ -7,7 +7,8 @@ sampled from the Cholesky image of the unit circle, so every vertex lies
 on the 1-sigma quadric of the matrix.  Output is plain SVG 1.1 text with
 fixed-precision coordinates; equal inputs render to identical bytes.
 Heatmap cells are fields of WeightDistribution.canonical_pieces, with grays per distinct column
-vector and one shade string per gray level; _svg joins newline-ended pieces once with head and tail.
+vector and one shade string per gray level; _svg splices head and tail into that ""-padded list in
+place and joins it once.
 """
 
 from __future__ import annotations
@@ -155,7 +156,10 @@ def degree_histogram(mu: WeightDistribution) -> str:
     for _, (a0, vals) in mu.columns():
         i, j = a0 - a_min, a0 - a_min + len(vals)
         totals[i:j] = map(add, totals[i:j], vals)
-        occupied[i:j] = map(or_, occupied[i:j], map(bool, vals))
+        if 0 in vals:  # an interior zero occupies nothing of its own
+            occupied[i:j] = map(or_, occupied[i:j], map(bool, vals))
+        else:
+            occupied[i:j] = repeat(True, j - i)
     if min(totals) < 0:
         raise ValueError("degree histogram needs nonnegative degree totals")
     max_mass = max(compress(totals, occupied))

@@ -8,10 +8,14 @@ to identical bytes.  All text is UTF-8 with LF line endings.
 Distribution tables are fields of WeightDistribution.canonical_pieces, as
 the heatmap is: the row template is split into one piece per a, b and mult,
 each formatted once per row, b value or distinct column vector and ordered
-by one strided fill with no object per point; the document is one join.
-JSON entry blocks are spliced into the "[]" of json.dumps(header, indent=2),
-byte-identical to json.dumps of the whole document with indent=2 but
-without its pure-Python encoder (the C one runs only without indent).
+by one strided fill with no object per point.  The layout comes back padded
+with "": each writer splices its head and tail into that one list in place
+and joins it once, copying no second list of the pieces.  JSON entry blocks
+are spliced into the "[]" of json.dumps(header, indent=2), byte-identical
+to json.dumps of the whole document with indent=2 but without its
+pure-Python encoder (the C one runs only without indent); the ",\n" of the
+last entry is trimmed from the last non-empty piece, since the last slot
+of the layout may be padding.
 
 The writers only read the objects they are given, so the types they take
 are imported for annotations alone: loading this module loads no sibling.
@@ -55,13 +59,20 @@ def distribution_json(mu: WeightDistribution, word: WeylWord) -> str:
     pieces = mu.canonical_pieces(_JSON_FIELDS)
     if not pieces:
         return text + "\n"
-    pieces[-1] = pieces[-1][:-2]  # the last entry takes no ",\n"
+    last = len(pieces) - 1
+    while not pieces[last]:  # trailing padding: less than one row of the layout
+        last -= 1
+    pieces[last] = pieces[last][:-2]  # the last entry takes no ",\n"
     head, _, tail = text.rpartition("[]")
-    return "".join([head, "[\n", *pieces, "\n  ]", tail, "\n"])
+    pieces[:0] = head, "[\n"  # in place: the one join copies no second list of the pieces
+    pieces.append(f"\n  ]{tail}\n")
+    return "".join(pieces)
 
 
 def distribution_csv(mu: WeightDistribution) -> str:
-    return "".join(["a,b,mult\n", *mu.canonical_pieces(_CSV_FIELDS)])
+    pieces = mu.canonical_pieces(_CSV_FIELDS)
+    pieces.insert(0, "a,b,mult\n")
+    return "".join(pieces)
 
 
 def wlln_csv(summaries: list[RescaledSummary]) -> str:

@@ -190,9 +190,9 @@ def suite_recurrence(max_N: int, ctx: SuiteContext) -> Checks:
 
 def theorem_covariance_matrix(N: int, j: int) -> CovarianceMatrix:
     """Closed-form covariance matrix for hw = L_j and the word (N, first=j)."""
-    if N < 1:
+    if type(N) is not int or N < 1:
         raise ValueError("word length must be positive")
-    if j not in (0, 1):
+    if type(j) is not int or j not in (0, 1):
         raise ValueError("generator index must be 0 or 1")
     e = (N - j) % 2  # 1 where the parities of N and j differ
     return CovarianceMatrix(reference_formula("var_degree", N) + Fraction(e * N, 4), Fraction(e * N, 2), Fraction(N))
@@ -255,7 +255,7 @@ SUITE_NAMES = tuple(_SUITES)
 
 def run_suite(name: str, max_N: int = 20, ctx: SuiteContext | None = None) -> list[CheckResult]:
     """Run one named suite, or all of them in the order of SUITE_NAMES, into check lines."""
-    if max_N < 1:
+    if type(max_N) is not int or max_N < 1:
         raise ValueError("max_N must be at least 1")
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of: {', '.join(('all',) + SUITE_NAMES)}")

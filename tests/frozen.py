@@ -57,6 +57,11 @@ SIGNED = {
     (2, 5): -1, (4, 4): 2, (5, 5): 9, (7, 7): -6,
 }
 
+# A nonnegative measure whose canonical layout is padding in its first and
+# last slot: the top column d = 2 starts at a = 1 > 0, the bottom column
+# d = -1 ends at a = 2 < 3, and column d = 0 is empty at a = 1, 2.
+PADDED_ENDS = {(0, 0): 1, (1, -1): 3, (2, 3): 4, (3, 3): 2}
+
 # sha256 of the UTF-8 text of each read path, recorded with the per-point
 # implementation of the read paths.  The README goldens only cover
 # N = 6; these pin large, multi-digit, multi-level and signed outputs.

@@ -74,6 +74,9 @@ def test_wlln_series_validation():
         wlln_series(L0, [2, 2])
     with pytest.raises(ValueError):
         wlln_series(L0, [0, 2])
+    for ns in ([True], [1.0, 2], [1, 2.0]):
+        with pytest.raises(ValueError, match="^word lengths must be positive integers$"):
+            wlln_series(L0, ns)
 
 
 def test_wlln_level1_exact_means():
@@ -89,6 +92,9 @@ def test_degree_mean_limit():
     assert degree_mean_limit(2) == Fraction(4, 9)
     with pytest.raises(ValueError):
         degree_mean_limit(0)
+    for level in (True, 1.0):
+        with pytest.raises(ValueError, match="^level must be positive$"):
+            degree_mean_limit(level)
 
 
 def test_fit_polynomial_recovers_cubic():
@@ -158,6 +164,13 @@ def test_conjecture_check_validation():
         conjecture_check(2, [2, 3, 4, 6, 8])
     with pytest.raises(ValueError):
         conjecture_check(2, [0, 2, 4, 6, 8])
+    # 2.0 == 2 finds the table entry, and True == 1 is a level; neither is an int level
+    for m in (2.0, True):
+        with pytest.raises(ValueError, match="^level must be 2, 3, or 4$"):
+            conjecture_check(m, [2, 4, 6, 8, 10])
+    for ns in ([2.0, 4, 6, 8, 10], [2, 4, 6, 8, 10.0]):
+        with pytest.raises(ValueError, match="^sample lengths must be even and at least 2$"):
+            conjecture_check(2, ns)
 
 
 def test_fit_mismatch_error_carries_witnesses():

@@ -29,7 +29,7 @@ def test_gaussian_binomial_small_values():
     assert gaussian_binomial(3, 4) == ()
     with pytest.raises(ValueError):
         gaussian_binomial(-1, 0)
-    for k in (2.5, "2"):
+    for k in (2.5, "2", True, 1.0):
         with pytest.raises(ValueError, match="^k must be an integer$"):
             gaussian_binomial(5, k)
 
@@ -134,7 +134,7 @@ def test_level1_odd_extends_even_by_one_step():
         level1_distribution(-2)
 
 
-@pytest.mark.parametrize("N", [2.0, -1, "4", None])
+@pytest.mark.parametrize("N", [2.0, 1.0, True, -1, "4", None])
 @pytest.mark.parametrize(
     "call",
     [

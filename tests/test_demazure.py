@@ -189,6 +189,13 @@ def test_sorted_items_order_on_gaps_single_column_and_empty():
         assert all(lo <= a < hi for (a, _), _ in mu.items())
 
 
+def assert_padded_layout(pieces, expected):
+    """pieces holds expected in order, "" in every other slot, and joins to expected's text."""
+    assert [p for p in pieces if p] == expected
+    assert all(p == "" for p in pieces if not p)
+    assert "".join(pieces) == "".join(expected)
+
+
 def test_canonical_pieces_format_once_per_column_row_b_and_distinct_vector():
     mu = level1_distribution(12)
     distinct = {id(vals): vals for _, (_, vals) in mu.columns()}
@@ -202,10 +209,12 @@ def test_canonical_pieces_format_once_per_column_row_b_and_distinct_vector():
         return axis, piece
 
     pieces = mu.canonical_pieces([field(axis) for axis in calls])
-    assert pieces == ["%s%d;" % p for (a, b), c in sorted(mu.items()) for p in zip(calls, (a - b, a, b, c))]
+    expected = ["%s%d;" % p for (a, b), c in sorted(mu.items()) for p in zip(calls, (a - b, a, b, c))]
+    assert_padded_layout(pieces, expected)
+    lo, hi = mu.degree_range()
+    assert len(pieces) == len(calls) * len(dict(mu.columns())) * (hi - lo)  # F * K * R slots
     # mirrored strings share one list, so a per-point mult piece would run len(mu) times
     assert len(calls["mult"]) == sum(map(len, distinct.values())) < len(mu)
-    lo, hi = mu.degree_range()
     assert sorted(calls["d"]) == sorted(d for d, _ in mu.columns())
     assert calls["a"] == list(range(lo, hi))
     assert len(calls["b"]) == len(set(calls["b"])) == max(calls["b"]) - min(calls["b"]) + 1
@@ -236,7 +245,7 @@ def test_canonical_and_canonical_pieces_equal_sorted_items_oracle():
         assert "".join(ab) == "".join("%d,%d;" % tuple(p) for p, _ in mu.sorted_items())
         values = [{"a": a, "b": b, "d": a - b, "mult": c} for (a, b), c in oracle]
         expected = ["%d:%d;" % (i, v[axis]) for v in values for i, axis in enumerate(axes)]
-        assert mu.canonical_pieces(fields) == expected
+        assert_padded_layout(mu.canonical_pieces(fields), expected)
 
 
 def test_items_yields_one_plain_tuple_pair_per_support_point():

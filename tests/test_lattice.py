@@ -38,6 +38,9 @@ def test_fundamental_weights():
     assert HighestWeight.fundamental(1) == HighestWeight(0, 1)
     with pytest.raises(ValueError):
         HighestWeight.fundamental(2)
+    for j in (True, 1.0, 0.0):
+        with pytest.raises(ValueError, match="^generator index must be 0 or 1$"):
+            HighestWeight.fundamental(j)
 
 
 def test_coroot_pairing_values():
@@ -51,6 +54,9 @@ def test_coroot_pairing_values():
     assert coroot_pairing(1, hw2, LatticePoint(4, 1)) == 3 + 6
     with pytest.raises(ValueError):
         coroot_pairing(2, hw, LatticePoint(0, 0))
+    for j in (True, 1.0, False):
+        with pytest.raises(ValueError, match="^generator index must be 0 or 1$"):
+            coroot_pairing(j, hw, LatticePoint(0, 0))
 
 
 def test_degree_and_finite_weight():
@@ -91,6 +97,9 @@ def test_functional_validation():
         Functional({(0, 0): 1.5})
     with pytest.raises(ValueError):
         A ** (-1)
+    for k in (True, 1.0):
+        with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+            A**k
 
 
 def test_functional_normalizes_integral_fractions():

@@ -195,6 +195,9 @@ def test_reference_formula_errors():
         reference_formula("no-such-formula", 4)
     with pytest.raises(ValueError):
         reference_formula("var_degree", 0)
+    for N in (True, 1.0):
+        with pytest.raises(ValueError, match="^word length must be a positive integer$"):
+            reference_formula("var_degree", N)
 
 
 def test_expect_above_table_degree_names_both_degrees():
@@ -303,8 +306,9 @@ def test_raw_moments_agrees_on_shared_and_unshared_columns():
 
 def test_raw_moments_rejects_a_negative_degree():
     for mu in (weight_distribution(L0, WeylWord(3, 0)), WeightDistribution(L0, {})):
-        with pytest.raises(ValueError, match="^degree must be a nonnegative integer$"):
-            raw_moments(mu, -1)
+        for degree in (-1, True, 1.0):
+            with pytest.raises(ValueError, match="^degree must be a nonnegative integer$"):
+                raw_moments(mu, degree)
 
 
 @given(

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import pickle
+import random
 import re
 from fractions import Fraction
 
@@ -18,8 +20,9 @@ from demazure_sl2 import (
     level1_distribution,
     weight_distribution,
 )
-from demazure_sl2.render import CELL_SIZE, DARK_GRAY, PADDING, PLOT_HEIGHT, ellipse_document
-from frozen import READ_PATH_SHA256, SIGNED
+from demazure_sl2.render import CELL_SIZE, DARK_GRAY, LIGHT_GRAY, PADDING, PLOT_HEIGHT, ellipse_document
+from frozen import PADDED_ENDS, READ_PATH_SHA256, SIGNED
+from oracles import random_signed_measure
 
 L0 = HighestWeight.fundamental(0)
 
@@ -27,6 +30,45 @@ L0 = HighestWeight.fundamental(0)
 @pytest.fixture(scope="module")
 def mu6():
     return weight_distribution(L0, WeylWord(6, 0))
+
+
+@pytest.fixture(scope="module")
+def nonnegative_measures():
+    """Random measures with |mass|, many with interior zeros, plus zero-free level-1 and level-3 columns."""
+    rng = random.Random(5)
+    measures = [random_signed_measure(rng) for _ in range(60)]
+    measures = [WeightDistribution(mu.hw, {p: abs(c) for p, c in mu.items()}) for mu in measures]
+    measures += [level1_distribution(N) for N in range(1, 20, 3)]
+    measures += [weight_distribution(HighestWeight(2, 1), WeylWord(9, 1)), WeightDistribution(L0, PADDED_ENDS)]
+    vectors = [vals for mu in measures for _, (_, vals) in mu.columns()]
+    assert sum(0 in vals for vals in vectors) >= 10
+    assert sum(0 not in vals and len(vals) > 1 for vals in vectors) >= 10
+    return measures
+
+
+def heatmap_per_point(mu):
+    """The heatmap document formatted one support point at a time."""
+    points = sorted(mu.items())
+    width = height = 2 * PADDING
+    cells = []
+    if points:
+        d_min = min(a - b for (a, b), _ in points)
+        a_min = points[0][0][0]
+        width += (max(a - b for (a, b), _ in points) - d_min + 1) * CELL_SIZE
+        height += (points[-1][0][0] - a_min + 1) * CELL_SIZE
+        top = math.log1p(max(c for _, c in points))
+    for (a, b), c in points:
+        g = LIGHT_GRAY - round(math.log1p(c) / top * (LIGHT_GRAY - DARK_GRAY))
+        cells.append(
+            f'<rect x="{PADDING + (a - b - d_min) * CELL_SIZE:.4f}" y="{PADDING + (a - a_min) * CELL_SIZE:.4f}" '
+            f'width="{CELL_SIZE:.4f}" height="{CELL_SIZE:.4f}" fill="rgb({g},{g},{g})" '
+            f'data-a="{a}" data-b="{b}" data-mult="{c}"/>\n'
+        )
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width:.4f}" height="{height:.4f}" '
+        f'viewBox="0 0 {width:.4f} {height:.4f}">\n'
+    )
+    return head + "".join(cells) + "</svg>\n"
 
 
 def test_heatmap_cells_and_determinism(mu6):
@@ -62,6 +104,14 @@ def test_heatmap_geometry(mu6):
     assert m is not None
     assert float(m.group(1)) == PADDING + 3 * CELL_SIZE
     assert float(m.group(2)) == PADDING
+
+
+def test_heatmap_equals_per_point_oracle(nonnegative_measures):
+    padded = WeightDistribution(L0, PADDED_ENDS)
+    layout = padded.canonical_pieces([("mult", str)])
+    assert layout[0] == layout[-1] == ""  # the splice of head and tail meets padding at both ends
+    for mu in nonnegative_measures + [WeightDistribution(L0, {})]:
+        assert heatmap(mu) == heatmap_per_point(mu)
 
 
 def test_heatmap_empty_distribution():
@@ -148,6 +198,25 @@ def test_degree_histogram(mu6):
     m = re.search(r'height="([\d.]+)"[^>]*data-degree="5"', svg)
     assert float(m.group(1)) == PLOT_HEIGHT
     assert svg == degree_histogram(mu6)
+
+
+def test_degree_histogram_equals_per_point_totals(nonnegative_measures):
+    # zero-free columns mark their degrees occupied by one slice, columns with interior zeros per entry
+    hidden = 0  # measures with a degree that only an interior zero covers: it gets no bar
+    for mu in nonnegative_measures:
+        totals = {}
+        for (a, _), c in mu.items():
+            totals[a] = totals.get(a, 0) + c
+        a_min, top = min(totals), max(totals.values())
+        expected = [
+            (f"{PADDING + (a - a_min) * CELL_SIZE:.4f}", f"{PLOT_HEIGHT * c / top:.4f}", str(a), str(c))
+            for a, c in sorted(totals.items())
+        ]
+        bar = r'<rect x="([\d.]+)" [^>]*height="([\d.]+)" [^>]*data-degree="(-?\d+)" data-mass="(\d+)"'
+        assert re.findall(bar, degree_histogram(mu)) == expected
+        zeros = {a0 + i for _, (a0, vals) in mu.columns() for i, c in enumerate(vals) if not c}
+        hidden += bool(zeros - totals.keys())
+    assert hidden >= 3
 
 
 def test_degree_histogram_draws_flat_bars_when_every_total_cancels():

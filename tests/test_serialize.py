@@ -22,7 +22,7 @@ from demazure_sl2.serialize import (
     wlln_csv,
 )
 
-from frozen import READ_PATH_SHA256, SIGNED
+from frozen import PADDED_ENDS, READ_PATH_SHA256, SIGNED
 from oracles import random_signed_measure
 
 L0 = HighestWeight.fundamental(0)
@@ -30,6 +30,19 @@ L0 = HighestWeight.fundamental(0)
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _csv_per_point(mu):
+    return "a,b,mult\n" + "".join("%d,%d,%d\n" % (a, b, c) for (a, b), c in sorted(mu.items()))
+
+
+def _json_dumps_oracle(mu, word):
+    doc = {
+        "highest_weight": {"m": mu.hw.m, "n": mu.hw.n},
+        "word": {"length": word.length, "first": word.first},
+        "entries": [{"a": p.a, "b": p.b, "mult": str(c)} for p, c in mu.sorted_items()],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def test_format_rational():
@@ -86,8 +99,7 @@ def test_distribution_csv_equals_per_point_format():
     assert sum(0 in vals for mu in measures for _, (_, vals) in mu.columns()) >= 10
     assert any(len({id(v) for _, (_, v) in mu.columns()}) < len(dict(mu.columns())) for mu in measures)
     for mu in measures:
-        rows = "".join("%d,%d,%d\n" % (a, b, c) for (a, b), c in sorted(mu.items()))
-        assert distribution_csv(mu) == "a,b,mult\n" + rows
+        assert distribution_csv(mu) == _csv_per_point(mu)
 
 
 def test_distribution_json_equals_indented_dumps():
@@ -96,14 +108,17 @@ def test_distribution_json_equals_indented_dumps():
     measures = [random_signed_measure(rng) for _ in range(30)]
     measures += [level1_distribution(10), WeightDistribution(L0, {})]
     for mu in measures:
-        word = WeylWord(4, 1)
-        doc = {
-            "highest_weight": {"m": mu.hw.m, "n": mu.hw.n},
-            "word": {"length": 4, "first": 1},
-            "entries": [{"a": p.a, "b": p.b, "mult": str(c)} for p, c in mu.sorted_items()],
-        }
-        assert distribution_json(mu, word) == json.dumps(doc, indent=2) + "\n"
+        assert distribution_json(mu, WeylWord(4, 1)) == _json_dumps_oracle(mu, WeylWord(4, 1))
     assert '"entries": []' in distribution_json(WeightDistribution(L0, {}), WeylWord(0, 0))
+
+
+def test_exports_of_a_layout_padded_in_its_first_and_last_slot_equal_the_oracles():
+    # the writers splice head and tail around padding, and JSON trims ",\n" from the last real entry
+    for mu in (WeightDistribution(L0, PADDED_ENDS), WeightDistribution(HighestWeight(1, 2), SIGNED)):
+        layout = mu.canonical_pieces([("mult", str)])
+        assert layout[0] == layout[-1] == ""
+        assert distribution_csv(mu) == _csv_per_point(mu)
+        assert distribution_json(mu, WeylWord(3, 0)) == _json_dumps_oracle(mu, WeylWord(3, 0))
 
 
 def test_wlln_csv_rows():

@@ -40,6 +40,12 @@ def test_theorem_covariance_matrix_values():
         theorem_covariance_matrix(0, 0)
     with pytest.raises(ValueError):
         theorem_covariance_matrix(3, 2)
+    for N in (True, 1.0):
+        with pytest.raises(ValueError, match="^word length must be positive$"):
+            theorem_covariance_matrix(N, 0)
+    for j in (True, 1.0):
+        with pytest.raises(ValueError, match="^generator index must be 0 or 1$"):
+            theorem_covariance_matrix(3, j)
 
 
 def test_format_check_lines():
@@ -81,6 +87,9 @@ def test_run_suite_validation():
         run_suite("nope", 5)
     with pytest.raises(ValueError):
         run_suite("all", 0)
+    for max_N in (True, 1.0):
+        with pytest.raises(ValueError, match="^max_N must be at least 1$"):
+            run_suite("sanderson", max_N)
 
 
 def test_suite_context_caches_and_extends_chains():
