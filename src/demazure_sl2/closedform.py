@@ -34,12 +34,7 @@ from itertools import accumulate
 from operator import sub
 
 from .demazure import WeightDistribution
-from .lattice import HighestWeight, LatticePoint
-
-
-def _check_word_length(N: int) -> None:
-    if type(N) is not int or N < 0:
-        raise ValueError("word length must be a nonnegative integer")
+from .lattice import HighestWeight, LatticePoint, word_length
 
 
 def _binomial_row(N: int, top: int) -> list[list[int]]:
@@ -63,7 +58,7 @@ def _binomial_row(N: int, top: int) -> list[list[int]]:
 
 def gaussian_binomial(N: int, k: int) -> tuple[int, ...]:
     """[N choose k]_q as its coefficient tuple, constant term first; () outside 0 <= k <= N."""
-    _check_word_length(N)
+    word_length(N)
     if type(k) is not int:
         raise ValueError("k must be an integer")
     if k < 0 or k > N:
@@ -78,8 +73,7 @@ def level1_distribution(N: int) -> WeightDistribution:
     one coefficient list.  No Demazure operator is applied, so this checks
     the recursion independently at both parities.
     """
-    _check_word_length(N)
-    half = _binomial_row(N, N // 2)  # [N k] = [N N-k]: read back past the middle row at even N
+    half = _binomial_row(word_length(N), N // 2)  # [N k] = [N N-k]: read back past the middle row at even N
     cols = {d: (d * d, cs) for d, cs in enumerate(half + half[N % 2 - 2 :: -1], -(N // 2))}
     return WeightDistribution.from_columns(HighestWeight.fundamental(0), cols)
 
@@ -89,8 +83,8 @@ def string_symmetry_shift(N: int, p: LatticePoint) -> int:
 
     S = lowest + highest row of the string through (a, b), less 2a.
     """
-    _check_word_length(N)
-    a, d, c = p[0], p[0] - p[1], N % 2
+    c = word_length(N) % 2
+    a, d = p[0], p[0] - p[1]
     return d * d + (N * N - c) // 4 + c * d - 2 * a
 
 

@@ -39,7 +39,7 @@ from itertools import accumulate, chain, compress, cycle, islice, repeat
 from operator import add, not_, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .lattice import Functional, HighestWeight, LatticePoint, Scalar
+from .lattice import Functional, HighestWeight, LatticePoint, Scalar, generator_index, word_length
 
 
 class WeylWord(namedtuple("WeylWord", "length first")):
@@ -57,8 +57,7 @@ class WeylWord(namedtuple("WeylWord", "length first")):
     __slots__ = ()
 
     def __new__(cls, length: int, first: int) -> "WeylWord":
-        if type(length) is not int or length < 0:
-            raise ValueError("word length must be a nonnegative integer")
+        word_length(length)
         if type(first) is not int or first not in (0, 1):
             raise ValueError("first letter must be generator 0 or 1")
         return super().__new__(cls, length, first)
@@ -94,7 +93,8 @@ class WeightDistribution:
 
     Entries with value 0 are not part of the support.  For genuine Demazure
     words all entries are positive multiplicities; signed values are
-    permitted so the operators can be probed on arbitrary inputs.
+    permitted so the operators can be probed on arbitrary inputs.  Masses
+    and coordinates must be ints (not bools).
     """
 
     __slots__ = ("hw", "_cols")
@@ -103,6 +103,8 @@ class WeightDistribution:
         self.hw = hw
         by_d: dict[int, dict[int, int]] = {}
         for (a, b), c in (entries or {}).items():
+            if not (type(a) is int and type(b) is int and type(c) is int):
+                raise TypeError("distribution coordinates and masses must be integers")
             if c:
                 by_d.setdefault(a - b, {})[a] = c
         self._cols = {}
@@ -256,9 +258,7 @@ def _flip(cols: dict[int, Column]) -> dict[int, Column]:
 
 def apply_demazure(j: int, mu: WeightDistribution) -> WeightDistribution:
     """One application of D_j; input is not modified."""
-    if type(j) is not int or j not in (0, 1):
-        raise ValueError("generator index must be 0 or 1")
-    if j == 1:
+    if generator_index(j):
         cols = _fold(mu._cols, -mu.hw.n)
     else:
         cols = _flip(_fold(_flip(mu._cols), -mu.hw.m))

@@ -17,13 +17,13 @@ parity-mismatched Demazure word is +N/2.  Some sources flip this sign
 covariance entries are affected.
 
 The module also provides Functional, an exact polynomial algebra in the
-coordinates a and b over the rationals.  Moments of weight distributions
+lattice coordinates over the rationals.  Moments of weight distributions
 are always expectations of such functionals, so keeping them symbolic and
 exact (int / fractions.Fraction coefficients, no floats) is what makes
 every identity in this package checkable as literal equality of rationals.
-A Functional is written in a and b; Functional.numerators gives it in the
-column coordinates (a, d), d = a - b, in which distributions are stored and
-moment tables are summed.  That is the one change of basis in the package.
+A Functional is stored in the column coordinates (a, d), d = a - b, in
+which distributions are stored and moment tables are summed, so no read
+changes basis: b enters only as the functional B = a - d.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, product, repeat
-from math import comb, lcm
+from math import lcm
 from operator import add, mul
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Collection, Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -70,24 +70,47 @@ class HighestWeight(namedtuple("HighestWeight", "m n")):
     @classmethod
     def fundamental(cls, j: int) -> "HighestWeight":
         """The fundamental weight L_j, j in {0, 1}."""
-        if type(j) is not int or j not in (0, 1):
-            raise ValueError("generator index must be 0 or 1")
-        return cls(1 - j, j)
+        return cls(1 - generator_index(j), j)
 
 
-class LatticePoint(NamedTuple):
-    """Coordinates (a, b) of the weight Lambda - a*alpha0 - b*alpha1."""
+class LatticePoint(namedtuple("LatticePoint", "a b")):
+    """Coordinates (a, b) of the weight Lambda - a*alpha0 - b*alpha1.
 
-    a: int
-    b: int
+    A validated named tuple like HighestWeight: a and b must be ints (not
+    bools), on every route to an instance.  It equals, and hashes as, the
+    plain tuple (a, b), so either keys the same entry.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int) -> "LatticePoint":
+        if not (type(a) is int and type(b) is int):
+            raise TypeError("lattice coordinates must be integers")
+        return super().__new__(cls, a, b)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "LatticePoint":
+        return cls(*iterable)
+
+
+def generator_index(j: int) -> int:
+    """j, checked to be a generator index: the int 0 or 1, not a bool."""
+    if type(j) is not int or j not in (0, 1):
+        raise ValueError("generator index must be 0 or 1")
+    return j
+
+
+def word_length(N: int) -> int:
+    """N, checked to be a word length: a nonnegative int, not a bool."""
+    if type(N) is not int or N < 0:
+        raise ValueError("word length must be a nonnegative integer")
+    return N
 
 
 def coroot_pairing(j: int, hw: HighestWeight, p: LatticePoint) -> int:
     """<alpha_j^, lambda> for lambda = hw - a*alpha0 - b*alpha1."""
-    if type(j) is not int or j not in (0, 1):
-        raise ValueError("generator index must be 0 or 1")
     d = p[0] - p[1]
-    return hw.n + 2 * d if j else hw.m - 2 * d
+    return hw.n + 2 * d if generator_index(j) else hw.m - 2 * d
 
 
 def scaled_numerators(values: Collection[Scalar]) -> tuple[int, list[int]]:
@@ -107,12 +130,12 @@ def _norm_coeff(c: Scalar) -> Scalar:
 
 
 class Functional:
-    """Exact polynomial in the lattice coordinates a and b.
+    """Exact polynomial in the column coordinates a and d = a - b.
 
-    Terms are stored as {(i, j): coefficient} for the monomial a^i * b^j
-    with int or Fraction coefficients.  Supports +, -, *, ** and scalar
-    multiplication; total degree is unbounded (moment identities here use
-    up to degree 4).
+    Terms are stored as {(p, r): coefficient} for the monomial a^p * d^r
+    with int or Fraction coefficients; the constructor's keys mean the same,
+    and B = a - d writes b.  Supports +, -, *, ** and scalar multiplication;
+    total degree is unbounded (moment identities here use up to degree 4).
     """
 
     __slots__ = ("_terms", "_numerators")
@@ -121,8 +144,8 @@ class Functional:
         data: dict[tuple[int, int], Scalar] = {}
         if terms:
             for (i, j), c in terms.items():
-                if i < 0 or j < 0:
-                    raise ValueError("monomial exponents must be nonnegative")
+                if type(i) is not int or type(j) is not int or i < 0 or j < 0:
+                    raise ValueError("monomial exponents must be nonnegative integers")
                 c = _norm_coeff(c)
                 if c:
                     data[(i, j)] = c
@@ -139,34 +162,27 @@ class Functional:
         return max((i + j for i, j in self._terms), default=0)
 
     def evaluate(self, p: LatticePoint) -> Scalar:
-        a, b = p[0], p[1]
+        a, d = p[0], p[0] - p[1]
         acc: Scalar = 0
-        for (i, j), c in self._terms.items():
-            acc += c * a**i * b**j
+        for (i, r), c in self._terms.items():
+            acc += c * a**i * d**r
         return acc
 
     def numerators(self) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
-        """(q, ((p, r), n) ...): the nonzero int coefficients n of q * f(a, a - d) in a^p * d^r, sorted.
+        """(q, ((p, r), n) ...): the nonzero int coefficients n of q * f in a^p * d^r, sorted.
 
-        q is the lcm of the denominators.  These are the column coordinates
-        of a distribution (columns of fixed d = a - b) and of its moment
-        tables; b = a - d is expanded binomially here, once per functional,
-        and nowhere else.
+        q is the lcm of the denominators.  The monomials are those of a
+        distribution's columns (fixed d = a - b) and of its moment tables.
         """
         if self._numerators is None:
             q, ns = scaled_numerators(self._terms.values())
-            form: dict[tuple[int, int], int] = {}
-            for (i, j), n in zip(self._terms, ns):
-                for k in range(j + 1):
-                    key = (i + k, j - k)
-                    form[key] = form.get(key, 0) + n * comb(j, k) * (-1) ** (j - k)
-            self._numerators = q, tuple(sorted((key, n) for key, n in form.items() if n))
+            self._numerators = q, tuple(sorted(zip(self._terms, ns)))
         return self._numerators
 
     def on_column(self, d: int, rows: range) -> tuple[int, int | Iterator[int]]:
-        """(q, q * f(a, a - d) for a in rows), with q the lcm of the denominators.
+        """(q, q * f(a, d) for a in rows), with q the lcm of the denominators.
 
-        On the column b = a - d, f is a polynomial in a whose coefficients are
+        On the column of fixed d, f is a polynomial in a whose coefficients are
         read from the numerators at d, and it is evaluated in ints by Horner's
         rule over all rows at once.  Zero top coefficients are dropped; where
         f is constant on the column the second item is that one int instead
@@ -234,9 +250,9 @@ class Functional:
         if not self._terms:
             return "Functional(0)"
         bits = []
-        for (i, j), c in sorted(self._terms.items()):
+        for (i, r), c in sorted(self._terms.items()):
             mono = "a" * bool(i) + (f"^{i}" if i > 1 else "")
-            mono += "b" * bool(j) + (f"^{j}" if j > 1 else "")
+            mono += "d" * bool(r) + (f"^{r}" if r > 1 else "")
             bits.append(f"{c}*{mono}" if mono else f"{c}")
         return "Functional(" + " + ".join(bits) + ")"
 
@@ -256,9 +272,9 @@ def _as_functional(x: "Functional | Scalar") -> Functional:
     return Functional.constant(x)
 
 
-#: the coordinate functionals themselves
+#: the coordinate functionals a and b = a - d
 A = Functional({(1, 0): 1})
-B = Functional({(0, 1): 1})
+B = Functional({(1, 0): 1, (0, 1): -1})
 
 
 def degree_functional() -> Functional:
@@ -266,4 +282,4 @@ def degree_functional() -> Functional:
 
 
 def finite_weight_functional(hw: HighestWeight) -> Functional:
-    return Functional({(0, 0): hw.n, (1, 0): 2, (0, 1): -2})
+    return Functional({(0, 0): hw.n, (0, 1): 2})

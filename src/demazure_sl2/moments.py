@@ -6,8 +6,8 @@ functionals in the lattice coordinates reduce to raw power sums, which
 raw_moments collects in a single pass per distribution into a MomentTable.
 Tables and functionals are both written in the column coordinates (a, d),
 d = a - b, of the distribution's storage: the table holds
-sum(mass * a^p * d^r), and Functional.numerators, the one change of basis,
-gives a functional's int coefficients in the same monomials.  MomentTable
+sum(mass * a^p * d^r), and Functional.numerators gives a functional's int
+coefficients in the same monomials, with no change of basis.  MomentTable
 is the one moment engine: every expectation, covariance and
 degree/finite-weight covariance matrix in the package is read from one, as
 int dot products of its power sums with those numerators and one division
@@ -77,9 +77,8 @@ class MomentTable(NamedTuple):
         try:
             return sum(n * self.sums[key] for key, n in terms)
         except KeyError:
-            # the table holds every power sum of degree p + r <= its degree;
-            # the change of basis keeps total degrees, and deg(fg) = deg f + deg g,
-            # as Q[a, b] has no zero divisors
+            # the table holds every power sum of degree p + r <= its degree,
+            # and deg(fg) = deg f + deg g, as Q[a, d] has no zero divisors
             degree, top = sum(f.total_degree for f in factors), max(i for i, _ in self.sums)
             msg = f"functional of degree {degree} exceeds the moment table's degree {top}"
             raise ValueError(msg) from None

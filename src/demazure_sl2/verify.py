@@ -44,7 +44,7 @@ from typing import Iterator
 from .asymptotics import CONJECTURED_DEGREE_VARIANCE, FitMismatchError, conjecture_check
 from .closedform import palindromicity_check
 from .demazure import WeightDistribution, distribution_chain, marginal
-from .lattice import A, B, HighestWeight, Scalar
+from .lattice import A, B, HighestWeight, Scalar, generator_index, word_length
 from .moments import (
     CoordinateMap,
     CovarianceMatrix,
@@ -87,11 +87,11 @@ class SuiteContext:
         if key not in self._chains:
             self._chains[key] = ([], distribution_chain(hw, first))
         cur, it = self._chains[key]
-        cur.extend(islice(it, max(0, max_N + 1 - len(cur))))
+        cur.extend(islice(it, max(0, word_length(max_N) + 1 - len(cur))))
         return cur
 
     def moments(self, hw: HighestWeight, first: int, N: int, degree: int) -> MomentTable:
-        key = (hw.m, hw.n, first, N, degree)
+        key = (hw.m, hw.n, first, word_length(N), degree)
         hit = self._tables.get(key)
         if hit is None:
             hit = raw_moments(self.chain(hw, first, N)[N], degree)
@@ -192,9 +192,7 @@ def theorem_covariance_matrix(N: int, j: int) -> CovarianceMatrix:
     """Closed-form covariance matrix for hw = L_j and the word (N, first=j)."""
     if type(N) is not int or N < 1:
         raise ValueError("word length must be positive")
-    if type(j) is not int or j not in (0, 1):
-        raise ValueError("generator index must be 0 or 1")
-    e = (N - j) % 2  # 1 where the parities of N and j differ
+    e = (N - generator_index(j)) % 2  # 1 where the parities of N and j differ
     return CovarianceMatrix(reference_formula("var_degree", N) + Fraction(e * N, 4), Fraction(e * N, 2), Fraction(N))
 
 

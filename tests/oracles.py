@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb, lcm
 
 from demazure_sl2 import (
     Functional,
@@ -87,6 +88,23 @@ def random_functional(rng, degree: int = 2) -> Functional:
             if rng.random() < 0.6:
                 terms[(i, j)] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 6, 7, 12]))
     return Functional(terms)
+
+
+def column_numerators(ab_terms: dict[tuple[int, int], Fraction]) -> tuple[int, tuple]:
+    """(q, sorted ((p, r), n)) of q * f for f = sum(c * a^i * b^j) over ab_terms, in a^p * d^r.
+
+    b = a - d is expanded binomially, term by term:
+    a^i * b^j = sum over k of C(j, k) * (-1)^(j - k) * a^(i + k) * d^(j - k).
+    q is the lcm of the denominators of the (a, d) coefficients.
+    """
+    form: dict[tuple[int, int], Fraction] = {}
+    for (i, j), c in ab_terms.items():
+        for k in range(j + 1):
+            key = (i + k, j - k)
+            form[key] = form.get(key, 0) + Fraction(c) * comb(j, k) * (-1) ** (j - k)
+    form = {key: c for key, c in form.items() if c}
+    q = lcm(*(c.denominator for c in form.values()))
+    return q, tuple(sorted((key, int(c * q)) for key, c in form.items()))
 
 
 def random_signed_measure(rng, max_abs: int = 20, max_support: int = 40) -> WeightDistribution:

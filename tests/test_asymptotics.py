@@ -17,7 +17,9 @@ from demazure_sl2 import (
     weight_distribution,
     wlln_series,
 )
+from demazure_sl2 import asymptotics
 from demazure_sl2.asymptotics import FitMismatchError
+from demazure_sl2.moments import MomentTable
 
 L0 = HighestWeight.fundamental(0)
 
@@ -177,3 +179,16 @@ def test_fit_mismatch_error_carries_witnesses():
     err = FitMismatchError("not cubic on sampled range", [(12, Fraction(1), Fraction(2))])
     assert err.witnesses == [(12, Fraction(1), Fraction(2))]
     assert isinstance(err, ValueError)
+
+
+def test_conjecture_check_raises_on_variances_off_the_cubic(monkeypatch):
+    # variance N^4: the cubic through N = 2, 4, 6, 8 is N^4 - (N-2)(N-4)(N-6)(N-8),
+    # so the held-out lengths 10 and 12 miss it by 384 and 1920
+    def quartic_walk(hw, first, ns):
+        for t in ns:
+            yield t, t * t // 4, t, MomentTable(1, {(0, 0): 1, (1, 0): 0, (2, 0): t**4})
+
+    monkeypatch.setattr(asymptotics, "_walk", quartic_walk)
+    with pytest.raises(FitMismatchError, match="^not cubic on sampled range$") as info:
+        conjecture_check(2, [2, 4, 6, 8, 10, 12])
+    assert info.value.witnesses == [(10, 10000, 10000 - 384), (12, 20736, 20736 - 1920)]

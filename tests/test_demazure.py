@@ -480,3 +480,12 @@ def test_seeded_idempotence_battery():
         once = apply_demazure(j, mu)
         assert once == apply_demazure_pointwise(j, mu)
         assert apply_demazure(j, once) == once
+
+
+def test_distribution_entries_must_be_ints():
+    # a float mass would pass through apply_demazure and print as "%d"; a
+    # bool coordinate or mass would print as True
+    for entries in ({(0, 0): 1.5}, {(0, 0): 0.0}, {(0, 0): True}, {(0.0, 0): 1}, {(0, False): 1}):
+        with pytest.raises(TypeError, match="^distribution coordinates and masses must be integers$"):
+            WeightDistribution(L0, entries)
+    assert WeightDistribution(L0, {LatticePoint(1, 1): 2, (0, 0): 0}).sorted_items() == [((1, 1), 2)]

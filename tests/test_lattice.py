@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from demazure_sl2 import (
     finite_weight_functional,
 )
 from demazure_sl2.lattice import degree_functional
-from oracles import step
+from oracles import column_numerators, step
 
 
 def test_highest_weight_validation():
@@ -93,6 +94,10 @@ def test_functional_algebra():
 def test_functional_validation():
     with pytest.raises(ValueError):
         Functional({(-1, 0): 1})
+    # exponents are ints, as for **: a float would print as 0.5*a, a bool as 1
+    for key in ((0.5, 0), (0, 1.0), (True, 0), (0, False)):
+        with pytest.raises(ValueError, match="^monomial exponents must be nonnegative integers$"):
+            Functional({key: 1})
     with pytest.raises(TypeError):
         Functional({(0, 0): 1.5})
     with pytest.raises(ValueError):
@@ -160,3 +165,55 @@ def test_numerators_and_on_column_are_f_in_column_coordinates(f, p):
         q_col, vals = g.on_column(d, range(a, a + 1))
         assert q_col == q
         assert ([vals] if type(vals) is int else list(vals)) == [value]
+
+
+def test_lattice_point_validation():
+    # int coordinates only, on every route to an instance: a float point
+    # would give float moments (A.evaluate(LatticePoint(1.5, 0)) == 1.5)
+    for a, b in ((1.5, 0), (0, 2.0), (True, 0), (0, False), (None, 0)):
+        with pytest.raises(TypeError, match="^lattice coordinates must be integers$"):
+            LatticePoint(a, b)
+    p = LatticePoint(3, -1)
+    with pytest.raises(TypeError):
+        p._replace(a=0.5)
+    with pytest.raises(TypeError):
+        LatticePoint._make([1, 1.0])
+    assert LatticePoint._make([3, -1]) == p == (3, -1)
+    assert hash(p) == hash((3, -1)) and {(3, -1): 7}[p] == 7
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert (p.a, p.b) == (3, -1)
+
+
+def test_functionals_are_stored_in_column_coordinates():
+    # key (p, r) means a^p * d^r with d = a - b; B = a - d is where b enters
+    assert Functional({(0, 1): 1}) == A - B
+    assert B == Functional({(1, 0): 1, (0, 1): -1})
+    assert A == Functional({(1, 0): 1})
+    assert finite_weight_functional(HighestWeight(2, 3)) == Functional({(0, 0): 3, (0, 1): 2})
+    assert Functional({(2, 1): 1}).evaluate(LatticePoint(3, 1)) == 3 * 3 * 2
+    assert (A - B).numerators() == (1, (((0, 1), 1),))
+    assert (Fraction(1, 2) * B * B).numerators() == (2, (((0, 2), 1), ((1, 1), -2), ((2, 0), 1)))
+
+
+def test_functional_repr():
+    assert repr(Functional()) == "Functional(0)"
+    assert repr(A) == "Functional(1*a)"
+    assert repr(B) == "Functional(-1*d + 1*a)"
+    assert repr(A - B) == "Functional(1*d)"
+    assert repr(Fraction(1, 2) + A * A - (A - B) ** 3) == "Functional(1/2 + -1*d^3 + 1*a^2)"
+    assert repr(finite_weight_functional(HighestWeight(0, 1))) == "Functional(1 + 2*d)"
+    assert repr(B * B) == "Functional(1*d^2 + -2*ad + 1*a^2)"
+
+
+_ab_terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _coeffs, max_size=5)
+
+
+@given(terms=_ab_terms)
+@settings(max_examples=100, deadline=None)
+def test_numerators_match_the_binomial_change_of_basis(terms):
+    # f = sum(c * a^i * b^j) built with A/B arithmetic has the numerators
+    # that expanding b = a - d binomially, term by term, gives
+    f = Functional()
+    for (i, j), c in terms.items():
+        f = f + c * A**i * B**j
+    assert f.numerators() == column_numerators(terms)

@@ -120,6 +120,15 @@ def test_heatmap_empty_distribution():
     assert svg == heatmap(WeightDistribution(L0, {}))
 
 
+def test_degree_histogram_empty_distribution():
+    # no degree, no bar: the frame alone, as for the empty heatmap
+    for entries in ({}, {(0, 0): 0}):
+        assert degree_histogram(WeightDistribution(L0, entries)) == heatmap(WeightDistribution(L0, {}))
+    side = f"{2 * PADDING:.4f}"
+    frame = f'width="{side}" height="{side}" viewBox="0 0 {side} {side}">\n</svg>\n'
+    assert degree_histogram(WeightDistribution(L0, {})) == '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" ' + frame
+
+
 def test_ellipse_path_points_lie_on_quadric():
     sigma = CovarianceMatrix(Fraction(85, 16), Fraction(0), Fraction(6))
     path = ellipse_path(Ellipse((0, 0), sigma), samples=128)

@@ -216,3 +216,12 @@ def test_public_namespace():
     assert set(namespace) - {"__builtins__"} == set(expected)
     with pytest.raises(AttributeError):
         demazure_sl2.nope
+
+
+def test_each_argument_rule_is_stated_once():
+    # lattice.generator_index and lattice.word_length hold the two shared
+    # argument rules; every other check calls them, so each message is
+    # written once in the package
+    source = "".join(path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py")))
+    for message in ('"generator index must be 0 or 1"', '"word length must be a nonnegative integer"'):
+        assert source.count(message) == 1, message

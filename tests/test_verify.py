@@ -182,3 +182,15 @@ def test_benchmark_counts_a_suite_fail_line_as_a_failed_job(monkeypatch):
     monkeypatch.setattr(verify, "run_suite", corrupted)
     result = worker.run_pass([{"kind": "suite", "suite": "recurrence", "max_N": 6}], trace=False)
     assert [f["problems"] for f in result["failures"]] == [["FAIL first-moment-closed N=6 lhs=21/4 rhs=21/4!"]]
+
+
+def test_suite_context_checks_word_lengths():
+    # a bool length would read the N = 1 table, a float one fail inside islice
+    ctx = SuiteContext()
+    hw = HighestWeight.fundamental(0)
+    for N in (True, 2.0, -1):
+        with pytest.raises(ValueError, match="^word length must be a nonnegative integer$"):
+            ctx.moments(hw, 0, N, 2)
+        with pytest.raises(ValueError, match="^word length must be a nonnegative integer$"):
+            ctx.chain(hw, 0, N)
+    assert len(ctx.chain(hw, 0, 0)) == 1
