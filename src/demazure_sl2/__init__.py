@@ -57,7 +57,6 @@ _PUBLIC = {
         "finite_weight_functional",
     ),
     "moments": (
-        "CoordinateMap",
         "CovarianceMatrix",
         "EmptyDistributionError",
         "covariance",

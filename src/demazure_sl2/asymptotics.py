@@ -15,10 +15,10 @@ cubic from four sample points by exact Lagrange interpolation, confirms it
 on the held-out samples, and compares against the conjectured table below.
 The maximum degree is checked against m*N^2/4 alongside.
 
-wlln_series and conjecture_check share one walk of the alternating-word
-chain, an islice of demazure.distribution_chain up to the longest length;
-each snapshot is read once into its maximum degree, maximum absolute finite
-weight and degree-2 moment table, and both work on those alone.
+rescaled_summary is wlln_series at one length.  wlln_series and
+conjecture_check share one walk, _walk: an islice of distribution_chain up
+to the longest length, which reads each snapshot once into its maximum
+degree, maximum absolute finite weight and degree-2 moment table.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .demazure import WeylWord, WeightDistribution, distribution_chain, weight_distribution
+from .demazure import WeylWord, distribution_chain
 from .lattice import A, HighestWeight, finite_weight_functional
 from .moments import MomentTable, raw_moments
 
@@ -47,20 +47,14 @@ class RescaledSummary:
     var_finweight_scaled: Fraction
 
 
-def _statistics(mu: WeightDistribution) -> tuple[int, int, MomentTable]:
-    """(max degree, max |finite weight|, degree-2 moment table); the one reader of a distribution."""
-    max_deg = max(0, mu.degree_range()[1] - 1)
-    # a column's finite weight is n + 2d
-    max_fw = max([0] + [abs(mu.hw.n + 2 * d) for d, _ in mu.columns()])
-    return max_deg, max_fw, raw_moments(mu, 2)
-
-
 def _walk(hw: HighestWeight, first: int, ns: Sequence[int]) -> Iterator[tuple[int, int, int, MomentTable]]:
-    """(N, *_statistics) at each length of the increasing ns, along one alternating-word chain."""
+    """(N, max degree, max |finite weight|, degree-2 moment table) at each length of the increasing ns."""
     wanted = set(ns)
     for t, mu in enumerate(islice(distribution_chain(hw, first), ns[-1] + 1)):
         if t in wanted:
-            yield t, *_statistics(mu)
+            # a column's finite weight is n + 2d
+            max_fw = max([0] + [abs(hw.n + 2 * d) for d, _ in mu.columns()])
+            yield t, max(0, mu.degree_range()[1] - 1), max_fw, raw_moments(mu, 2)
 
 
 def _summarize(hw: HighestWeight, N: int, max_deg: int, max_fw: int, table: MomentTable) -> RescaledSummary:
@@ -84,10 +78,8 @@ def _summarize(hw: HighestWeight, N: int, max_deg: int, max_fw: int, table: Mome
 
 
 def rescaled_summary(hw: HighestWeight, word: WeylWord) -> RescaledSummary:
-    """Summary of the distribution of one word, rescaled to [0,1] x [-1,1]."""
-    if word.length < 1:
-        raise ValueError("word length must be at least 1")
-    return _summarize(hw, word.length, *_statistics(weight_distribution(hw, word)))
+    """Summary of the distribution of one word, rescaled to [0,1] x [-1,1]; wlln_series at its length."""
+    return wlln_series(hw, [word.length], word.first)[0]
 
 
 def wlln_series(hw: HighestWeight, N_list: Sequence[int], first: int = 0) -> list[RescaledSummary]:
@@ -119,10 +111,6 @@ class PolynomialFit:
     """Exact polynomial c0 + c1*N + ... recovered from sample points."""
 
     coefficients: tuple[Fraction, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
     def evaluate(self, n: int) -> Fraction:
         acc = Fraction(0)

@@ -57,10 +57,7 @@ class WeylWord(namedtuple("WeylWord", "length first")):
     __slots__ = ()
 
     def __new__(cls, length: int, first: int) -> "WeylWord":
-        word_length(length)
-        if type(first) is not int or first not in (0, 1):
-            raise ValueError("first letter must be generator 0 or 1")
-        return super().__new__(cls, length, first)
+        return super().__new__(cls, word_length(length), generator_index(first))
 
     @classmethod
     def _make(cls, iterable: Iterable[int]) -> "WeylWord":
@@ -271,10 +268,10 @@ def distribution_chain(hw: HighestWeight, first: int) -> Iterator[WeightDistribu
     mu_t is the distribution of the length-t word whose rightmost letter is
     ``first``: letter t (counting from 0 in application order) is ``first``
     for even t and ``1 - first`` for odd t, and mu_{t+1} = D_j mu_t.  Only
-    the latest mu_t is held.  A bad ``first`` raises here, not on next().
+    the latest mu_t is held.  ``first`` is checked by lattice.generator_index,
+    as in WeylWord, so a bad one raises here, not on next().
     """
-    WeylWord(0, first)  # raises the WeylWord ValueError for a bad first
-    letters = cycle((first, 1 - first))
+    letters = cycle((generator_index(first), 1 - first))
     return accumulate(letters, lambda mu, j: apply_demazure(j, mu), initial=WeightDistribution.delta(hw))
 
 

@@ -249,12 +249,12 @@ class Functional:
     def __repr__(self) -> str:
         if not self._terms:
             return "Functional(0)"
-        bits = []
+        text = ""
         for (i, r), c in sorted(self._terms.items()):
-            mono = "a" * bool(i) + (f"^{i}" if i > 1 else "")
-            mono += "d" * bool(r) + (f"^{r}" if r > 1 else "")
-            bits.append(f"{c}*{mono}" if mono else f"{c}")
-        return "Functional(" + " + ".join(bits) + ")"
+            powers = [x if k == 1 else f"{x}^{k}" for x, k in (("a", i), ("d", r)) if k]
+            sign = "" if not text else " - " if c < 0 else " + "
+            text += sign + "*".join([str(abs(c) if text else c), *powers])
+        return f"Functional({text})"
 
 
 def _collect(terms: Iterable[tuple[tuple[int, int], Scalar]]) -> Functional:

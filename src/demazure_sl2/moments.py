@@ -19,8 +19,8 @@ raw_moments makes degree + 1 additions per entry of each distinct column
 vector (iterated prefix sums and a final sum) and no multiplication, and
 turns their results into power sums per column, as vectors over the
 columns.  Mirrored columns share one vector (see the Column storage comment
-in demazure.py), so each pair is summed once.  pushforward is
-demazure.image_measure on the two coordinates.  reference_formula exposes
+in demazure.py), so each pair is summed once.  pushforward(mu, x, y) is
+demazure.image_measure on the two functionals.  reference_formula exposes
 the catalog of closed-form values the identity suites compare against.
 """
 
@@ -89,6 +89,13 @@ class MomentTable(NamedTuple):
         return CovarianceMatrix(self.cov(d, d), self.cov(d, w), self.cov(w, w))
 
 
+def moment_degree(degree: int) -> int:
+    """degree, checked to be a moment-table degree: a nonnegative int, not a bool."""
+    if type(degree) is not int or degree < 0:
+        raise ValueError("degree must be a nonnegative integer")
+    return degree
+
+
 def raw_moments(mu: WeightDistribution, degree: int) -> MomentTable:
     """Total mass and the power sums sum(c * a^p * d^r), d = a - b, for p + r <= degree.
 
@@ -108,8 +115,7 @@ def raw_moments(mu: WeightDistribution, degree: int) -> MomentTable:
     map per k, for all columns at once.  The table entry (p, r) is the dot
     product of s_p with the per-column powers d^r.
     """
-    if type(degree) is not int or degree < 0:
-        raise ValueError("degree must be a nonnegative integer")
+    degree = moment_degree(degree)
     his, ds, rows = [], [], []
     done: dict[int, list[int]] = {}  # id(vals) -> its stage; mu keeps every vals alive and unmutated
     for d, (a0, vals) in mu.columns():
@@ -160,9 +166,6 @@ class CovarianceMatrix:
     covariance: Fraction
     var_finite_weight: Fraction
 
-    def rows(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        return ((self.var_degree, self.covariance), (self.covariance, self.var_finite_weight))
-
     def determinant(self) -> Fraction:
         return self.var_degree * self.var_finite_weight - self.covariance * self.covariance
 
@@ -172,21 +175,13 @@ def covariance_matrix(mu: WeightDistribution) -> CovarianceMatrix:
     return raw_moments(mu, 2).covariance_matrix(mu.hw)
 
 
-@dataclass(frozen=True)
-class CoordinateMap:
-    """Pair of functionals (x, y) used to push a distribution forward."""
-
-    x: Functional
-    y: Functional
+def pushforward(mu: WeightDistribution, x: Functional, y: Functional) -> dict[tuple[Scalar, Scalar], int]:
+    """Image measure of mu under p -> (x(p), y(p)); cancels to 0 are dropped."""
+    return image_measure(mu, (x, y))
 
 
-def pushforward(mu: WeightDistribution, cmap: CoordinateMap) -> dict[tuple[Scalar, Scalar], int]:
-    """Image measure of mu under the coordinate map; cancels to 0 are dropped."""
-    return image_measure(mu, (cmap.x, cmap.y))
-
-
-def pushforward_covariance(mu: WeightDistribution, cmap: CoordinateMap) -> Fraction:
-    """coordinate_covariance(pushforward(mu, cmap)), summed per column without building the image.
+def pushforward_covariance(mu: WeightDistribution, x: Functional, y: Functional) -> Fraction:
+    """coordinate_covariance(pushforward(mu, x, y)), summed per column without building the image.
 
     On each column Functional.on_column gives x and y as int numerators (one
     int where constant), so mass, sum(c*x), sum(c*y) and sum(c*x*y) take at
@@ -197,7 +192,7 @@ def pushforward_covariance(mu: WeightDistribution, cmap: CoordinateMap) -> Fract
     mass = sx = sy = sxy = 0
     for d, (a0, vals) in mu.columns():
         rows = range(a0, a0 + len(vals))
-        (qx, xs), (qy, ys) = cmap.x.on_column(d, rows), cmap.y.on_column(d, rows)
+        (qx, xs), (qy, ys) = x.on_column(d, rows), y.on_column(d, rows)
         m = sum(vals)
         if type(xs) is int:
             cy = ys * m if type(ys) is int else sum(map(mul, vals, ys))

@@ -46,9 +46,9 @@ from .closedform import palindromicity_check
 from .demazure import WeightDistribution, distribution_chain, marginal
 from .lattice import A, B, HighestWeight, Scalar, generator_index, word_length
 from .moments import (
-    CoordinateMap,
     CovarianceMatrix,
     MomentTable,
+    moment_degree,
     pushforward_covariance,
     raw_moments,
     reference_formula,
@@ -83,7 +83,7 @@ class SuiteContext:
 
     def chain(self, hw: HighestWeight, first: int, max_N: int) -> list[WeightDistribution]:
         """mu_0..mu_max_N (at least) of the word family (hw, first); the same list on every call."""
-        key = (hw.m, hw.n, first)
+        key = (hw.m, hw.n, generator_index(first))
         if key not in self._chains:
             self._chains[key] = ([], distribution_chain(hw, first))
         cur, it = self._chains[key]
@@ -91,7 +91,8 @@ class SuiteContext:
         return cur
 
     def moments(self, hw: HighestWeight, first: int, N: int, degree: int) -> MomentTable:
-        key = (hw.m, hw.n, first, word_length(N), degree)
+        # checked before the lookup: a bool would find the int's entry
+        key = (hw.m, hw.n, generator_index(first), word_length(N), moment_degree(degree))
         hit = self._tables.get(key)
         if hit is None:
             hit = raw_moments(self.chain(hw, first, N)[N], degree)
@@ -155,7 +156,7 @@ def suite_stretch(max_N: int, ctx: SuiteContext) -> Checks:
         yield "stretch-cov", N, table.cov(lead, _SQ), rhs
         yield "sym-cov-zero", N, table.cov(f, g), 0
         y = lead - Fraction(N * N - 2 * c, 8)
-        pushed = pushforward_covariance(mu, CoordinateMap(x2, y))
+        pushed = pushforward_covariance(mu, x2, y)
         yield "pushforward-cov-route", N, table.cov(x2, y), pushed
 
 
@@ -190,10 +191,9 @@ def suite_recurrence(max_N: int, ctx: SuiteContext) -> Checks:
 
 def theorem_covariance_matrix(N: int, j: int) -> CovarianceMatrix:
     """Closed-form covariance matrix for hw = L_j and the word (N, first=j)."""
-    if type(N) is not int or N < 1:
-        raise ValueError("word length must be positive")
+    var_degree = reference_formula("var_degree", N)  # checks N
     e = (N - generator_index(j)) % 2  # 1 where the parities of N and j differ
-    return CovarianceMatrix(reference_formula("var_degree", N) + Fraction(e * N, 4), Fraction(e * N, 2), Fraction(N))
+    return CovarianceMatrix(var_degree + Fraction(e * N, 4), Fraction(e * N, 2), Fraction(N))
 
 
 # check-name tag and CovarianceMatrix field of each matrix entry, in line order

@@ -15,7 +15,6 @@ import pytest
 from demazure_sl2 import (
     A,
     B,
-    CoordinateMap,
     HighestWeight,
     apply_demazure,
     conjecture_check,
@@ -66,7 +65,7 @@ def test_criterion_1_reference_table(ctx):
 def test_criterion_2_pushforward_table(ctx):
     mu6 = ctx.chain(L0, 0, 6)[6]
     diff = A - B
-    pushed = pushforward(mu6, CoordinateMap(diff * diff, A))
+    pushed = pushforward(mu6, diff * diff, A)
     ok = pushed == REFERENCE_N6_PUSHED and sum(pushed.values()) == 64
     _report(ok, "criterion-2 pushforward under ((a-b)^2, a) equals the 26-cell reference table")
 

@@ -7,9 +7,11 @@ from demazure_sl2 import (
     A,
     HighestWeight,
     PolynomialFit,
+    RescaledSummary,
     WeylWord,
     conjecture_check,
     degree_mean_limit,
+    expectation,
     finite_weight_functional,
     fit_polynomial,
     rescaled_summary,
@@ -51,20 +53,40 @@ def test_rescaled_summary_degenerate_axis():
     assert s.max_degree == 0 and s.max_abs_finite_weight == 0
     assert s.mean_degree_scaled == 0 and s.var_degree_scaled == 0
     assert s.mean_finweight_scaled == 0 and s.var_finweight_scaled == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^word lengths must be positive integers$"):
         rescaled_summary(L0, WeylWord(0, 0))
 
 
+def _reference_summary(hw, word):
+    """The summary of one word, read off weight_distribution with no asymptotics code."""
+    mu = weight_distribution(hw, word)
+    max_deg = max(0, mu.degree_range()[1] - 1)
+    max_fw = max(abs(hw.n + 2 * d) for d, _ in mu.columns())
+    dscale, wscale, w = max_deg or 1, max_fw or 1, finite_weight_functional(hw)
+    return RescaledSummary(
+        N=word.length,
+        level=hw.level,
+        max_degree=max_deg,
+        max_abs_finite_weight=max_fw,
+        mean_degree_scaled=expectation(mu, A) / dscale,
+        var_degree_scaled=variance(mu, A) / dscale**2,
+        mean_finweight_scaled=expectation(mu, w) / wscale,
+        var_finweight_scaled=variance(mu, w) / wscale**2,
+    )
+
+
 def test_wlln_series_snapshots_match_single_runs():
+    # rescaled_summary reads the same walk as wlln_series, so both are held
+    # against a summary built per word from weight_distribution
     series = wlln_series(L0, [2, 4, 6])
-    for s in series:
-        assert s == rescaled_summary(L0, WeylWord(s.N, 0))
     assert [s.N for s in series] == [2, 4, 6]
+    for s in series:
+        assert s == rescaled_summary(L0, WeylWord(s.N, 0)) == _reference_summary(L0, WeylWord(s.N, 0))
     for hw, first in ((HighestWeight(2, 1), 1), (HighestWeight(0, 3), 0)):
         series = wlln_series(hw, [1, 2, 5], first)
         assert [s.N for s in series] == [1, 2, 5]
         for s in series:
-            assert s == rescaled_summary(hw, WeylWord(s.N, first))
+            assert s == rescaled_summary(hw, WeylWord(s.N, first)) == _reference_summary(hw, WeylWord(s.N, first))
 
 
 def test_wlln_series_validation():
@@ -104,7 +126,7 @@ def test_fit_polynomial_recovers_cubic():
     pts = [(n, poly.evaluate(n)) for n in (1, 2, 5, 7)]
     fit = fit_polynomial(pts)
     assert fit.coefficients == poly.coefficients
-    assert fit.degree == 3
+    assert len(fit.coefficients) == 4
     for n, y in pts:
         assert fit.evaluate(n) == y
 

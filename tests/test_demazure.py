@@ -34,7 +34,7 @@ def test_weyl_word_letters():
     with pytest.raises(ValueError):
         WeylWord(3, 2)
     # int values only: a float or bool would reach the JSON header as 1.0 or true
-    with pytest.raises(ValueError, match="first letter must be generator 0 or 1"):
+    with pytest.raises(ValueError, match="generator index must be 0 or 1"):
         WeylWord(2, 1.0)
     with pytest.raises(ValueError, match="word length must be a nonnegative integer"):
         WeylWord(True, 0)
@@ -42,7 +42,7 @@ def test_weyl_word_letters():
         WeylWord(3, 0)._replace(length=-1)
     # the chain refuses a bad first letter when it is asked for, before any next()
     for bad in (2, WeylWord(3, 0)):
-        with pytest.raises(ValueError, match="first letter must be generator 0 or 1"):
+        with pytest.raises(ValueError, match="generator index must be 0 or 1"):
             distribution_chain(L0, bad)
 
 
@@ -67,7 +67,7 @@ def test_weights_and_words_behave_as_frozen_values():
         (lambda: HighestWeight(0, 0), ValueError, "level m + n must be at least 1"),
         (lambda: WeylWord(-1, 0), ValueError, "word length must be a nonnegative integer"),
         (lambda: WeylWord(2.0, 0), ValueError, "word length must be a nonnegative integer"),
-        (lambda: WeylWord(3, 2), ValueError, "first letter must be generator 0 or 1"),
+        (lambda: WeylWord(3, 2), ValueError, "generator index must be 0 or 1"),
     ]
     for build, error, message in bad:
         with pytest.raises(error) as caught:

@@ -200,9 +200,11 @@ def test_functional_repr():
     assert repr(A) == "Functional(1*a)"
     assert repr(B) == "Functional(-1*d + 1*a)"
     assert repr(A - B) == "Functional(1*d)"
-    assert repr(Fraction(1, 2) + A * A - (A - B) ** 3) == "Functional(1/2 + -1*d^3 + 1*a^2)"
+    assert repr(Fraction(1, 2) + A * A - (A - B) ** 3) == "Functional(1/2 - 1*d^3 + 1*a^2)"
     assert repr(finite_weight_functional(HighestWeight(0, 1))) == "Functional(1 + 2*d)"
-    assert repr(B * B) == "Functional(1*d^2 + -2*ad + 1*a^2)"
+    assert repr(B * B) == "Functional(1*d^2 - 2*a*d + 1*a^2)"
+    assert repr(-A) == "Functional(-1*a)"
+    assert repr(Fraction(-1, 2) * A * B - Fraction(1, 3)) == "Functional(-1/3 + 1/2*a*d - 1/2*a^2)"
 
 
 _ab_terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _coeffs, max_size=5)

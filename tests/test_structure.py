@@ -21,7 +21,7 @@ PUBLIC = {
     "closedform": "PalindromeResult gaussian_binomial level1_distribution palindromicity_check string_symmetry_shift",
     "demazure": "WeightDistribution WeylWord apply_demazure distribution_chain marginal weight_distribution",
     "lattice": "A B Functional HighestWeight LatticePoint coroot_pairing degree_functional finite_weight_functional",
-    "moments": """CoordinateMap CovarianceMatrix EmptyDistributionError covariance covariance_matrix
+    "moments": """CovarianceMatrix EmptyDistributionError covariance covariance_matrix
         expectation pushforward reference_formula variance""",
     "render": "DegenerateCovarianceError Ellipse degree_histogram ellipse_path heatmap",
     "verify": "CheckResult format_check run_suite theorem_covariance_matrix",
@@ -135,13 +135,13 @@ def test_closed_form_imports_no_operator():
 
 
 def test_asymptotics_walks_the_chain_and_reads_a_distribution_in_one_place_each():
-    # wlln_series and conjecture_check share one chain walk (_walk) and one
-    # reader of a distribution (_statistics), so a second route to the
-    # snapshots replaces one function, not two loops
+    # rescaled_summary, wlln_series and conjecture_check share one chain
+    # walk, _walk, which is also the one reader of a distribution, so a
+    # second route to the snapshots replaces one function, not two loops
     callers = _callers(PACKAGE / "asymptotics.py")
-    assert callers.get("distribution_chain") == {"_walk"}
-    for name in ("raw_moments", ".degree_range", ".columns"):
-        assert callers.get(name) == {"_statistics"}, name
+    for name in ("distribution_chain", "raw_moments", ".degree_range", ".columns"):
+        assert callers.get(name) == {"_walk"}, name
+    assert "weight_distribution" not in callers and ".weight_distribution" not in callers
 
 
 def test_one_walk_along_the_alternating_word():
@@ -219,9 +219,10 @@ def test_public_namespace():
 
 
 def test_each_argument_rule_is_stated_once():
-    # lattice.generator_index and lattice.word_length hold the two shared
-    # argument rules; every other check calls them, so each message is
-    # written once in the package
+    # lattice.generator_index, lattice.word_length and moments.moment_degree
+    # hold the shared argument rules; every other check calls them, so each
+    # message is written once in the package
     source = "".join(path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py")))
-    for message in ('"generator index must be 0 or 1"', '"word length must be a nonnegative integer"'):
-        assert source.count(message) == 1, message
+    messages = ("generator index must be 0 or 1", "word length must be a nonnegative integer")
+    for message in messages + ("degree must be a nonnegative integer",):
+        assert source.count(f'"{message}"') == 1, message

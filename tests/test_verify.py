@@ -41,7 +41,7 @@ def test_theorem_covariance_matrix_values():
     with pytest.raises(ValueError):
         theorem_covariance_matrix(3, 2)
     for N in (True, 1.0):
-        with pytest.raises(ValueError, match="^word length must be positive$"):
+        with pytest.raises(ValueError, match="^word length must be a positive integer$"):
             theorem_covariance_matrix(N, 0)
     for j in (True, 1.0):
         with pytest.raises(ValueError, match="^generator index must be 0 or 1$"):
@@ -194,3 +194,19 @@ def test_suite_context_checks_word_lengths():
         with pytest.raises(ValueError, match="^word length must be a nonnegative integer$"):
             ctx.chain(hw, 0, N)
     assert len(ctx.chain(hw, 0, 0)) == 1
+
+
+def test_suite_context_checks_degrees_and_first_letters_before_its_caches():
+    # True and 1.0 equal and hash as 1, so an unchecked cache key would serve
+    # them the entry cached for 1, where a fresh context raises
+    ctx = SuiteContext()
+    hw = HighestWeight.fundamental(0)
+    assert ctx.moments(hw, 1, 3, 1) is ctx.moments(hw, 1, 3, 1)
+    for degree in (True, 1.0, -1):
+        with pytest.raises(ValueError, match="^degree must be a nonnegative integer$"):
+            ctx.moments(hw, 1, 3, degree)
+    for first in (True, 1.0, 2):
+        with pytest.raises(ValueError, match="^generator index must be 0 or 1$"):
+            ctx.moments(hw, first, 3, 1)
+        with pytest.raises(ValueError, match="^generator index must be 0 or 1$"):
+            ctx.chain(hw, first, 3)
