@@ -29,7 +29,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .demazure import WeylWord, distribution_chain
-from .lattice import A, HighestWeight, finite_weight_functional
+from .lattice import A, HighestWeight, finite_weight_functional, instance_of
 from .moments import MomentTable, raw_moments
 
 
@@ -79,6 +79,7 @@ def _summarize(hw: HighestWeight, N: int, max_deg: int, max_fw: int, table: Mome
 
 def rescaled_summary(hw: HighestWeight, word: WeylWord) -> RescaledSummary:
     """Summary of the distribution of one word, rescaled to [0,1] x [-1,1]; wlln_series at its length."""
+    word = instance_of(word, WeylWord, "word")
     return wlln_series(hw, [word.length], word.first)[0]
 
 

@@ -39,7 +39,7 @@ from itertools import accumulate, chain, compress, cycle, islice, repeat
 from operator import add, not_, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .lattice import Functional, HighestWeight, LatticePoint, Scalar, generator_index, word_length
+from .lattice import Functional, HighestWeight, LatticePoint, Scalar, generator_index, instance_of, word_length
 
 
 class WeylWord(namedtuple("WeylWord", "length first")):
@@ -74,6 +74,9 @@ class WeylWord(namedtuple("WeylWord", "length first")):
 # closedform.level1_distribution strings k and N - k.  moments.raw_moments
 # (to sum each shared list once), WeightDistribution.canonical_pieces and
 # render.heatmap (to format or shade each shared list once) rely on this.
+# A distribution's columns never change after construction, so memos keyed
+# by id(vals) on the distribution stay valid while it lives; __reduce__
+# drops them, so a copy or an unpickled distribution starts with none.
 Column = tuple[int, list[int]]
 
 
@@ -92,9 +95,15 @@ class WeightDistribution:
     words all entries are positive multiplicities; signed values are
     permitted so the operators can be probed on arbitrary inputs.  Masses
     and coordinates must be ints (not bools).
+
+    Two derived views are built once per distribution and reused by every
+    reader: the decimal text of each distinct column vector (see
+    canonical_pieces) and ``moment_table``, None or the highest-degree
+    moments.MomentTable that moments.raw_moments has computed from it.
+    Neither takes part in ==, copies or pickles.
     """
 
-    __slots__ = ("hw", "_cols")
+    __slots__ = ("hw", "_cols", "_texts", "moment_table")
 
     def __init__(self, hw: HighestWeight, entries: Mapping[tuple[int, int], int] | None = None):
         self.hw = hw
@@ -108,6 +117,8 @@ class WeightDistribution:
         for d, masses in by_d.items():
             a0 = min(masses)
             self._cols[d] = (a0, [masses.get(a, 0) for a in range(a0, max(masses) + 1)])
+        self._texts: dict[int, list[str]] = {}
+        self.moment_table = None
 
     @classmethod
     def delta(cls, hw: HighestWeight) -> "WeightDistribution":
@@ -124,7 +135,13 @@ class WeightDistribution:
         mu = cls.__new__(cls)
         mu.hw = hw
         mu._cols = cols
+        mu._texts = {}
+        mu.moment_table = None
         return mu
+
+    def __reduce__(self):
+        # the columns alone: a memo keyed by id(vals) would go stale in a copy
+        return WeightDistribution.from_columns, (self.hw, self._cols)
 
     def columns(self) -> Iterable[tuple[int, Column]]:
         """(d, (a0, vals)) per column of fixed d = a - b; vals is read-only."""
@@ -149,11 +166,16 @@ class WeightDistribution:
         """
         return chain.from_iterable(map(self._column_items, self._cols))
 
-    def canonical_pieces(self, fields: Sequence[tuple[str, Callable[[int], str]]]) -> list[str]:
+    def canonical_pieces(self, fields: Sequence[tuple[str, Callable[[int], str]]], lead: str = "") -> list[str]:
         """Text of every support point in (a, b) order, one piece per field, padded; the one ordered reader.
 
         A field is (axis, piece): axis "d", "a", "b" or "mult", piece(v) its text at value v.
         piece runs once per column, row, b value and entry of each distinct column vector, never per point.
+        A ("mult", str) field reads the decimal texts of the distribution's own memo, built once per distinct
+        vector and shared by every call, so the CSV, JSON and heatmap writers format each multiplicity once
+        between them; any other mult piece is memoised for the call alone.  A template's text after the
+        multiplicity therefore opens the next entry's field 0, and ``lead``, that carried text, is cut from
+        the first entry's field 0; the caller ends the text with it.
         Each field's pieces of a column take their slots of a row-major list over (a, column by descending
         d, field) by one extended-slice assignment.  The list is returned as filled, with no filter and no
         second list: slots of no support point (padding and interior zeros) hold "", so "".join of it is the
@@ -165,7 +187,10 @@ class WeightDistribution:
         lo, hi = self.degree_range()
         b_lo = lo - max(self._cols, default=0)
         spans = {"a": range(lo, hi), "b": range(b_lo, hi - min(self._cols, default=0))}
-        cached = [list(map(piece, spans[axis])) if axis in spans else {} for axis, piece in fields]
+        cached = [
+            list(map(piece, spans[axis])) if axis in spans else self._texts if piece is str else {}
+            for axis, piece in fields
+        ]
         width = len(fields)
         step = width * len(self._cols)  # slots per row
         out = [""] * (step * (hi - lo))
@@ -175,7 +200,7 @@ class WeightDistribution:
                 if axis == "d":
                     col = [piece(d)] * len(vals)
                 elif axis == "mult":
-                    if id(vals) not in cache:  # memo: mirrored columns share vals, kept alive in self._cols
+                    if id(vals) not in cache:  # mirrored columns share vals, kept alive in self._cols
                         cache[id(vals)] = list(map(piece, vals))
                     col = cache[id(vals)]
                 else:
@@ -185,6 +210,9 @@ class WeightDistribution:
             if 0 in vals:  # interior zeros are not support points
                 for i in compress(slots, map(not_, vals)):
                     out[i : i + width] = [""] * width
+        if lead and out:  # the first entry's field 0 is the first non-empty slot
+            i = out.index(next(filter(None, out)))
+            out[i] = out[i].removeprefix(lead)
         return out
 
     def sorted_items(self) -> list[tuple[LatticePoint, int]]:
@@ -269,14 +297,17 @@ def distribution_chain(hw: HighestWeight, first: int) -> Iterator[WeightDistribu
     ``first``: letter t (counting from 0 in application order) is ``first``
     for even t and ``1 - first`` for odd t, and mu_{t+1} = D_j mu_t.  Only
     the latest mu_t is held.  ``first`` is checked by lattice.generator_index,
-    as in WeylWord, so a bad one raises here, not on next().
+    as in WeylWord, and hw to be a HighestWeight, so a bad one raises here,
+    not on next().
     """
     letters = cycle((generator_index(first), 1 - first))
-    return accumulate(letters, lambda mu, j: apply_demazure(j, mu), initial=WeightDistribution.delta(hw))
+    mu0 = WeightDistribution.delta(instance_of(hw, HighestWeight, "highest weight"))
+    return accumulate(letters, lambda mu, j: apply_demazure(j, mu), initial=mu0)
 
 
 def weight_distribution(hw: HighestWeight, word: WeylWord) -> WeightDistribution:
     """Weight multiplicity distribution of the Demazure module for ``word``."""
+    word = instance_of(word, WeylWord, "word")
     return next(islice(distribution_chain(hw, word.first), word.length, None))
 
 
@@ -289,7 +320,7 @@ def image_measure(mu: WeightDistribution, fs: Sequence[Functional]) -> dict[tupl
     one key.  Then each key's axes are divided by their q; an axis whose
     functional has int coefficients keeps int values.
     """
-    qs = [f.numerators()[0] for f in fs]
+    qs = [instance_of(f, Functional, "functional").numerators()[0] for f in fs]
     acc: dict[tuple[int, ...], int] = {}
     get = acc.get
     for d, (a0, vals) in mu.columns():

@@ -33,9 +33,10 @@ from fractions import Fraction
 from itertools import chain, product, repeat
 from math import lcm
 from operator import add, mul
-from typing import Collection, Iterable, Iterator, Mapping, Union
+from typing import Collection, Iterable, Iterator, Mapping, TypeVar, Union
 
 Scalar = Union[int, Fraction]
+T = TypeVar("T")
 
 
 class HighestWeight(namedtuple("HighestWeight", "m n")):
@@ -105,6 +106,13 @@ def word_length(N: int) -> int:
     if type(N) is not int or N < 0:
         raise ValueError("word length must be a nonnegative integer")
     return N
+
+
+def instance_of(value: T, cls: type[T], what: str) -> T:
+    """value, checked to be a cls: a plain tuple or a scalar is not one; what names it in the error."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{what} must be a {cls.__name__}, not {type(value).__name__}")
+    return value
 
 
 def coroot_pairing(j: int, hw: HighestWeight, p: LatticePoint) -> int:

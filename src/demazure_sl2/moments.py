@@ -4,6 +4,10 @@ All statistics are rationals computed with fractions.Fraction; nothing in
 this module touches floating point.  Expectations of polynomial
 functionals in the lattice coordinates reduce to raw power sums, which
 raw_moments collects in a single pass per distribution into a MomentTable.
+The distribution keeps the highest-degree table computed from it, and a
+read at a lower degree gets that table restricted, so the covariance
+matrix and the two means of an ellipse cost one pass, and no caller
+keeps a second cache of tables.
 Tables and functionals are both written in the column coordinates (a, d),
 d = a - b, of the distribution's storage: the table holds
 sum(mass * a^p * d^r), and Functional.numerators gives a functional's int
@@ -58,6 +62,11 @@ class MomentTable(NamedTuple):
     mass: int
     sums: dict[tuple[int, int], int]
 
+    @property
+    def degree(self) -> int:
+        """The largest p + r of the table, which holds every power sum up to it."""
+        return max(p for p, _ in self.sums)
+
     def expect(self, f: Functional) -> Fraction:
         """Mean of f, exact; f's total degree must not exceed the table's."""
         q, nf = f.numerators()
@@ -79,8 +88,8 @@ class MomentTable(NamedTuple):
         except KeyError:
             # the table holds every power sum of degree p + r <= its degree,
             # and deg(fg) = deg f + deg g, as Q[a, d] has no zero divisors
-            degree, top = sum(f.total_degree for f in factors), max(i for i, _ in self.sums)
-            msg = f"functional of degree {degree} exceeds the moment table's degree {top}"
+            degree = sum(f.total_degree for f in factors)
+            msg = f"functional of degree {degree} exceeds the moment table's degree {self.degree}"
             raise ValueError(msg) from None
 
     def covariance_matrix(self, hw: HighestWeight) -> CovarianceMatrix:
@@ -114,8 +123,24 @@ def raw_moments(mu: WeightDistribution, degree: int) -> MomentTable:
     takes them to s_p = sum(c * a^p) in `degree` rounds of one column-vector
     map per k, for all columns at once.  The table entry (p, r) is the dot
     product of s_p with the per-column powers d^r.
+
+    The distribution keeps the highest-degree table computed from it in
+    mu.moment_table: a request at that degree returns the same object, a
+    lower one that table restricted to p + r <= degree, so every moment
+    read of one distribution runs this stage once.  degree is checked
+    before the memo is read.
     """
     degree = moment_degree(degree)
+    table = mu.moment_table
+    if table is None or table.degree < degree:
+        table = mu.moment_table = _power_sums(mu, degree)
+    if table.degree == degree:
+        return table
+    return MomentTable(table.mass, {key: s for key, s in table.sums.items() if sum(key) <= degree})
+
+
+def _power_sums(mu: WeightDistribution, degree: int) -> MomentTable:
+    """The MomentTable of raw_moments, computed from the columns."""
     his, ds, rows = [], [], []
     done: dict[int, list[int]] = {}  # id(vals) -> its stage; mu keeps every vals alive and unmutated
     for d, (a0, vals) in mu.columns():

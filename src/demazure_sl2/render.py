@@ -7,8 +7,10 @@ sampled from the Cholesky image of the unit circle, so every vertex lies
 on the 1-sigma quadric of the matrix.  Output is plain SVG 1.1 text with
 fixed-precision coordinates; equal inputs render to identical bytes.
 Heatmap cells are fields of WeightDistribution.canonical_pieces, with grays per distinct column
-vector and one shade string per gray level; _svg splices head and tail into that ""-padded list in
-place and joins it once.
+vector and one shade string per gray level, memoised per call; data-mult is the bare decimal text
+the distribution keeps once per distinct column vector for the CSV and JSON writers too, so a
+cell's closing '"/>\n' opens the next cell's x-field and closes the last one.  _svg splices head
+and tail into that ""-padded list in place and joins it once.
 """
 
 from __future__ import annotations
@@ -79,18 +81,20 @@ def heatmap(mu: WeightDistribution) -> str:
     ratios = map(truediv, map(math.log1p, masses), repeat(math.log1p(max(masses))))
     grays = list(map(LIGHT_GRAY.__sub__, map(round, map(mul, ratios, repeat(LIGHT_GRAY - DARK_GRAY)))))
     shade = {g: f'{g},{g},{g})" data-a="' for g in set(grays)}
-    size = _fmt(CELL_SIZE)
+    size, close = _fmt(CELL_SIZE), '"/>\n'  # a cell's close opens the next cell's x-field
     fields = (
-        ("d", lambda d: f'<rect x="{_fmt(PADDING + (d - d_min) * CELL_SIZE)}" y="'),
+        ("d", lambda d: f'{close}<rect x="{_fmt(PADDING + (d - d_min) * CELL_SIZE)}" y="'),
         ("a", lambda a: f'{_fmt(PADDING + (a - a_min) * CELL_SIZE)}" width="{size}" height="{size}" fill="rgb('),
         ("mult", dict(zip(masses, map(shade.__getitem__, grays))).__getitem__),
         ("a", '%d" data-b="'.__mod__),
         ("b", '%d" data-mult="'.__mod__),
-        ("mult", '%d"/>\n'.__mod__),
+        ("mult", str),
     )
     width = 2 * PADDING + (d_max - d_min + 1) * CELL_SIZE
     height = 2 * PADDING + (a_end - a_min) * CELL_SIZE
-    return _svg(width, height, mu.canonical_pieces(fields))
+    pieces = mu.canonical_pieces(fields, close)
+    pieces.append(close)
+    return _svg(width, height, pieces)
 
 
 def ellipse_path(e: Ellipse, samples: int = 64) -> str:

@@ -8,14 +8,17 @@ to identical bytes.  All text is UTF-8 with LF line endings.
 Distribution tables are fields of WeightDistribution.canonical_pieces, as
 the heatmap is: the row template is split into one piece per a, b and mult,
 each formatted once per row, b value or distinct column vector and ordered
-by one strided fill with no object per point.  The layout comes back padded
-with "": each writer splices its head and tail into that one list in place
-and joins it once, copying no second list of the pieces.  JSON entry blocks
-are spliced into the "[]" of json.dumps(header, indent=2), byte-identical
-to json.dumps of the whole document with indent=2 but without its
-pure-Python encoder (the C one runs only without indent); the ",\n" of the
-last entry is trimmed from the last non-empty piece, since the last slot
-of the layout may be padding.
+by one strided fill with no object per point.  The multiplicity field is
+the bare decimal text str(c), which the distribution keeps once per
+distinct column vector for every writer, CSV, JSON and the heatmap alike;
+the template text after a multiplicity opens the next entry's a-field
+instead, is cut from the first entry by canonical_pieces and closes the
+document's tail.  The layout comes back padded with "": each writer
+splices its head and tail into that one list in place and joins it once,
+copying no second list of the pieces.  JSON entry blocks are spliced into
+the "[]" of json.dumps(header, indent=2), byte-identical to json.dumps of
+the whole document with indent=2 but without its pure-Python encoder (the
+C one runs only without indent).
 
 The writers only read the objects they are given, so the types they take
 are imported for annotations alone: loading this module loads no sibling.
@@ -40,12 +43,14 @@ def format_rational(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# canonical_pieces fields: "%d,%d,%d\n" and the JSON entry block, split per value
-_CSV_FIELDS = (("a", "%d,".__mod__), ("b", "%d,".__mod__), ("mult", "%d\n".__mod__))
+# canonical_pieces fields: "%d,%d,%d\n" and the JSON entry block, split per
+# value, with the text after a multiplicity carried by the next a-field
+_CSV_FIELDS = (("a", "\n%d,".__mod__), ("b", "%d,".__mod__), ("mult", str))
+_JSON_CLOSE = '"\n    },\n'
 _JSON_FIELDS = (
-    ("a", '    {\n      "a": %d,\n      "b": '.__mod__),
+    ("a", (_JSON_CLOSE + '    {\n      "a": %d,\n      "b": ').__mod__),
     ("b", '%d,\n      "mult": "'.__mod__),
-    ("mult", '%d"\n    },\n'.__mod__),
+    ("mult", str),
 )
 
 
@@ -56,22 +61,19 @@ def distribution_json(mu: WeightDistribution, word: WeylWord) -> str:
         "entries": [],
     }
     text = json.dumps(doc, indent=2)
-    pieces = mu.canonical_pieces(_JSON_FIELDS)
+    pieces = mu.canonical_pieces(_JSON_FIELDS, _JSON_CLOSE)
     if not pieces:
         return text + "\n"
-    last = len(pieces) - 1
-    while not pieces[last]:  # trailing padding: less than one row of the layout
-        last -= 1
-    pieces[last] = pieces[last][:-2]  # the last entry takes no ",\n"
     head, _, tail = text.rpartition("[]")
     pieces[:0] = head, "[\n"  # in place: the one join copies no second list of the pieces
-    pieces.append(f"\n  ]{tail}\n")
+    pieces.append('"\n    }\n  ]' + tail + "\n")  # the last entry's close, with no ",\n"
     return "".join(pieces)
 
 
 def distribution_csv(mu: WeightDistribution) -> str:
     pieces = mu.canonical_pieces(_CSV_FIELDS)
-    pieces.insert(0, "a,b,mult\n")
+    pieces.insert(0, "a,b,mult")  # the first a-field's "\n" ends the header
+    pieces.append("\n")
     return "".join(pieces)
 
 

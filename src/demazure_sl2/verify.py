@@ -28,9 +28,11 @@ for even N, and b for odd N, whose words end with D_0.  nxt is the other
 coordinate.  Each level-1 identity and each catalog entry it is compared
 with is written once in lead, nxt and c.
 
-A SuiteContext caches the operator chains and moment tables so "all" pays
-for each distribution once; a chain is the list read so far from one live
-demazure.distribution_chain per (m, n, first).
+A SuiteContext caches the operator chains only, so "all" pays for each
+distribution once; a chain is the list read so far from one live
+demazure.distribution_chain per (m, n, first).  Moment tables are not
+cached here: each distribution of a chain keeps its own highest-degree
+table (moments.raw_moments), so the chain holds them too.
 """
 
 from __future__ import annotations
@@ -44,11 +46,10 @@ from typing import Iterator
 from .asymptotics import CONJECTURED_DEGREE_VARIANCE, FitMismatchError, conjecture_check
 from .closedform import palindromicity_check
 from .demazure import WeightDistribution, distribution_chain, marginal
-from .lattice import A, B, HighestWeight, Scalar, generator_index, word_length
+from .lattice import A, B, HighestWeight, Scalar, generator_index, instance_of, word_length
 from .moments import (
     CovarianceMatrix,
     MomentTable,
-    moment_degree,
     pushforward_covariance,
     raw_moments,
     reference_formula,
@@ -75,14 +76,14 @@ def format_check(c: CheckResult) -> str:
 
 
 class SuiteContext:
-    """Caches alternating-word chains and raw moment tables across suites."""
+    """Caches alternating-word chains across suites; moment tables live on their distributions."""
 
     def __init__(self) -> None:
         self._chains: dict[tuple[int, int, int], tuple[list[WeightDistribution], Iterator[WeightDistribution]]] = {}
-        self._tables: dict[tuple[int, int, int, int, int], MomentTable] = {}
 
     def chain(self, hw: HighestWeight, first: int, max_N: int) -> list[WeightDistribution]:
         """mu_0..mu_max_N (at least) of the word family (hw, first); the same list on every call."""
+        hw = instance_of(hw, HighestWeight, "highest weight")  # before the lookup: (m, n) equals hw
         key = (hw.m, hw.n, generator_index(first))
         if key not in self._chains:
             self._chains[key] = ([], distribution_chain(hw, first))
@@ -91,13 +92,8 @@ class SuiteContext:
         return cur
 
     def moments(self, hw: HighestWeight, first: int, N: int, degree: int) -> MomentTable:
-        # checked before the lookup: a bool would find the int's entry
-        key = (hw.m, hw.n, generator_index(first), word_length(N), moment_degree(degree))
-        hit = self._tables.get(key)
-        if hit is None:
-            hit = raw_moments(self.chain(hw, first, N)[N], degree)
-            self._tables[key] = hit
-        return hit
+        """raw_moments of mu_N of the word family (hw, first)."""
+        return raw_moments(self.chain(hw, first, N)[N], degree)
 
 
 _L0 = HighestWeight.fundamental(0)

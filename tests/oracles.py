@@ -2,15 +2,17 @@
 
 Everything here is written from the definitions, with no shortcuts shared
 with the package code: the operator expands point by point, path counts
-are enumerated combinatorially, and moments are summed per support point
-with Fraction arithmetic throughout.
+are enumerated combinatorially, moments are summed per support point
+with Fraction arithmetic throughout, and the CSV, JSON and heatmap writers
+are formatted one support point at a time.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, lcm, log1p
 
 from demazure_sl2 import (
     Functional,
@@ -19,6 +21,7 @@ from demazure_sl2 import (
     WeightDistribution,
     coroot_pairing,
 )
+from demazure_sl2.render import CELL_SIZE, DARK_GRAY, LIGHT_GRAY, PADDING
 
 
 def step(p: LatticePoint, j: int, i: int) -> LatticePoint:
@@ -165,3 +168,43 @@ def tensor_character_row(hw: HighestWeight, first: int, N: int) -> dict[int, int
                 product[e + t] = product.get(e + t, 0) + c
         row = product
     return row
+
+
+def csv_per_point(mu: WeightDistribution) -> str:
+    """distribution_csv formatted one support point at a time."""
+    return "a,b,mult\n" + "".join("%d,%d,%d\n" % (a, b, c) for (a, b), c in sorted(mu.items()))
+
+
+def json_dumps_oracle(mu: WeightDistribution, word) -> str:
+    """distribution_json as json.dumps of the whole document, one entry dict per support point."""
+    doc = {
+        "highest_weight": {"m": mu.hw.m, "n": mu.hw.n},
+        "word": {"length": word.length, "first": word.first},
+        "entries": [{"a": p.a, "b": p.b, "mult": str(c)} for p, c in mu.sorted_items()],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def heatmap_per_point(mu: WeightDistribution) -> str:
+    """The heatmap document formatted one support point at a time."""
+    points = sorted(mu.items())
+    width = height = 2 * PADDING
+    cells = []
+    if points:
+        d_min = min(a - b for (a, b), _ in points)
+        a_min = points[0][0][0]
+        width += (max(a - b for (a, b), _ in points) - d_min + 1) * CELL_SIZE
+        height += (points[-1][0][0] - a_min + 1) * CELL_SIZE
+        top = log1p(max(c for _, c in points))
+    for (a, b), c in points:
+        g = LIGHT_GRAY - round(log1p(c) / top * (LIGHT_GRAY - DARK_GRAY))
+        cells.append(
+            f'<rect x="{PADDING + (a - b - d_min) * CELL_SIZE:.4f}" y="{PADDING + (a - a_min) * CELL_SIZE:.4f}" '
+            f'width="{CELL_SIZE:.4f}" height="{CELL_SIZE:.4f}" fill="rgb({g},{g},{g})" '
+            f'data-a="{a}" data-b="{b}" data-mult="{c}"/>\n'
+        )
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width:.4f}" height="{height:.4f}" '
+        f'viewBox="0 0 {width:.4f} {height:.4f}">\n'
+    )
+    return head + "".join(cells) + "</svg>\n"

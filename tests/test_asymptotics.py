@@ -214,3 +214,10 @@ def test_conjecture_check_raises_on_variances_off_the_cubic(monkeypatch):
     with pytest.raises(FitMismatchError, match="^not cubic on sampled range$") as info:
         conjecture_check(2, [2, 4, 6, 8, 10, 12])
     assert info.value.witnesses == [(10, 10000, 10000 - 384), (12, 20736, 20736 - 1920)]
+
+
+def test_summaries_name_a_plain_tuple_in_one_line():
+    with pytest.raises(TypeError, match="^word must be a WeylWord, not tuple$"):
+        rescaled_summary(L0, (3, 0))
+    with pytest.raises(TypeError, match="^highest weight must be a HighestWeight, not tuple$"):
+        wlln_series((1, 0), [2])

@@ -489,3 +489,13 @@ def test_distribution_entries_must_be_ints():
         with pytest.raises(TypeError, match="^distribution coordinates and masses must be integers$"):
             WeightDistribution(L0, entries)
     assert WeightDistribution(L0, {LatticePoint(1, 1): 2, (0, 0): 0}).sorted_items() == [((1, 1), 2)]
+
+
+def test_readers_name_a_plain_tuple_or_scalar_in_one_line():
+    mu = weight_distribution(L0, WeylWord(3, 0))
+    with pytest.raises(TypeError, match="^functional must be a Functional, not int$"):
+        marginal(mu, 3)
+    with pytest.raises(TypeError, match="^word must be a WeylWord, not tuple$"):
+        weight_distribution(L0, (3, 0))
+    with pytest.raises(TypeError, match="^highest weight must be a HighestWeight, not tuple$"):
+        distribution_chain((1, 0), 0)

@@ -19,6 +19,7 @@ from demazure_sl2 import (
     covariance_matrix,
     distribution_chain,
     expectation,
+    finite_weight_functional,
     level1_distribution,
     pushforward,
     reference_formula,
@@ -306,6 +307,51 @@ def test_raw_moments_rejects_a_negative_degree():
         for degree in (-1, True, 1.0):
             with pytest.raises(ValueError, match="^degree must be a nonnegative integer$"):
                 raw_moments(mu, degree)
+
+
+def test_raw_moments_keeps_its_highest_degree_table_on_the_distribution(monkeypatch):
+    # lower degrees are restrictions of the kept table; each equals a fresh
+    # table of a rebuilt distribution, which shares no memo
+    rng = random.Random(12)
+    measures = [random_signed_measure(rng) for _ in range(20)] + [level1_distribution(9), WeightDistribution(L0, {})]
+    for mu in measures:
+        top = raw_moments(mu, 4)
+        assert raw_moments(mu, 4) is top and mu.moment_table is top
+        for degree in range(4):
+            fresh = raw_moments(WeightDistribution(mu.hw, dict(mu.items())), degree)
+            assert raw_moments(mu, degree) == fresh and fresh.degree == degree
+        assert mu.moment_table is top
+        assert mu == WeightDistribution(mu.hw, dict(mu.items()))  # == ignores the memo
+    # covariance_matrix and both expectations of an ellipse run the column stage once
+    stages = []
+    original = moments._power_sums
+    monkeypatch.setattr(moments, "_power_sums", lambda mu, degree: stages.append(degree) or original(mu, degree))
+    mu = level1_distribution(8)
+    covariance_matrix(mu)
+    expectation(mu, A)
+    expectation(mu, finite_weight_functional(mu.hw))
+    assert stages == [2]
+    raw_moments(mu, 3)
+    assert stages == [2, 3]
+
+
+def test_a_restricted_table_keeps_its_degree_error():
+    mu = level1_distribution(5)
+    raw_moments(mu, 4)
+    table = raw_moments(mu, 1)
+    assert table.expect(A) == expectation(level1_distribution(5), A)
+    with pytest.raises(ValueError, match="^functional of degree 2 exceeds the moment table's degree 1$"):
+        table.cov(A, A)
+
+
+def test_raw_moments_checks_the_degree_before_its_memo():
+    # True and 1.0 equal 1, but a memo read first would serve them the degree-1 table
+    mu = level1_distribution(4)
+    raw_moments(mu, 1)
+    for degree in (True, 1.0, 4.0, None):
+        with pytest.raises(ValueError, match="^degree must be a nonnegative integer$"):
+            raw_moments(mu, degree)
+    assert mu.moment_table.degree == 1
 
 
 @given(

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import pickle
 import random
 import re
@@ -22,7 +21,7 @@ from demazure_sl2 import (
 )
 from demazure_sl2.render import CELL_SIZE, DARK_GRAY, LIGHT_GRAY, PADDING, PLOT_HEIGHT, ellipse_document
 from frozen import PADDED_ENDS, READ_PATH_SHA256, SIGNED
-from oracles import random_signed_measure
+from oracles import heatmap_per_point, random_signed_measure
 
 L0 = HighestWeight.fundamental(0)
 
@@ -44,31 +43,6 @@ def nonnegative_measures():
     assert sum(0 in vals for vals in vectors) >= 10
     assert sum(0 not in vals and len(vals) > 1 for vals in vectors) >= 10
     return measures
-
-
-def heatmap_per_point(mu):
-    """The heatmap document formatted one support point at a time."""
-    points = sorted(mu.items())
-    width = height = 2 * PADDING
-    cells = []
-    if points:
-        d_min = min(a - b for (a, b), _ in points)
-        a_min = points[0][0][0]
-        width += (max(a - b for (a, b), _ in points) - d_min + 1) * CELL_SIZE
-        height += (points[-1][0][0] - a_min + 1) * CELL_SIZE
-        top = math.log1p(max(c for _, c in points))
-    for (a, b), c in points:
-        g = LIGHT_GRAY - round(math.log1p(c) / top * (LIGHT_GRAY - DARK_GRAY))
-        cells.append(
-            f'<rect x="{PADDING + (a - b - d_min) * CELL_SIZE:.4f}" y="{PADDING + (a - a_min) * CELL_SIZE:.4f}" '
-            f'width="{CELL_SIZE:.4f}" height="{CELL_SIZE:.4f}" fill="rgb({g},{g},{g})" '
-            f'data-a="{a}" data-b="{b}" data-mult="{c}"/>\n'
-        )
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width:.4f}" height="{height:.4f}" '
-        f'viewBox="0 0 {width:.4f} {height:.4f}">\n'
-    )
-    return head + "".join(cells) + "</svg>\n"
 
 
 def test_heatmap_cells_and_determinism(mu6):

@@ -1,5 +1,8 @@
+import copy
+import gc
 import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from demazure_sl2 import (
     WeightDistribution,
     WeylWord,
     conjecture_check,
+    heatmap,
     level1_distribution,
     weight_distribution,
     wlln_series,
@@ -23,26 +27,13 @@ from demazure_sl2.serialize import (
 )
 
 from frozen import PADDED_ENDS, READ_PATH_SHA256, SIGNED
-from oracles import random_signed_measure
+from oracles import csv_per_point, heatmap_per_point, json_dumps_oracle, random_signed_measure
 
 L0 = HighestWeight.fundamental(0)
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _csv_per_point(mu):
-    return "a,b,mult\n" + "".join("%d,%d,%d\n" % (a, b, c) for (a, b), c in sorted(mu.items()))
-
-
-def _json_dumps_oracle(mu, word):
-    doc = {
-        "highest_weight": {"m": mu.hw.m, "n": mu.hw.n},
-        "word": {"length": word.length, "first": word.first},
-        "entries": [{"a": p.a, "b": p.b, "mult": str(c)} for p, c in mu.sorted_items()],
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def test_format_rational():
@@ -99,7 +90,7 @@ def test_distribution_csv_equals_per_point_format():
     assert sum(0 in vals for mu in measures for _, (_, vals) in mu.columns()) >= 10
     assert any(len({id(v) for _, (_, v) in mu.columns()}) < len(dict(mu.columns())) for mu in measures)
     for mu in measures:
-        assert distribution_csv(mu) == _csv_per_point(mu)
+        assert distribution_csv(mu) == csv_per_point(mu)
 
 
 def test_distribution_json_equals_indented_dumps():
@@ -108,7 +99,7 @@ def test_distribution_json_equals_indented_dumps():
     measures = [random_signed_measure(rng) for _ in range(30)]
     measures += [level1_distribution(10), WeightDistribution(L0, {})]
     for mu in measures:
-        assert distribution_json(mu, WeylWord(4, 1)) == _json_dumps_oracle(mu, WeylWord(4, 1))
+        assert distribution_json(mu, WeylWord(4, 1)) == json_dumps_oracle(mu, WeylWord(4, 1))
     assert '"entries": []' in distribution_json(WeightDistribution(L0, {}), WeylWord(0, 0))
 
 
@@ -117,8 +108,80 @@ def test_exports_of_a_layout_padded_in_its_first_and_last_slot_equal_the_oracles
     for mu in (WeightDistribution(L0, PADDED_ENDS), WeightDistribution(HighestWeight(1, 2), SIGNED)):
         layout = mu.canonical_pieces([("mult", str)])
         assert layout[0] == layout[-1] == ""
-        assert distribution_csv(mu) == _csv_per_point(mu)
-        assert distribution_json(mu, WeylWord(3, 0)) == _json_dumps_oracle(mu, WeylWord(3, 0))
+        assert distribution_csv(mu) == csv_per_point(mu)
+        assert distribution_json(mu, WeylWord(3, 0)) == json_dumps_oracle(mu, WeylWord(3, 0))
+
+
+def _writers(mu, word=WeylWord(3, 0)):
+    """(writer, oracle) per export of mu: the heatmap joins CSV and JSON on nonnegative masses."""
+    pairs = [(distribution_csv, csv_per_point), (lambda m: distribution_json(m, word), lambda m: json_dumps_oracle(m, word))]
+    if all(c >= 0 for _, c in mu.items()):
+        pairs.append((heatmap, heatmap_per_point))
+    return pairs
+
+
+def _memo_cases():
+    rng = random.Random(27)
+    measures = [random_signed_measure(rng) for _ in range(30)]
+    measures += [WeightDistribution(mu.hw, {p: abs(c) for p, c in mu.items()}) for mu in measures[:15]]
+    measures += [WeightDistribution(L0, PADDED_ENDS), WeightDistribution(HighestWeight(1, 2), SIGNED)]
+    measures += [level1_distribution(N) for N in (0, 1, 7, 12)]
+    assert sum(0 in vals for mu in measures for _, (_, vals) in mu.columns()) >= 10  # interior zeros
+    assert sum(len(_writers(mu)) == 3 for mu in measures) >= 15
+    return measures
+
+
+def test_writers_share_decimal_text_in_any_order_and_on_repeated_calls():
+    # the mult text is kept on the distribution for every writer: each order
+    # of the writers, run twice over on a fresh copy, gives the oracles' bytes
+    for mu in _memo_cases():
+        writers = _writers(mu)
+        expected = [oracle(mu) for _, oracle in writers]
+        for order in (writers, writers[::-1], writers[1:] + writers[:1]):
+            fresh = WeightDistribution(mu.hw, dict(mu.items()))
+            for _ in range(2):
+                got = {write: write(fresh) for write, _ in order}
+                assert [got[write] for write, _ in writers] == expected
+
+
+def test_copies_and_pickles_do_not_carry_a_stale_text_memo():
+    # a memo keyed by id(vals) and pickled with the distribution would name the
+    # old lists: with the original gone, the unpickled lists reuse their ids
+    # and the memo serves another vector's text
+    rng = random.Random(3)
+    for trial in range(100):
+        mu = random_signed_measure(rng)
+        for write, _ in _writers(mu):
+            write(mu)  # fill the memo
+        expected = [oracle(mu) for _, oracle in _writers(mu)]
+        if trial % 2:
+            clones = [copy.copy(mu), copy.deepcopy(mu)]
+            del mu
+        else:
+            data = pickle.dumps(mu)
+            del mu
+            gc.collect()
+            clones = [pickle.loads(data)]
+        for clone in clones:
+            assert [write(clone) for write, _ in _writers(clone)] == expected
+
+
+def test_each_distinct_vector_is_formatted_once_across_all_writers():
+    calls = []
+
+    class Mult(int):
+        def __str__(self):
+            calls.append(int(self))
+            return int.__str__(self)
+
+    vals, flat = [Mult(c) for c in (1, 3, 0, 2)], [Mult(5)]
+    mu = WeightDistribution.from_columns(HighestWeight(1, 2), {-1: (0, vals), 2: (3, vals), 0: (1, flat), 1: (2, vals)})
+    plain = WeightDistribution(mu.hw, {p: int(c) for p, c in mu.items()})
+    expected = [oracle(plain) for _, oracle in _writers(mu)]
+    del calls[:]
+    assert [write(mu) for write, _ in _writers(mu)] == expected
+    assert [write(mu) for write, _ in _writers(mu)] == expected
+    assert sorted(calls) == sorted(vals + flat)  # one str per entry of each distinct vector, interior zero too
 
 
 def test_wlln_csv_rows():

@@ -210,3 +210,14 @@ def test_suite_context_checks_degrees_and_first_letters_before_its_caches():
             ctx.moments(hw, first, 3, 1)
         with pytest.raises(ValueError, match="^generator index must be 0 or 1$"):
             ctx.chain(hw, first, 3)
+
+
+def test_suite_context_names_a_plain_tuple_before_its_cache():
+    # (1, 0) equals and hashes as L0, so a lookup first would serve it L0's chain
+    ctx = SuiteContext()
+    ctx.chain(HighestWeight.fundamental(0), 0, 3)
+    for bad, name in (((1, 0), "tuple"), (1, "int")):
+        with pytest.raises(TypeError, match=f"^highest weight must be a HighestWeight, not {name}$"):
+            ctx.chain(bad, 0, 3)
+        with pytest.raises(TypeError, match=f"^highest weight must be a HighestWeight, not {name}$"):
+            ctx.moments(bad, 0, 3, 2)
