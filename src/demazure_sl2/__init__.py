@@ -43,7 +43,6 @@ _PUBLIC = {
         "WeylWord",
         "apply_demazure",
         "distribution_chain",
-        "marginal",
         "weight_distribution",
     ),
     "lattice": (
@@ -62,6 +61,7 @@ _PUBLIC = {
         "covariance",
         "covariance_matrix",
         "expectation",
+        "marginal",
         "pushforward",
         "reference_formula",
         "variance",

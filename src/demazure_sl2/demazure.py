@@ -12,6 +12,8 @@ weight yields the weight multiplicity distribution of the corresponding
 Demazure module; for genuine words all intermediate measures stay
 nonnegative.  distribution_chain, the endless chain mu_0, mu_1, ... of the
 prefixes, is the one walk along the word; every other chain reads from it.
+This module holds the representation, the operator and that chain; reads of
+functionals off a distribution (images, marginals, moments) are in moments.
 
 Implementation note: a measure is stored as columns of fixed d = a - b
 over consecutive degrees a.  Both pairings depend on d alone, so D_j maps
@@ -34,35 +36,29 @@ an independent oracle.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from itertools import accumulate, chain, compress, cycle, islice, repeat
+from itertools import accumulate, chain, compress, cycle, islice
 from operator import add, not_, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .lattice import Functional, HighestWeight, LatticePoint, Scalar, generator_index, instance_of, word_length
+from .lattice import HighestWeight, LatticePoint, ValidatedTuple, generator_index, instance_of, word_length
 
 
-class WeylWord(namedtuple("WeylWord", "length first")):
+class WeylWord(ValidatedTuple, namedtuple("WeylWord", "length first")):
     """Alternating word in the two affine generators.
 
     ``first`` is the index of the rightmost letter, the one applied first;
     a word of length N therefore ends (leftmost letter) with ``first`` when
     N is odd and with ``1 - first`` when N is even.
 
-    A validated named tuple: length and first must be ints (not bools), and
-    every route to an instance runs the checks, as for HighestWeight.  It
-    equals, and hashes as, the plain tuple (length, first).
+    A lattice.ValidatedTuple: length and first must be ints (not bools) on
+    every route to an instance, as for HighestWeight.  It equals, and
+    hashes as, the plain tuple (length, first).
     """
 
     __slots__ = ()
 
     def __new__(cls, length: int, first: int) -> "WeylWord":
         return super().__new__(cls, word_length(length), generator_index(first))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> "WeylWord":
-        # namedtuple's own _make, which _replace calls, would skip __new__
-        return cls(*iterable)
 
 
 # Column storage: d -> (a0, vals) with vals[i] the mass at (a0 + i, a0 + i - d).
@@ -93,8 +89,8 @@ class WeightDistribution:
 
     Entries with value 0 are not part of the support.  For genuine Demazure
     words all entries are positive multiplicities; signed values are
-    permitted so the operators can be probed on arbitrary inputs.  Masses
-    and coordinates must be ints (not bools).
+    permitted so the operators can be probed on arbitrary inputs.  hw must
+    be a HighestWeight, and masses and coordinates ints (not bools).
 
     Two derived views are built once per distribution and reused by every
     reader: the decimal text of each distinct column vector (see
@@ -106,7 +102,7 @@ class WeightDistribution:
     __slots__ = ("hw", "_cols", "_texts", "moment_table")
 
     def __init__(self, hw: HighestWeight, entries: Mapping[tuple[int, int], int] | None = None):
-        self.hw = hw
+        self.hw = instance_of(hw, HighestWeight, "highest weight")
         by_d: dict[int, dict[int, int]] = {}
         for (a, b), c in (entries or {}).items():
             if not (type(a) is int and type(b) is int and type(c) is int):
@@ -297,11 +293,11 @@ def distribution_chain(hw: HighestWeight, first: int) -> Iterator[WeightDistribu
     ``first``: letter t (counting from 0 in application order) is ``first``
     for even t and ``1 - first`` for odd t, and mu_{t+1} = D_j mu_t.  Only
     the latest mu_t is held.  ``first`` is checked by lattice.generator_index,
-    as in WeylWord, and hw to be a HighestWeight, so a bad one raises here,
+    as in WeylWord, and hw by WeightDistribution, so a bad one raises here,
     not on next().
     """
     letters = cycle((generator_index(first), 1 - first))
-    mu0 = WeightDistribution.delta(instance_of(hw, HighestWeight, "highest weight"))
+    mu0 = WeightDistribution.delta(hw)
     return accumulate(letters, lambda mu, j: apply_demazure(j, mu), initial=mu0)
 
 
@@ -309,31 +305,3 @@ def weight_distribution(hw: HighestWeight, word: WeylWord) -> WeightDistribution
     """Weight multiplicity distribution of the Demazure module for ``word``."""
     word = instance_of(word, WeylWord, "word")
     return next(islice(distribution_chain(hw, word.first), word.length, None))
-
-
-def image_measure(mu: WeightDistribution, fs: Sequence[Functional]) -> dict[tuple[Scalar, ...], int]:
-    """Pushforward of mu along p -> (f(p) for f in fs); cancels to 0 are dropped.
-
-    Summed over int numerators from Functional.on_column: with q the lcm of
-    a functional's denominators, the image is first taken along q * f, and
-    a column on which every functional is constant adds its total mass to
-    one key.  Then each key's axes are divided by their q; an axis whose
-    functional has int coefficients keeps int values.
-    """
-    qs = [instance_of(f, Functional, "functional").numerators()[0] for f in fs]
-    acc: dict[tuple[int, ...], int] = {}
-    get = acc.get
-    for d, (a0, vals) in mu.columns():
-        rows = range(a0, a0 + len(vals))
-        nums = tuple(f.on_column(d, rows)[1] for f in fs)
-        if all(type(n) is int for n in nums):
-            acc[nums] = get(nums, 0) + sum(vals)
-            continue
-        for key, c in zip(zip(*(repeat(n) if type(n) is int else n for n in nums)), vals):
-            acc[key] = get(key, 0) + c
-    return {tuple(n if q == 1 else Fraction(n, q) for n, q in zip(key, qs)): c for key, c in acc.items() if c}
-
-
-def marginal(mu: WeightDistribution, f: Functional) -> dict[Scalar, int]:
-    """Pushforward of mu along a scalar functional: value -> total mass."""
-    return {v: c for (v,), c in image_measure(mu, (f,)).items()}

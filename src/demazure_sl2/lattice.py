@@ -39,13 +39,22 @@ Scalar = Union[int, Fraction]
 T = TypeVar("T")
 
 
-class HighestWeight(namedtuple("HighestWeight", "m n")):
+class ValidatedTuple:
+    """First base of a named tuple whose __new__ checks: its _make (so _replace) runs __new__, as copy and pickle do."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "ValidatedTuple":
+        return cls(*iterable)
+
+
+class HighestWeight(ValidatedTuple, namedtuple("HighestWeight", "m n")):
     """Dominant integral weight m*L0 + n*L1 (zero delta-component).
 
-    A validated named tuple: m and n must be ints (not bools), and every
-    route to an instance (the constructor, _make, _replace, copy and pickle)
-    runs the checks.  Like LatticePoint it equals, and hashes as, the plain
-    tuple (m, n).
+    A ValidatedTuple: m and n must be ints (not bools) on every route to an
+    instance.  Like LatticePoint it equals, and hashes as, the plain tuple
+    (m, n).
     """
 
     __slots__ = ()
@@ -59,11 +68,6 @@ class HighestWeight(namedtuple("HighestWeight", "m n")):
             raise ValueError("level m + n must be at least 1")
         return super().__new__(cls, m, n)
 
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> "HighestWeight":
-        # namedtuple's own _make, which _replace calls, would skip __new__
-        return cls(*iterable)
-
     @property
     def level(self) -> int:
         return self.m + self.n
@@ -74,11 +78,11 @@ class HighestWeight(namedtuple("HighestWeight", "m n")):
         return cls(1 - generator_index(j), j)
 
 
-class LatticePoint(namedtuple("LatticePoint", "a b")):
+class LatticePoint(ValidatedTuple, namedtuple("LatticePoint", "a b")):
     """Coordinates (a, b) of the weight Lambda - a*alpha0 - b*alpha1.
 
-    A validated named tuple like HighestWeight: a and b must be ints (not
-    bools), on every route to an instance.  It equals, and hashes as, the
+    A ValidatedTuple like HighestWeight: a and b must be ints (not bools),
+    on every route to an instance.  It equals, and hashes as, the
     plain tuple (a, b), so either keys the same entry.
     """
 
@@ -88,10 +92,6 @@ class LatticePoint(namedtuple("LatticePoint", "a b")):
         if not (type(a) is int and type(b) is int):
             raise TypeError("lattice coordinates must be integers")
         return super().__new__(cls, a, b)
-
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> "LatticePoint":
-        return cls(*iterable)
 
 
 def generator_index(j: int) -> int:
@@ -187,27 +187,27 @@ class Functional:
             self._numerators = q, tuple(sorted(zip(self._terms, ns)))
         return self._numerators
 
-    def on_column(self, d: int, rows: range) -> tuple[int, int | Iterator[int]]:
-        """(q, q * f(a, d) for a in rows), with q the lcm of the denominators.
+    def on_column(self, d: int, rows: range) -> int | Iterator[int]:
+        """q * f(a, d) for a in rows, with q = numerators()[0], the lcm of the denominators.
 
         On the column of fixed d, f is a polynomial in a whose coefficients are
         read from the numerators at d, and it is evaluated in ints by Horner's
         rule over all rows at once.  Zero top coefficients are dropped; where
-        f is constant on the column the second item is that one int instead
-        of an iterator over the rows.
+        f is constant on the column the result is that one int instead of an
+        iterator over the rows.  The caller reads q once from numerators().
         """
-        q, nums = self.numerators()
+        nums = self.numerators()[1]
         poly = [0] * (nums[-1][0][0] + 1 if nums else 1)  # sorted, so the last term has the top power of a
         for (p, r), n in nums:
             poly[p] += n * d**r
         while len(poly) > 1 and not poly[-1]:
             poly.pop()
         if len(poly) == 1:
-            return q, poly[0]
+            return poly[0]
         vals = repeat(poly.pop(), len(rows))
         for p in reversed(poly):
             vals = map(add, map(mul, vals, rows), repeat(p))
-        return q, vals
+        return vals
 
     def __add__(self, other: "Functional | Scalar") -> "Functional":
         return _collect(chain(self._terms.items(), _as_functional(other)._terms.items()))

@@ -23,9 +23,10 @@ raw_moments makes degree + 1 additions per entry of each distinct column
 vector (iterated prefix sums and a final sum) and no multiplication, and
 turns their results into power sums per column, as vectors over the
 columns.  Mirrored columns share one vector (see the Column storage comment
-in demazure.py), so each pair is summed once.  pushforward(mu, x, y) is
-demazure.image_measure on the two functionals.  reference_formula exposes
-the catalog of closed-form values the identity suites compare against.
+in demazure.py), so each pair is summed once.  pushforward(mu, *fs), the one
+image routine (marginal reads it for one functional), and pushforward_covariance
+are the package's only readers of Functional.on_column.  reference_formula
+exposes the catalog of closed-form values the identity suites compare against.
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ from math import factorial
 from operator import add, mul, sub
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .demazure import WeightDistribution, image_measure
+from .demazure import WeightDistribution
 from .lattice import (
     Functional,
     HighestWeight,
     Scalar,
     degree_functional,
     finite_weight_functional,
+    instance_of,
     scaled_numerators,
 )
 
@@ -200,24 +202,47 @@ def covariance_matrix(mu: WeightDistribution) -> CovarianceMatrix:
     return raw_moments(mu, 2).covariance_matrix(mu.hw)
 
 
-def pushforward(mu: WeightDistribution, x: Functional, y: Functional) -> dict[tuple[Scalar, Scalar], int]:
-    """Image measure of mu under p -> (x(p), y(p)); cancels to 0 are dropped."""
-    return image_measure(mu, (x, y))
+def pushforward(mu: WeightDistribution, *fs: Functional) -> dict[tuple[Scalar, ...], int]:
+    """Image measure of mu under p -> (f(p) for f in fs); cancels to 0 are dropped.
+
+    Summed over int numerators from Functional.on_column: with q the lcm of
+    a functional's denominators, the image is first taken along q * f, and
+    a column on which every functional is constant adds its total mass to
+    one key.  Then each key's axes are divided by their q; an axis whose
+    functional has int coefficients keeps int values.
+    """
+    qs = [instance_of(f, Functional, "functional").numerators()[0] for f in fs]
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for d, (a0, vals) in mu.columns():
+        rows = range(a0, a0 + len(vals))
+        nums = tuple(f.on_column(d, rows) for f in fs)
+        if all(type(n) is int for n in nums):
+            acc[nums] = get(nums, 0) + sum(vals)
+            continue
+        for key, c in zip(zip(*(repeat(n) if type(n) is int else n for n in nums)), vals):
+            acc[key] = get(key, 0) + c
+    return {tuple(n if q == 1 else Fraction(n, q) for n, q in zip(key, qs)): c for key, c in acc.items() if c}
+
+
+def marginal(mu: WeightDistribution, f: Functional) -> dict[Scalar, int]:
+    """Pushforward of mu along a scalar functional: value -> total mass."""
+    return {v: c for (v,), c in pushforward(mu, f).items()}
 
 
 def pushforward_covariance(mu: WeightDistribution, x: Functional, y: Functional) -> Fraction:
     """coordinate_covariance(pushforward(mu, x, y)), summed per column without building the image.
 
-    On each column Functional.on_column gives x and y as int numerators (one
+    On each column Functional.on_column gives q * x and q * y as ints (one
     int where constant), so mass, sum(c*x), sum(c*y) and sum(c*x*y) take at
     most three dot products.  Covariance is linear in the measure, so equal
     image points need not be merged first.
     """
-    qx = qy = 1
+    qx, qy = x.numerators()[0], y.numerators()[0]
     mass = sx = sy = sxy = 0
     for d, (a0, vals) in mu.columns():
         rows = range(a0, a0 + len(vals))
-        (qx, xs), (qy, ys) = x.on_column(d, rows), y.on_column(d, rows)
+        xs, ys = x.on_column(d, rows), y.on_column(d, rows)
         m = sum(vals)
         if type(xs) is int:
             cy = ys * m if type(ys) is int else sum(map(mul, vals, ys))

@@ -55,6 +55,10 @@ _JSON_FIELDS = (
 
 
 def distribution_json(mu: WeightDistribution, word: WeylWord) -> str:
+    from .demazure import WeylWord  # imported in the call: mu's own module has loaded both already
+    from .lattice import instance_of
+
+    word = instance_of(word, WeylWord, "word")
     doc = {
         "highest_weight": {"m": mu.hw.m, "n": mu.hw.n},
         "word": {"length": word.length, "first": word.first},

@@ -13,7 +13,8 @@ canonical, so a check passes exactly when its printed sides agree.  Suites:
   stretch     covariance of a coordinate with the squared difference, the
               two vanishing covariances behind it, and agreement of the
               direct moment-table route with the pushforward route, which
-              sums int numerators per column without building the image
+              sums int numerators per column without building the image,
+              on Cov(g, lead), g = (a - b)^2 - c(a - b), left uncentred
   recurrence  consecutive-length second-moment recurrences and the degree
               moment closed forms
   covariance  full degree/finite-weight covariance matrices for both
@@ -45,11 +46,12 @@ from typing import Iterator
 
 from .asymptotics import CONJECTURED_DEGREE_VARIANCE, FitMismatchError, conjecture_check
 from .closedform import palindromicity_check
-from .demazure import WeightDistribution, distribution_chain, marginal
+from .demazure import WeightDistribution, distribution_chain
 from .lattice import A, B, HighestWeight, Scalar, generator_index, instance_of, word_length
 from .moments import (
     CovarianceMatrix,
     MomentTable,
+    marginal,
     pushforward_covariance,
     raw_moments,
     reference_formula,
@@ -100,10 +102,10 @@ _L0 = HighestWeight.fundamental(0)
 # the weight-difference coordinate a - b and its square
 _DIFF = A - B
 _SQ = _DIFF * _DIFF
-# by parity c: lead, its square, and suite_stretch's f, g and x^2 for
-# x = a - b - c/2.  Built once, each reuses its int numerators at every N.
+# by parity c: lead, its square, and suite_stretch's f and g = (a - b)^2 - c(a - b).
+# Built once, each reuses its int numerators at every N.
 _LEAD, _LEAD_SQ = (A, B), (A * A, B * B)
-_STRETCH = tuple((_SQ - c * _DIFF - 2 * _LEAD[c], _SQ - c * _DIFF, (_DIFF - Fraction(c, 2)) ** 2) for c in (0, 1))
+_STRETCH = tuple((_SQ - c * _DIFF - 2 * _LEAD[c], _SQ - c * _DIFF) for c in (0, 1))
 
 # one check of a suite: name, N and the two sides, each a text or a rational
 Checks = Iterator[tuple[str, int, str | Scalar, str | Scalar]]
@@ -147,13 +149,11 @@ def suite_stretch(max_N: int, ctx: SuiteContext) -> Checks:
         mu = ctx.chain(_L0, 0, max_N)[N]
         table = _level1(ctx, N)
         c = N % 2
-        lead, (f, g, x2) = _LEAD[c], _STRETCH[c]
+        lead, (f, g) = _LEAD[c], _STRETCH[c]
         rhs = reference_formula("stretch_covariance", N)
         yield "stretch-cov", N, table.cov(lead, _SQ), rhs
         yield "sym-cov-zero", N, table.cov(f, g), 0
-        y = lead - Fraction(N * N - 2 * c, 8)
-        pushed = pushforward_covariance(mu, x2, y)
-        yield "pushforward-cov-route", N, table.cov(x2, y), pushed
+        yield "pushforward-cov-route", N, table.cov(g, lead), pushforward_covariance(mu, g, lead)
 
 
 # the closed-form lines of the recurrence suite in line order: check name and

@@ -499,3 +499,7 @@ def test_readers_name_a_plain_tuple_or_scalar_in_one_line():
         weight_distribution(L0, (3, 0))
     with pytest.raises(TypeError, match="^highest weight must be a HighestWeight, not tuple$"):
         distribution_chain((1, 0), 0)
+    # a distribution checks its weight when built, not in the first operator or moment read
+    for build in (lambda: WeightDistribution((1, 0), {(0, 0): 1}), lambda: WeightDistribution.delta((1, 0))):
+        with pytest.raises(TypeError, match="^highest weight must be a HighestWeight, not tuple$"):
+            build()

@@ -21,13 +21,14 @@ from demazure_sl2 import (
     expectation,
     finite_weight_functional,
     level1_distribution,
+    marginal,
     pushforward,
     reference_formula,
     theorem_covariance_matrix,
     variance,
     weight_distribution,
 )
-from demazure_sl2 import demazure, moments
+from demazure_sl2 import moments
 from demazure_sl2.moments import (
     coordinate_covariance,
     pushforward_covariance,
@@ -153,12 +154,31 @@ def test_pushforward_matches_pointwise_oracle():
         assert pushforward(both, (A - B) ** 2, third * (A + B)) == {}
 
 
+def test_pushforward_takes_any_number_of_functionals():
+    # one image routine for one, two or three axes, and marginal is its
+    # one-axis image unpacked; key types are compared, as Fraction(2) == 2
+    rng = random.Random(28)
+    for _ in range(40):
+        mu = random_signed_measure(rng)
+        for fs in (
+            (random_functional(rng),),
+            (A - B,),
+            tuple(random_functional(rng, rng.randint(0, 3)) for _ in range(3)),
+            (A * A - B, Fraction(1, 3) * (A - B), Functional.constant(2)),
+        ):
+            got = pushforward(mu, *fs)
+            assert _with_key_types(got) == _with_key_types(brute_pushforward(mu, fs))
+        f = random_functional(rng)
+        want = {v: c for (v,), c in pushforward(mu, f).items()}
+        assert sorted(map(repr, marginal(mu, f).items())) == sorted(map(repr, want.items()))
+    assert pushforward(WeightDistribution(L0, {(0, 0): 2, (1, 5): 3})) == {(): 5}
+
+
 def test_pushforward_covariance_builds_no_image(mu6, monkeypatch):
     def refuse(*args):
-        raise AssertionError("image_measure called")
+        raise AssertionError("pushforward called")
 
-    monkeypatch.setattr(moments, "image_measure", refuse)
-    monkeypatch.setattr(demazure, "image_measure", refuse)
+    monkeypatch.setattr(moments, "pushforward", refuse)
     x, y = A - B, A - Fraction(36, 8)
     got = pushforward_covariance(mu6, x * x, y)
     assert got == reference_formula("stretch_covariance", 6)

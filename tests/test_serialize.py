@@ -71,6 +71,12 @@ def test_distribution_json_schema():
     assert text == distribution_json(weight_distribution(L0, word), word)
 
 
+def test_distribution_json_names_a_plain_tuple_word_in_one_line():
+    # a (length, first) tuple equals its WeylWord but has no .length
+    with pytest.raises(TypeError, match="^word must be a WeylWord, not tuple$"):
+        distribution_json(level1_distribution(2), (2, 0))
+
+
 def test_distribution_exports_match_frozen_digests():
     cases = {
         "level1_24": (level1_distribution(24), WeylWord(24, 0)),

@@ -19,10 +19,10 @@ PUBLIC = {
     "asymptotics": """CONJECTURED_DEGREE_VARIANCE ConjectureReport FitMismatchError PolynomialFit
         RescaledSummary conjecture_check degree_mean_limit fit_polynomial rescaled_summary wlln_series""",
     "closedform": "PalindromeResult gaussian_binomial level1_distribution palindromicity_check string_symmetry_shift",
-    "demazure": "WeightDistribution WeylWord apply_demazure distribution_chain marginal weight_distribution",
+    "demazure": "WeightDistribution WeylWord apply_demazure distribution_chain weight_distribution",
     "lattice": "A B Functional HighestWeight LatticePoint coroot_pairing degree_functional finite_weight_functional",
     "moments": """CovarianceMatrix EmptyDistributionError covariance covariance_matrix
-        expectation pushforward reference_formula variance""",
+        expectation marginal pushforward reference_formula variance""",
     "render": "DegenerateCovarianceError Ellipse degree_histogram ellipse_path heatmap",
     "verify": "CheckResult format_check run_suite theorem_covariance_matrix",
 }
@@ -142,6 +142,25 @@ def test_asymptotics_walks_the_chain_and_reads_a_distribution_in_one_place_each(
     for name in ("distribution_chain", "raw_moments", ".degree_range", ".columns"):
         assert callers.get(name) == {"_walk"}, name
     assert "weight_distribution" not in callers and ".weight_distribution" not in callers
+
+
+def test_functionals_are_read_per_column_in_moments_alone():
+    # moments.pushforward is the one image routine and moments the one module
+    # that evaluates a functional on a column; demazure holds the
+    # representation, the operator and the chain, and takes no Functional
+    column_readers, makes = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert "image_measure" not in source, path.name
+        if ".on_column" in _callers(path):
+            column_readers.add(path.name)
+        defs = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef) and n.name == "_make"]
+        makes += [f"{path.name}:{n.lineno}" for n in defs]
+    assert column_readers == {"moments.py"}
+    assert len(makes) == 1, makes  # lattice.ValidatedTuple's, for every validated named tuple
+    tree = ast.parse((PACKAGE / "demazure.py").read_text(encoding="utf-8"))
+    imported = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not imported & {"Functional", "Scalar", "Fraction", "repeat"}
 
 
 def test_one_walk_along_the_alternating_word():
