@@ -94,8 +94,9 @@ class WeightDistribution:
 
     Two derived views are built once per distribution and reused by every
     reader: the decimal text of each distinct column vector (see
-    canonical_pieces) and ``moment_table``, None or the highest-degree
-    moments.MomentTable that moments.raw_moments has computed from it.
+    canonical_pieces) and ``moment_table``, None or the one
+    moments.MomentTable that moments.raw_moments keeps for it, at the
+    largest degree and degree in a asked of it.
     Neither takes part in ==, copies or pickles.
     """
 

@@ -4,10 +4,13 @@ All statistics are rationals computed with fractions.Fraction; nothing in
 this module touches floating point.  Expectations of polynomial
 functionals in the lattice coordinates reduce to raw power sums, which
 raw_moments collects in a single pass per distribution into a MomentTable.
-The distribution keeps the highest-degree table computed from it, and a
-read at a lower degree gets that table restricted, so the covariance
-matrix and the two means of an ellipse cost one pass, and no caller
-keeps a second cache of tables.
+A table has two bounds, its degree (p + r) and its degree in a (p): only
+powers of a cost passes over entries, so a caller that reads no high
+power of a asks for a lower degree in a.  The distribution keeps one
+table, computed at the larger of each bound asked for so far, and a read
+that table covers gets it restricted, so the covariance matrix and the
+two means of an ellipse cost one pass, and no caller keeps a second
+cache of tables.
 Tables and functionals are both written in the column coordinates (a, d),
 d = a - b, of the distribution's storage: the table holds
 sum(mass * a^p * d^r), and Functional.numerators gives a functional's int
@@ -19,13 +22,14 @@ at the end: cov pairs the terms of f and g and never builds f * g, and it
 ends in the final division it shares with pushforward_covariance, which
 sums per column without the image, and coordinate_covariance.  Per support
 point the work is int arithmetic inside map, accumulate and sum only:
-raw_moments makes degree + 1 additions per entry of each distinct column
+raw_moments makes a_degree + 1 additions per entry of each distinct column
 vector (iterated prefix sums and a final sum) and no multiplication, and
 turns their results into power sums per column, as vectors over the
-columns.  Mirrored columns share one vector (see the Column storage comment
-in demazure.py), so each pair is summed once.  pushforward(mu, *fs), the one
-image routine (marginal reads it for one functional), and pushforward_covariance
-are the package's only readers of Functional.on_column.  reference_formula
+columns; powers of d are one number per column.  Mirrored columns share
+one vector (see the Column storage comment in demazure.py), so each pair
+is summed once.  pushforward(mu, *fs), the one image routine (marginal
+reads it for one functional), and pushforward_covariance are the
+package's only readers of Functional.on_column.  reference_formula
 exposes the catalog of closed-form values the identity suites compare against.
 """
 
@@ -57,7 +61,8 @@ class EmptyDistributionError(ValueError):
 class MomentTable(NamedTuple):
     """Total mass and the power sums sum(c * a^p * d^r), d = a - b, keyed by (p, r), from raw_moments.
 
-    A read pairs these with Functional.numerators, the functional's int
+    The table holds every key with p + r <= degree and p <= a_degree.  A
+    read pairs these with Functional.numerators, the functional's int
     coefficients in the same monomials a^p * d^r.
     """
 
@@ -66,17 +71,22 @@ class MomentTable(NamedTuple):
 
     @property
     def degree(self) -> int:
-        """The largest p + r of the table, which holds every power sum up to it."""
+        """The largest p + r of the table."""
+        return max(map(sum, self.sums))
+
+    @property
+    def a_degree(self) -> int:
+        """The largest p of the table, its degree in a."""
         return max(p for p, _ in self.sums)
 
     def expect(self, f: Functional) -> Fraction:
-        """Mean of f, exact; f's total degree must not exceed the table's."""
-        q, nf = f.numerators()
+        """Mean of f, exact; f's degree and degree in a must not exceed the table's."""
+        q, nf = instance_of(f, Functional, "functional").numerators()
         return Fraction(self._dot(nf, f), self.mass * q)
 
     def cov(self, f: Functional, g: Functional) -> Fraction:
         """E[fg] - E[f]E[g], with sum(c*f*g) read term pair by term pair: f * g is never built."""
-        (qf, nf), (qg, ng) = f.numerators(), g.numerators()
+        (qf, nf), (qg, ng) = (instance_of(h, Functional, "functional").numerators() for h in (f, g))
         fg = (((i1 + i2, j1 + j2), n1 * n2) for (i1, j1), n1 in nf for (i2, j2), n2 in ng)
         sfg = self._dot(fg, f, g)
         return _covariance(qf, qg, self.mass, self._dot(nf, f), self._dot(ng, g), sfg)
@@ -88,14 +98,19 @@ class MomentTable(NamedTuple):
         try:
             return sum(n * self.sums[key] for key, n in terms)
         except KeyError:
-            # the table holds every power sum of degree p + r <= its degree,
-            # and deg(fg) = deg f + deg g, as Q[a, d] has no zero divisors
+            # the table holds every power sum with p + r <= its degree and p <= its
+            # degree in a, and both degrees of fg are those of f plus those of g,
+            # as Q[a, d] has no zero divisors
             degree = sum(f.total_degree for f in factors)
-            msg = f"functional of degree {degree} exceeds the moment table's degree {self.degree}"
+            if degree > self.degree:
+                msg = f"functional of degree {degree} exceeds the moment table's degree {self.degree}"
+            else:
+                a_degree = sum(max((p for (p, _), _ in f.numerators()[1]), default=0) for f in factors)
+                msg = f"functional of degree {a_degree} in a exceeds the moment table's degree {self.a_degree} in a"
             raise ValueError(msg) from None
 
     def covariance_matrix(self, hw: HighestWeight) -> CovarianceMatrix:
-        """Covariance matrix of the pair (degree, finite weight); needs degree 2."""
+        """Covariance matrix of the pair (degree, finite weight); needs degree 2, also in a."""
         d, w = degree_functional(), finite_weight_functional(hw)
         return CovarianceMatrix(self.cov(d, d), self.cov(d, w), self.cov(w, w))
 
@@ -107,41 +122,50 @@ def moment_degree(degree: int) -> int:
     return degree
 
 
-def raw_moments(mu: WeightDistribution, degree: int) -> MomentTable:
-    """Total mass and the power sums sum(c * a^p * d^r), d = a - b, for p + r <= degree.
+def raw_moments(mu: WeightDistribution, degree: int, a_degree: int | None = None) -> MomentTable:
+    """Total mass and the power sums sum(c * a^p * d^r), d = a - b, for p + r <= degree, p <= a_degree.
 
-    Per column of fixed d = a - b, with hi one past its top row, the last
-    entries of `degree` iterated prefix sums of the column vector, and the
-    sum of the last one, are sum(c * C(w + k - 1, k)) for k <= degree,
-    w = hi - a.  They depend on the vector alone, so this stage costs
-    degree + 1 additions per entry of each distinct vector: columns that
-    hold the same list, as the mirrored columns d and -n - d after D_1,
-    d and m - d after D_0, and the level-1 strings k and N - k do, reuse
-    one result.  Times k! these are the rising-factorial sums
+    a_degree, the table's degree in a, defaults to degree and must not
+    exceed it.  Per column of fixed d = a - b, with hi one past its top
+    row, the last entries of `a_degree` iterated prefix sums of the column
+    vector, and the sum of the last one, are sum(c * C(w + k - 1, k)) for
+    k <= a_degree, w = hi - a.  They depend on the vector alone, so this
+    stage costs a_degree + 1 additions per entry of each distinct vector:
+    columns that hold the same list, as the mirrored columns d and -n - d
+    after D_1, d and m - d after D_0, and the level-1 strings k and N - k
+    do, reuse one result.  Times k! these are the rising-factorial sums
     sum(c * w(w+1)...(w+k-1)), and multiplying by a = hi - w in that basis,
 
         a * w(w+1)...(w+k-1) = (hi + k) * w(w+1)...(w+k-1) - w(w+1)...(w+k),
 
-    takes them to s_p = sum(c * a^p) in `degree` rounds of one column-vector
-    map per k, for all columns at once.  The table entry (p, r) is the dot
-    product of s_p with the per-column powers d^r.
+    takes them to s_p = sum(c * a^p) in `a_degree` rounds of one
+    column-vector map per k, for all columns at once.  The table entry
+    (p, r) is the dot product of s_p with the per-column powers d^r, which
+    cost nothing per entry.
 
-    The distribution keeps the highest-degree table computed from it in
-    mu.moment_table: a request at that degree returns the same object, a
-    lower one that table restricted to p + r <= degree, so every moment
-    read of one distribution runs this stage once.  degree is checked
-    before the memo is read.
+    The distribution keeps one table in mu.moment_table.  A request that
+    it covers in both bounds returns the same object, or that table
+    restricted to the requested keys; any other request computes the table
+    at the larger of each bound and replaces it, so every moment read of
+    one distribution at bounds it has seen runs this stage once.  mu and
+    both bounds are checked before the memo is read.
     """
+    mu = instance_of(mu, WeightDistribution, "distribution")
     degree = moment_degree(degree)
+    a_degree = degree if a_degree is None else moment_degree(a_degree)
+    if a_degree > degree:
+        raise ValueError("a_degree must not exceed degree")
     table = mu.moment_table
-    if table is None or table.degree < degree:
-        table = mu.moment_table = _power_sums(mu, degree)
-    if table.degree == degree:
+    held = (0, 0) if table is None else (table.degree, table.a_degree)
+    if table is None or held[0] < degree or held[1] < a_degree:
+        held = max(held[0], degree), max(held[1], a_degree)
+        table = mu.moment_table = _power_sums(mu, *held)
+    if held == (degree, a_degree):
         return table
-    return MomentTable(table.mass, {key: s for key, s in table.sums.items() if sum(key) <= degree})
+    return MomentTable(table.mass, {(p, r): s for (p, r), s in table.sums.items() if p + r <= degree and p <= a_degree})
 
 
-def _power_sums(mu: WeightDistribution, degree: int) -> MomentTable:
+def _power_sums(mu: WeightDistribution, degree: int, a_degree: int) -> MomentTable:
     """The MomentTable of raw_moments, computed from the columns."""
     his, ds, rows = [], [], []
     done: dict[int, list[int]] = {}  # id(vals) -> its stage; mu keeps every vals alive and unmutated
@@ -151,34 +175,35 @@ def _power_sums(mu: WeightDistribution, degree: int) -> MomentTable:
         row = done.get(id(vals))
         if row is None:
             row = done[id(vals)] = []
-            for _ in range(degree):
+            for _ in range(a_degree):
                 vals = list(accumulate(vals))
                 row.append(vals[-1])
             row.append(sum(vals))
         rows.append(row)
-    t = [list(tk) for tk in zip(*rows)] if rows else [[] for _ in range(degree + 1)]
-    for k in range(2, degree + 1):  # 0! = 1! = 1
+    t = [list(tk) for tk in zip(*rows)] if rows else [[] for _ in range(a_degree + 1)]
+    for k in range(2, a_degree + 1):  # 0! = 1! = 1
         t[k] = list(map(mul, repeat(factorial(k)), t[k]))
-    shifted = [his] + [list(map(add, his, repeat(k))) for k in range(1, degree)]  # hi + k
+    shifted = [his] + [list(map(add, his, repeat(k))) for k in range(1, a_degree)]  # hi + k
     s = [t[0]]
-    for _ in range(degree):  # round p leaves t[k] = sum(c * a^p * w(w+1)...(w+k-1))
+    for _ in range(a_degree):  # round p leaves t[k] = sum(c * a^p * w(w+1)...(w+k-1))
         t = [list(map(sub, map(mul, hk, tk), up)) for hk, tk, up in zip(shifted, t, t[1:])]
         s.append(t[0])
     powers = [[1] * len(ds)]
     for _ in range(degree):
         powers.append(list(map(mul, powers[-1], ds)))
-    sums = {(p, r): sum(map(mul, s[p], powers[r])) for p in range(degree + 1) for r in range(degree + 1 - p)}
+    sums = {(p, r): sum(map(mul, s[p], powers[r])) for p in range(a_degree + 1) for r in range(degree + 1 - p)}
     return MomentTable(sums[(0, 0)], sums)
 
 
 def expectation(mu: WeightDistribution, f: Functional) -> Fraction:
     """Mean of f under mu, an exact rational.  Raises on zero total mass."""
-    return raw_moments(mu, f.total_degree).expect(f)
+    return raw_moments(mu, instance_of(f, Functional, "functional").total_degree).expect(f)
 
 
 def covariance(mu: WeightDistribution, f: Functional, g: Functional) -> Fraction:
     """E[fg] - E[f]E[g] under mu, exact."""
-    return raw_moments(mu, f.total_degree + g.total_degree).cov(f, g)
+    degree = sum(instance_of(h, Functional, "functional").total_degree for h in (f, g))
+    return raw_moments(mu, degree).cov(f, g)
 
 
 def variance(mu: WeightDistribution, f: Functional) -> Fraction:
@@ -214,7 +239,7 @@ def pushforward(mu: WeightDistribution, *fs: Functional) -> dict[tuple[Scalar, .
     qs = [instance_of(f, Functional, "functional").numerators()[0] for f in fs]
     acc: dict[tuple[int, ...], int] = {}
     get = acc.get
-    for d, (a0, vals) in mu.columns():
+    for d, (a0, vals) in instance_of(mu, WeightDistribution, "distribution").columns():
         rows = range(a0, a0 + len(vals))
         nums = tuple(f.on_column(d, rows) for f in fs)
         if all(type(n) is int for n in nums):
@@ -238,9 +263,9 @@ def pushforward_covariance(mu: WeightDistribution, x: Functional, y: Functional)
     most three dot products.  Covariance is linear in the measure, so equal
     image points need not be merged first.
     """
-    qx, qy = x.numerators()[0], y.numerators()[0]
+    qx, qy = (instance_of(h, Functional, "functional").numerators()[0] for h in (x, y))
     mass = sx = sy = sxy = 0
-    for d, (a0, vals) in mu.columns():
+    for d, (a0, vals) in instance_of(mu, WeightDistribution, "distribution").columns():
         rows = range(a0, a0 + len(vals))
         xs, ys = x.on_column(d, rows), y.on_column(d, rows)
         m = sum(vals)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import add, mul, or_, truediv
+from operator import add, mul, or_, sub, truediv
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -166,18 +166,18 @@ def degree_histogram(mu: WeightDistribution) -> str:
             occupied[i:j] = repeat(True, j - i)
     if min(totals) < 0:
         raise ValueError("degree histogram needs nonnegative degree totals")
-    max_mass = max(compress(totals, occupied))
-    body = []
-    for a in compress(range(a_min, a_end), occupied):
-        mass = totals[a - a_min]
-        h = PLOT_HEIGHT * mass / max_mass if max_mass else 0
-        x = PADDING + (a - a_min) * CELL_SIZE
-        y = PADDING + PLOT_HEIGHT - h
-        body.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" '
-            f'width="{_fmt(CELL_SIZE)}" height="{_fmt(h)}" '
-            f'fill="rgb(96,96,96)" data-degree="{a}" data-mass="{mass}"/>\n'
-        )
+    masses = list(compress(totals, occupied))
+    max_mass = max(masses)
+    degrees = list(compress(range(a_min, a_end), occupied))
+    xs = [PADDING + (a - a_min) * CELL_SIZE for a in degrees]
+    # h = PLOT_HEIGHT * mass / max_mass and y = PADDING + PLOT_HEIGHT - h, or flat bars where every total cancels
+    hs = list(map(truediv, map(mul, repeat(PLOT_HEIGHT), masses), repeat(max_mass))) if max_mass else [0] * len(masses)
+    ys = map(sub, repeat(PADDING + PLOT_HEIGHT), hs)
+    bar = (
+        f'<rect x="%.4f" y="%.4f" width="{_fmt(CELL_SIZE)}" height="%.4f" '
+        'fill="rgb(96,96,96)" data-degree="%d" data-mass="%d"/>\n'
+    )
+    body = list(map(bar.__mod__, zip(xs, ys, hs, degrees, masses)))
     width = 2 * PADDING + (a_end - a_min) * CELL_SIZE
     height = 2 * PADDING + PLOT_HEIGHT
     return _svg(width, height, body)

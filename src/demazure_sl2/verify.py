@@ -32,8 +32,9 @@ with is written once in lead, nxt and c.
 A SuiteContext caches the operator chains only, so "all" pays for each
 distribution once; a chain is the list read so far from one live
 demazure.distribution_chain per (m, n, first).  Moment tables are not
-cached here: each distribution of a chain keeps its own highest-degree
-table (moments.raw_moments), so the chain holds them too.
+cached here: each distribution of a chain keeps its own table, at the
+largest degree and degree in a asked of it (moments.raw_moments), so the
+chain holds them too.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ class SuiteContext:
         cur.extend(islice(it, max(0, word_length(max_N) + 1 - len(cur))))
         return cur
 
-    def moments(self, hw: HighestWeight, first: int, N: int, degree: int) -> MomentTable:
-        """raw_moments of mu_N of the word family (hw, first)."""
-        return raw_moments(self.chain(hw, first, N)[N], degree)
+    def moments(self, hw: HighestWeight, first: int, N: int, degree: int, a_degree: int | None = None) -> MomentTable:
+        """raw_moments of mu_N of the word family (hw, first), of that degree and degree in a."""
+        return raw_moments(self.chain(hw, first, N)[N], degree, a_degree)
 
 
 _L0 = HighestWeight.fundamental(0)
@@ -112,8 +113,12 @@ Checks = Iterator[tuple[str, int, str | Scalar, str | Scalar]]
 
 
 def _level1(ctx: SuiteContext, N: int) -> MomentTable:
-    """Degree-4 moment table of the level-1 word (N, first=0)."""
-    return ctx.moments(_L0, 0, N, 4)
+    """Moment table of the level-1 word (N, first=0), of degree 4 and degree 2 in a."""
+    # the top powers of a read are those of lead^2 and nxt^2 = (a - d)^2 in
+    # suite_recurrence; suite_stretch reads p <= 1 and suite_sanderson p = 0.
+    # Each power of a costs a pass over the entries, and the covariance
+    # suite's degree-2 reads of this chain are served by the same table.
+    return ctx.moments(_L0, 0, N, 4, 2)
 
 
 def suite_sanderson(max_N: int, ctx: SuiteContext) -> Checks:

@@ -3,8 +3,9 @@
 Everything here is written from the definitions, with no shortcuts shared
 with the package code: the operator expands point by point, path counts
 are enumerated combinatorially, moments are summed per support point
-with Fraction arithmetic throughout, and the CSV, JSON and heatmap writers
-are formatted one support point at a time.
+with Fraction arithmetic throughout, the CSV, JSON and heatmap writers
+are formatted one support point at a time, and the histogram one bar at a
+time.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from demazure_sl2 import (
     WeightDistribution,
     coroot_pairing,
 )
-from demazure_sl2.render import CELL_SIZE, DARK_GRAY, LIGHT_GRAY, PADDING
+from demazure_sl2.render import CELL_SIZE, DARK_GRAY, LIGHT_GRAY, PADDING, PLOT_HEIGHT
 
 
 def step(p: LatticePoint, j: int, i: int) -> LatticePoint:
@@ -203,8 +204,38 @@ def heatmap_per_point(mu: WeightDistribution) -> str:
             f'width="{CELL_SIZE:.4f}" height="{CELL_SIZE:.4f}" fill="rgb({g},{g},{g})" '
             f'data-a="{a}" data-b="{b}" data-mult="{c}"/>\n'
         )
+    return _svg_document(width, height, cells)
+
+
+def degree_histogram_per_degree(mu: WeightDistribution) -> str:
+    """degree_histogram with totals summed per support point and each bar formatted alone.
+
+    A degree gets a bar when it carries a support point, also when its
+    masses cancel; for nonnegative measures only.
+    """
+    totals: dict[int, int] = {}
+    for (a, _), c in mu.items():
+        totals[a] = totals.get(a, 0) + c
+    width, height = 2 * PADDING, 2 * PADDING
+    bars = []
+    if totals:
+        a_min, max_mass = min(totals), max(totals.values())
+        width += (max(totals) - a_min + 1) * CELL_SIZE
+        height += PLOT_HEIGHT
+        for a, mass in sorted(totals.items()):
+            h = PLOT_HEIGHT * mass / max_mass if max_mass else 0
+            x = PADDING + (a - a_min) * CELL_SIZE
+            y = PADDING + PLOT_HEIGHT - h
+            bars.append(
+                f'<rect x="{x:.4f}" y="{y:.4f}" width="{CELL_SIZE:.4f}" height="{h:.4f}" '
+                f'fill="rgb(96,96,96)" data-degree="{a}" data-mass="{mass}"/>\n'
+            )
+    return _svg_document(width, height, bars)
+
+
+def _svg_document(width: float, height: float, body: list[str]) -> str:
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width:.4f}" height="{height:.4f}" '
         f'viewBox="0 0 {width:.4f} {height:.4f}">\n'
     )
-    return head + "".join(cells) + "</svg>\n"
+    return head + "".join(body) + "</svg>\n"

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import islice
 
@@ -345,7 +346,7 @@ def test_raw_moments_keeps_its_highest_degree_table_on_the_distribution(monkeypa
     # covariance_matrix and both expectations of an ellipse run the column stage once
     stages = []
     original = moments._power_sums
-    monkeypatch.setattr(moments, "_power_sums", lambda mu, degree: stages.append(degree) or original(mu, degree))
+    monkeypatch.setattr(moments, "_power_sums", lambda mu, *bounds: stages.append(bounds[0]) or original(mu, *bounds))
     mu = level1_distribution(8)
     covariance_matrix(mu)
     expectation(mu, A)
@@ -372,6 +373,112 @@ def test_raw_moments_checks_the_degree_before_its_memo():
         with pytest.raises(ValueError, match="^degree must be a nonnegative integer$"):
             raw_moments(mu, degree)
     assert mu.moment_table.degree == 1
+
+
+
+def test_a_degree_tables_are_the_full_table_restricted():
+    # every 0 <= a_degree <= degree <= 5 on random signed measures, whose
+    # columns hold interior zeros, and on chains, whose mirrored columns
+    # share one vector; each table is computed afresh, not read off the memo
+    rng = random.Random(29)
+    measures = [random_signed_measure(rng) for _ in range(30)]
+    for m, n, first in ((1, 0, 0), (2, 1, 1), (0, 3, 1)):
+        measures += islice(distribution_chain(HighestWeight(m, n), first), 2, 12, 3)
+    assert any(0 in vals[1:-1] for mu in measures for _, (_, vals) in mu.columns())
+    assert any(len({id(v) for _, (_, v) in mu.columns()}) < len(list(mu.columns())) for mu in measures)
+    for mu in measures:
+        full = raw_moments(mu, 5)
+        for degree in range(6):
+            for a_degree in range(degree + 1):
+                mu.moment_table = None
+                table = raw_moments(mu, degree, a_degree)
+                want = {(p, r): v for (p, r), v in full.sums.items() if p + r <= degree and p <= a_degree}
+                assert table.mass == full.mass and table.sums == want, (degree, a_degree)
+                assert (table.degree, table.a_degree) == (degree, a_degree)
+                assert mu.moment_table is table
+
+
+def test_the_memo_serves_covered_bounds_and_grows_to_the_union_of_both(monkeypatch):
+    stages = []
+    original = moments._power_sums
+    monkeypatch.setattr(moments, "_power_sums", lambda mu, *bounds: stages.append(bounds) or original(mu, *bounds))
+    mu = level1_distribution(9)
+    held = raw_moments(mu, 4, 2)
+    assert raw_moments(mu, 4, 2) is held and mu.moment_table is held
+    # covered in both bounds: the held table restricted, and no new stage
+    for degree, a_degree in ((2, None), (3, 1), (4, 0), (1, 1), (0, 0)):
+        table = raw_moments(mu, degree, a_degree)
+        a_top = degree if a_degree is None else a_degree
+        assert table.sums == {(p, r): v for (p, r), v in held.sums.items() if p + r <= degree and p <= a_top}
+        assert table.mass == held.mass and mu.moment_table is held
+    assert stages == [(4, 2)]
+    del stages[:]
+    # above the held degree in a, below its degree: the union is (4, 3)
+    table = raw_moments(mu, 3, 3)
+    assert stages == [(4, 3)] and mu.moment_table.degree == 4 and mu.moment_table.a_degree == 3
+    assert (table.degree, table.a_degree) == (3, 3) and table.sums.items() <= mu.moment_table.sums.items()
+    # above the held degree, below its degree in a: the union is (5, 3)
+    assert raw_moments(mu, 5, 1).sums.items() <= raw_moments(mu, 5, 3).sums.items()
+    assert stages == [(4, 3), (5, 3)]
+
+
+def test_a_read_above_the_degree_in_a_names_that_degree():
+    table = raw_moments(level1_distribution(6), 4, 2)
+    assert table.expect(A * A) == expectation(level1_distribution(6), A * A)
+    with pytest.raises(ValueError, match="^functional of degree 3 in a exceeds the moment table's degree 2 in a$"):
+        table.expect(A**3)
+    with pytest.raises(ValueError, match="^functional of degree 3 in a exceeds the moment table's degree 2 in a$"):
+        table.cov(A, B * B)
+    with pytest.raises(ValueError, match="^functional of degree 4 in a exceeds the moment table's degree 2 in a$"):
+        table.cov(A * A, A * A)
+    # a read above the degree names the degree first
+    with pytest.raises(ValueError, match="^functional of degree 5 exceeds the moment table's degree 4$"):
+        table.cov(A**3, A * A)
+
+
+def test_raw_moments_checks_the_degree_in_a():
+    mu = level1_distribution(4)
+    for a_degree in (True, 1.0, -1):
+        with pytest.raises(ValueError, match="^degree must be a nonnegative integer$"):
+            raw_moments(mu, 2, a_degree)
+    with pytest.raises(ValueError, match="^a_degree must not exceed degree$"):
+        raw_moments(mu, 2, 3)
+    assert mu.moment_table is None
+
+
+_MU3 = level1_distribution(3)
+
+
+@pytest.mark.parametrize(
+    "read, what",
+    [
+        (lambda: expectation(_MU3, 3), "functional must be a Functional, not int"),
+        (lambda: variance(_MU3, 2), "functional must be a Functional, not int"),
+        (lambda: covariance(_MU3, A, 2), "functional must be a Functional, not int"),
+        (lambda: pushforward_covariance(_MU3, A, 2), "functional must be a Functional, not int"),
+        (lambda: raw_moments(_MU3, 2).expect(3), "functional must be a Functional, not int"),
+        (lambda: raw_moments(_MU3, 2).cov(A, (1, 0)), "functional must be a Functional, not tuple"),
+        (lambda: covariance_matrix((1, 0)), "distribution must be a WeightDistribution, not tuple"),
+        (lambda: raw_moments((1, 0), 2), "distribution must be a WeightDistribution, not tuple"),
+        (lambda: pushforward_covariance((1, 0), A, B), "distribution must be a WeightDistribution, not tuple"),
+        (lambda: pushforward((1, 0), A), "distribution must be a WeightDistribution, not tuple"),
+    ],
+    ids=[
+        "expectation",
+        "variance",
+        "covariance",
+        "pushforward_covariance",
+        "table_expect",
+        "table_cov",
+        "covariance_matrix",
+        "raw_moments",
+        "pushforward_covariance_mu",
+        "pushforward_mu",
+    ],
+)
+def test_moment_readers_name_a_wrong_argument_in_one_line(read, what):
+    with pytest.raises(TypeError, match=f"^{re.escape(what)}$"):
+        read()
 
 
 @given(

@@ -21,7 +21,7 @@ from demazure_sl2 import (
 )
 from demazure_sl2.render import CELL_SIZE, DARK_GRAY, LIGHT_GRAY, PADDING, PLOT_HEIGHT, ellipse_document
 from frozen import PADDED_ENDS, READ_PATH_SHA256, SIGNED
-from oracles import heatmap_per_point, random_signed_measure
+from oracles import degree_histogram_per_degree, heatmap_per_point, random_signed_measure
 
 L0 = HighestWeight.fundamental(0)
 
@@ -200,6 +200,17 @@ def test_degree_histogram_equals_per_point_totals(nonnegative_measures):
         zeros = {a0 + i for _, (a0, vals) in mu.columns() for i, c in enumerate(vals) if not c}
         hidden += bool(zeros - totals.keys())
     assert hidden >= 3
+
+
+def test_degree_histogram_matches_the_per_degree_oracle(nonnegative_measures):
+    # byte for byte, with a degree whose masses cancel, a measure whose every
+    # degree total cancels, and the empty measure
+    cancelled_degree = WeightDistribution(L0, {(0, 0): 1, (2, 0): 1, (2, 3): -1, (4, 4): 2})
+    all_zero = WeightDistribution(L0, {(0, 0): 1, (0, 1): -1, (3, 0): 2, (3, 2): -2})
+    cases = nonnegative_measures + [cancelled_degree, all_zero, WeightDistribution(L0, {})]
+    for mu in cases:
+        assert degree_histogram(mu) == degree_histogram_per_degree(mu)
+    assert 'height="0.0000" fill="rgb(96,96,96)" data-degree="3" data-mass="0"' in degree_histogram(all_zero)
 
 
 def test_degree_histogram_draws_flat_bars_when_every_total_cancels():

@@ -17,7 +17,7 @@ from demazure_sl2 import (
     theorem_covariance_matrix,
     weight_distribution,
 )
-from demazure_sl2 import demazure, verify
+from demazure_sl2 import demazure, moments, verify
 from demazure_sl2.asymptotics import FitMismatchError
 from demazure_sl2.verify import SUITE_NAMES, SuiteContext
 from frozen import CONJECTURE_SUITE_SHA256
@@ -142,6 +142,19 @@ def test_suite_context_applies_each_operator_once(monkeypatch):
         del calls[:]
         assert all(r.passed for r in run_suite(suite, max_N, ctx)), suite
         assert calls == [], suite
+
+
+def test_run_all_sums_each_table_at_the_bounds_its_suites_read(monkeypatch):
+    # the level-1 suites read degree 4 and degree 2 in a of mu_1..mu_13 (the
+    # recurrence suite reads mu_{N+1}); the covariance suite's degree-2 reads
+    # of that L0 chain are restrictions of those tables, so (2, 2) tables are
+    # summed for the L1 chain and the conjecture suite's chains alone
+    stages = []
+    original = moments._power_sums
+    monkeypatch.setattr(moments, "_power_sums", lambda mu, *bounds: stages.append(bounds) or original(mu, *bounds))
+    assert all(r.passed for r in run_suite("all", 12))
+    assert set(stages) == {(4, 2), (2, 2)}
+    assert stages.count((4, 2)) == 13
 
 
 def test_corrupted_chain_prints_fail_lines():
