@@ -34,7 +34,7 @@ from itertools import accumulate
 from operator import sub
 
 from .demazure import WeightDistribution
-from .lattice import HighestWeight, LatticePoint, word_length
+from .lattice import HighestWeight, LatticePoint, instance_of, word_length
 
 
 def _binomial_row(N: int, top: int) -> list[list[int]]:
@@ -106,7 +106,7 @@ def palindromicity_check(mu: WeightDistribution, N: int) -> PalindromeResult:
     on such input the scan succeeds, and the first point (in string order)
     whose mirror carries a different mass is reported otherwise.
     """
-    for d, (a0, vals) in sorted(mu.columns()):
+    for d, (a0, vals) in sorted(instance_of(mu, WeightDistribution, "distribution").columns()):
         t = string_symmetry_shift(N, LatticePoint(a0, a0 - d))  # row a0 + i mirrors to a0 + t - i
         if t != len(vals) - 1 or vals != vals[::-1]:
             i = next(i for i, c in enumerate(vals) if c and c != mu.mass((a0 + t - i, a0 + t - i - d)))

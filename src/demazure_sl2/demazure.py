@@ -31,6 +31,14 @@ the column into its slice in place.  One application costs one addition
 or subtraction per input entry and one copy per output entry, all inside
 map().  The definitional per-point expansion is kept in the test suite as
 an independent oracle.
+
+The rows of a column do not move, so the same sweep gives each output
+column's power sums sum(c * r^p) over its rows r from the input's: the
+distributions of distribution_chain carry them in the a rows, for
+p <= CARRIED_A_DEGREE, at three int additions per input column, and D_0
+moves them binomially to the b rows and back.  That costs O(columns) per
+application, and moments.raw_moments reads every table of degree <= 2 in
+a of a chain snapshot off them with no pass over entries.
 """
 
 from __future__ import annotations
@@ -73,7 +81,22 @@ class WeylWord(ValidatedTuple, namedtuple("WeylWord", "length first")):
 # A distribution's columns never change after construction, so memos keyed
 # by id(vals) on the distribution stay valid while it lives; __reduce__
 # drops them, so a copy or an unpickled distribution starts with none.
+# Column sums (WeightDistribution.column_sums) are per column, not per
+# vector: mirrored columns after D_0 share a vector over b rows but not
+# their sums over a rows.  They are set by delta and apply_demazure alone,
+# so a distribution built from entries or columns (the level-1 closed form,
+# a hand-built or an unpickled one) has none and raw_moments sums its
+# entries.
 Column = tuple[int, list[int]]
+
+# The degree in a of the power sums a distribution of the chain carries per
+# column: 2, the largest that any moment reader of the package asks for
+# (covariance_matrix, the level-1 suites, asymptotics' walk).  _fold_sums
+# and _flip are written out for it.
+CARRIED_A_DEGREE = 2
+# d -> (sum(c * a^p) over column d for p = 0..CARRIED_A_DEGREE), keyed as the
+# columns are; mirrored columns of a D_1 output share one tuple.
+ColumnSums = dict[int, tuple[int, ...]]
 
 
 def _trim(lo: int, vals: list[int]) -> Column | None:
@@ -96,11 +119,15 @@ class WeightDistribution:
     reader: the decimal text of each distinct column vector (see
     canonical_pieces) and ``moment_table``, None or the one
     moments.MomentTable that moments.raw_moments keeps for it, at the
-    largest degree and degree in a asked of it.
-    Neither takes part in ==, copies or pickles.
+    largest degree and degree in a asked of it.  ``column_sums`` is None or
+    the ColumnSums of the columns: delta sets it and apply_demazure carries
+    it from its input, so every distribution of distribution_chain has it,
+    and moments.raw_moments reads tables of degree <= CARRIED_A_DEGREE in a
+    off it in O(columns).  None of the three takes part in ==, copies or
+    pickles.
     """
 
-    __slots__ = ("hw", "_cols", "_texts", "moment_table")
+    __slots__ = ("hw", "_cols", "_texts", "moment_table", "column_sums")
 
     def __init__(self, hw: HighestWeight, entries: Mapping[tuple[int, int], int] | None = None):
         self.hw = instance_of(hw, HighestWeight, "highest weight")
@@ -116,11 +143,14 @@ class WeightDistribution:
             self._cols[d] = (a0, [masses.get(a, 0) for a in range(a0, max(masses) + 1)])
         self._texts: dict[int, list[str]] = {}
         self.moment_table = None
+        self.column_sums: ColumnSums | None = None
 
     @classmethod
     def delta(cls, hw: HighestWeight) -> "WeightDistribution":
-        """Point mass at the highest weight itself, (a, b) = (0, 0)."""
-        return cls(hw, {(0, 0): 1})
+        """Point mass at the highest weight itself, (a, b) = (0, 0), with its column sums."""
+        mu = cls(hw, {(0, 0): 1})
+        mu.column_sums = {0: (1,) + (0,) * CARRIED_A_DEGREE}
+        return mu
 
     @classmethod
     def from_columns(cls, hw: HighestWeight, cols: dict[int, Column]) -> "WeightDistribution":
@@ -134,10 +164,12 @@ class WeightDistribution:
         mu._cols = cols
         mu._texts = {}
         mu.moment_table = None
+        mu.column_sums = None
         return mu
 
     def __reduce__(self):
-        # the columns alone: a memo keyed by id(vals) would go stale in a copy
+        # the columns alone: a memo keyed by id(vals) would go stale in a copy, and
+        # column sums are dropped with the derived views, so a copy sums its entries
         return WeightDistribution.from_columns, (self.hw, self._cols)
 
     def columns(self) -> Iterable[tuple[int, Column]]:
@@ -240,8 +272,8 @@ class WeightDistribution:
         return f"WeightDistribution(hw={self.hw}, support={len(self)}, mass={self.total_mass()})"
 
 
-def _fold(cols: dict[int, Column], C: int) -> dict[int, Column]:
-    """D_j on columns keyed by string coordinate s, pairing k = 2s - C.
+def _fold(cols: dict[int, Column], sums: ColumnSums | None, C: int) -> tuple[dict[int, Column], ColumnSums | None]:
+    """D_j on columns keyed by string coordinate s, pairing k = 2s - C, and on their row power sums.
 
     Vectors run over rows that D_j does not move.  Dominant columns
     (k >= 0) are summed from the top down, antidominant ones (k <= -2)
@@ -249,7 +281,10 @@ def _fold(cols: dict[int, Column], C: int) -> dict[int, Column]:
     list over the input's rows holds output column e: stepping e down
     adds dominant column e into its slice and subtracts antidominant
     column C - 1 - e from its slice, both in place, and the output is a
-    copy of the rows reached so far.
+    copy of the rows reached so far.  As the rows do not move, the power
+    sums of the output columns in the row coordinate are the same suffix
+    sums over those of the input (_fold_sums): no pass over entries.  sums
+    is None when the input carries none.
     """
     dom = {s: col for s, col in cols.items() if 2 * s >= C}
     anti = {s: col for s, col in cols.items() if 2 * s <= C - 2}
@@ -270,21 +305,53 @@ def _fold(cols: dict[int, Column], C: int) -> dict[int, Column]:
         res = _trim(lo + l, run[l:h])
         if res is not None:
             out[e] = out[C - e] = res
-    return out
+    return out, None if sums is None else _fold_sums(sums, C, range(top, stop, -1), out)
 
 
-def _flip(cols: dict[int, Column]) -> dict[int, Column]:
-    """Re-key columns by -d and their vectors by b = a - d, and back."""
-    return {-s: (r0 - s, vals) for s, (r0, vals) in cols.items()}
+def _fold_sums(sums: ColumnSums, C: int, es: range, out: dict[int, Column]) -> ColumnSums:
+    """The power sums of _fold's output columns out, from those of its input: the same suffix sums over es.
+
+    Output column e, and C - e, is the sum of dominant columns s >= e minus
+    that of antidominant columns s <= C - 1 - e; over the descending e range
+    es of _fold every s = e is dominant and every s = C - 1 - e antidominant.
+    Three running ints, written out for CARRIED_A_DEGREE = 2.
+    """
+    res: ColumnSums = {}
+    s0 = s1 = s2 = 0
+    for e in es:
+        if e in sums:
+            p0, p1, p2 = sums[e]
+            s0, s1, s2 = s0 + p0, s1 + p1, s2 + p2
+        if C - 1 - e in sums:
+            p0, p1, p2 = sums[C - 1 - e]
+            s0, s1, s2 = s0 - p0, s1 - p1, s2 - p2
+        if e in out:
+            res[e] = res[C - e] = s0, s1, s2
+    return res
+
+
+def _flip(cols: dict[int, Column], sums: ColumnSums | None) -> tuple[dict[int, Column], ColumnSums | None]:
+    """Re-key columns by -d and their rows by b = a - d, and back; the power sums move to the new rows.
+
+    Both ways a column keyed s moves to key -s and its rows by -s, so
+    sum(c * x^p) becomes sum(c * (x - s)^p), written out for CARRIED_A_DEGREE = 2.
+    """
+    flipped = {-s: (r0 - s, vals) for s, (r0, vals) in cols.items()}
+    if sums is None:
+        return flipped, None
+    return flipped, {-s: (p0, p1 - s * p0, p2 - s * (2 * p1 - s * p0)) for s, (p0, p1, p2) in sums.items()}
 
 
 def apply_demazure(j: int, mu: WeightDistribution) -> WeightDistribution:
-    """One application of D_j; input is not modified."""
+    """One application of D_j; input is not modified.  The output carries column sums when mu does."""
+    cols, sums = instance_of(mu, WeightDistribution, "distribution")._cols, mu.column_sums
     if generator_index(j):
-        cols = _fold(mu._cols, -mu.hw.n)
+        cols, sums = _fold(cols, sums, -mu.hw.n)
     else:
-        cols = _flip(_fold(_flip(mu._cols), -mu.hw.m))
-    return WeightDistribution.from_columns(mu.hw, cols)
+        cols, sums = _flip(*_fold(*_flip(cols, sums), -mu.hw.m))
+    out = WeightDistribution.from_columns(mu.hw, cols)
+    out.column_sums = sums
+    return out
 
 
 def distribution_chain(hw: HighestWeight, first: int) -> Iterator[WeightDistribution]:

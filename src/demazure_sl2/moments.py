@@ -3,14 +3,18 @@
 All statistics are rationals computed with fractions.Fraction; nothing in
 this module touches floating point.  Expectations of polynomial
 functionals in the lattice coordinates reduce to raw power sums, which
-raw_moments collects in a single pass per distribution into a MomentTable.
-A table has two bounds, its degree (p + r) and its degree in a (p): only
-powers of a cost passes over entries, so a caller that reads no high
-power of a asks for a lower degree in a.  The distribution keeps one
-table, computed at the larger of each bound asked for so far, and a read
-that table covers gets it restricted, so the covariance matrix and the
-two means of an ellipse cost one pass, and no caller keeps a second
-cache of tables.
+raw_moments collects per distribution into a MomentTable.  A table has
+two bounds, its degree (p + r) and its degree in a (p): only powers of a
+can cost passes over entries, so a caller that reads no high power of a
+asks for a lower degree in a.  A distribution of
+demazure.distribution_chain carries its columns' sums of c * a^p for
+p <= demazure.CARRIED_A_DEGREE = 2 through the fold, so its tables of
+degree <= 2 in a, which are all the package's readers ask for, cost
+O(columns) and no pass over entries.  The distribution keeps one table,
+computed at the larger of each bound asked for so far, and a read that
+table covers gets it restricted, so the covariance matrix and the two
+means of an ellipse cost one table, and no caller keeps a second cache
+of tables.
 Tables and functionals are both written in the column coordinates (a, d),
 d = a - b, of the distribution's storage: the table holds
 sum(mass * a^p * d^r), and Functional.numerators gives a functional's int
@@ -20,16 +24,18 @@ degree/finite-weight covariance matrix in the package is read from one, as
 int dot products of its power sums with those numerators and one division
 at the end: cov pairs the terms of f and g and never builds f * g, and it
 ends in the final division it shares with pushforward_covariance, which
-sums per column without the image, and coordinate_covariance.  Per support
-point the work is int arithmetic inside map, accumulate and sum only:
-raw_moments makes a_degree + 1 additions per entry of each distinct column
-vector (iterated prefix sums and a final sum) and no multiplication, and
-turns their results into power sums per column, as vectors over the
-columns; powers of d are one number per column.  Mirrored columns share
+sums per column without the image, and coordinate_covariance.  Where
+raw_moments has no carried sums to read (the level-1 closed form, a
+distribution built by hand, copied or unpickled, or a degree above 2 in a),
+the work per support point is int arithmetic inside map, accumulate and
+sum only: a_degree + 1 additions per entry of each distinct column vector
+(iterated prefix sums and a final sum) and no multiplication, turned into
+power sums per column as vectors over the columns.  Mirrored columns share
 one vector (see the Column storage comment in demazure.py), so each pair
-is summed once.  pushforward(mu, *fs), the one image routine (marginal
-reads it for one functional), and pushforward_covariance are the
-package's only readers of Functional.on_column.  reference_formula
+is summed once.  Either way powers of d are one number per column.
+pushforward(mu, *fs), the one image routine (marginal reads it for one
+functional), and pushforward_covariance are the package's only readers of
+Functional.on_column.  reference_formula
 exposes the catalog of closed-form values the identity suites compare against.
 """
 
@@ -42,7 +48,7 @@ from math import factorial
 from operator import add, mul, sub
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .demazure import WeightDistribution
+from .demazure import CARRIED_A_DEGREE, WeightDistribution
 from .lattice import (
     Functional,
     HighestWeight,
@@ -126,20 +132,24 @@ def raw_moments(mu: WeightDistribution, degree: int, a_degree: int | None = None
     """Total mass and the power sums sum(c * a^p * d^r), d = a - b, for p + r <= degree, p <= a_degree.
 
     a_degree, the table's degree in a, defaults to degree and must not
-    exceed it.  Per column of fixed d = a - b, with hi one past its top
-    row, the last entries of `a_degree` iterated prefix sums of the column
-    vector, and the sum of the last one, are sum(c * C(w + k - 1, k)) for
-    k <= a_degree, w = hi - a.  They depend on the vector alone, so this
-    stage costs a_degree + 1 additions per entry of each distinct vector:
-    columns that hold the same list, as the mirrored columns d and -n - d
-    after D_1, d and m - d after D_0, and the level-1 strings k and N - k
-    do, reuse one result.  Times k! these are the rising-factorial sums
+    exceed it.  The table is computed in two stages.  Stage 1 gives the
+    power sums s_p = sum(c * a^p) of each column, p <= a_degree.  When mu
+    carries them (mu.column_sums, set along demazure.distribution_chain)
+    and a_degree <= demazure.CARRIED_A_DEGREE, it reads them there in
+    O(columns), with no pass over entries.  Otherwise, per column of fixed
+    d = a - b, with hi one past its top row, the last entries of `a_degree`
+    iterated prefix sums of the column vector, and the sum of the last one,
+    are sum(c * C(w + k - 1, k)) for k <= a_degree, w = hi - a.  They
+    depend on the vector alone, so this stage costs a_degree + 1 additions
+    per entry of each distinct vector: columns that hold the same list, as
+    the mirrored columns d and -n - d after D_1, d and m - d after D_0, and
+    the level-1 strings k and N - k do, reuse one result.  Times k! these are the rising-factorial sums
     sum(c * w(w+1)...(w+k-1)), and multiplying by a = hi - w in that basis,
 
         a * w(w+1)...(w+k-1) = (hi + k) * w(w+1)...(w+k-1) - w(w+1)...(w+k),
 
-    takes them to s_p = sum(c * a^p) in `a_degree` rounds of one
-    column-vector map per k, for all columns at once.  The table entry
+    takes them to s_p in `a_degree` rounds of one column-vector map per k,
+    for all columns at once.  Stage 2, the one assembly: the table entry
     (p, r) is the dot product of s_p with the per-column powers d^r, which
     cost nothing per entry.
 
@@ -147,8 +157,8 @@ def raw_moments(mu: WeightDistribution, degree: int, a_degree: int | None = None
     it covers in both bounds returns the same object, or that table
     restricted to the requested keys; any other request computes the table
     at the larger of each bound and replaces it, so every moment read of
-    one distribution at bounds it has seen runs this stage once.  mu and
-    both bounds are checked before the memo is read.
+    one distribution at bounds it has seen runs the two stages once.  mu
+    and both bounds are checked before the memo is read.
     """
     mu = instance_of(mu, WeightDistribution, "distribution")
     degree = moment_degree(degree)
@@ -166,7 +176,27 @@ def raw_moments(mu: WeightDistribution, degree: int, a_degree: int | None = None
 
 
 def _power_sums(mu: WeightDistribution, degree: int, a_degree: int) -> MomentTable:
-    """The MomentTable of raw_moments, computed from the columns."""
+    """The MomentTable of raw_moments: per-column sums of c * a^p, then their dot products with the powers of d.
+
+    Stage 1 reads the sums off mu.column_sums when mu carries them and
+    a_degree <= CARRIED_A_DEGREE, in O(columns), and sums the entries
+    otherwise (_entry_sums).  Stage 2 is the one assembly of the table.
+    """
+    carried = mu.column_sums
+    if carried is not None and a_degree <= CARRIED_A_DEGREE:
+        ds = list(carried)
+        s = list(zip(*carried.values()))
+    else:
+        ds, s = _entry_sums(mu, a_degree)
+    powers = [[1] * len(ds)]
+    for _ in range(degree):
+        powers.append(list(map(mul, powers[-1], ds)))
+    sums = {(p, r): sum(map(mul, s[p], powers[r])) for p in range(a_degree + 1) for r in range(degree + 1 - p)}
+    return MomentTable(sums[(0, 0)], sums)
+
+
+def _entry_sums(mu: WeightDistribution, a_degree: int) -> tuple[list[int], list[list[int]]]:
+    """(ds, s): the columns' d, and s[p] the vector over them of sum(c * a^p), p <= a_degree, from the entries."""
     his, ds, rows = [], [], []
     done: dict[int, list[int]] = {}  # id(vals) -> its stage; mu keeps every vals alive and unmutated
     for d, (a0, vals) in mu.columns():
@@ -188,11 +218,7 @@ def _power_sums(mu: WeightDistribution, degree: int, a_degree: int) -> MomentTab
     for _ in range(a_degree):  # round p leaves t[k] = sum(c * a^p * w(w+1)...(w+k-1))
         t = [list(map(sub, map(mul, hk, tk), up)) for hk, tk, up in zip(shifted, t, t[1:])]
         s.append(t[0])
-    powers = [[1] * len(ds)]
-    for _ in range(degree):
-        powers.append(list(map(mul, powers[-1], ds)))
-    sums = {(p, r): sum(map(mul, s[p], powers[r])) for p in range(a_degree + 1) for r in range(degree + 1 - p)}
-    return MomentTable(sums[(0, 0)], sums)
+    return ds, s
 
 
 def expectation(mu: WeightDistribution, f: Functional) -> Fraction:

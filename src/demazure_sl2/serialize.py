@@ -21,7 +21,8 @@ the whole document with indent=2 but without its pure-Python encoder (the
 C one runs only without indent).
 
 The writers only read the objects they are given, so the types they take
-are imported for annotations alone: loading this module loads no sibling.
+are imported for annotations and, to check an argument with
+lattice.instance_of, inside the call: loading this module loads no sibling.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ _JSON_FIELDS = (
 
 
 def distribution_json(mu: WeightDistribution, word: WeylWord) -> str:
-    from .demazure import WeylWord  # imported in the call: mu's own module has loaded both already
+    from .demazure import WeightDistribution, WeylWord  # imported in the call: mu's own module has loaded both
     from .lattice import instance_of
 
-    word = instance_of(word, WeylWord, "word")
+    mu, word = instance_of(mu, WeightDistribution, "distribution"), instance_of(word, WeylWord, "word")
     doc = {
         "highest_weight": {"m": mu.hw.m, "n": mu.hw.n},
         "word": {"length": word.length, "first": word.first},
@@ -75,7 +76,10 @@ def distribution_json(mu: WeightDistribution, word: WeylWord) -> str:
 
 
 def distribution_csv(mu: WeightDistribution) -> str:
-    pieces = mu.canonical_pieces(_CSV_FIELDS)
+    from .demazure import WeightDistribution  # imported in the call, as in distribution_json
+    from .lattice import instance_of
+
+    pieces = instance_of(mu, WeightDistribution, "distribution").canonical_pieces(_CSV_FIELDS)
     pieces.insert(0, "a,b,mult")  # the first a-field's "\n" ends the header
     pieces.append("\n")
     return "".join(pieces)

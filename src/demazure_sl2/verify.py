@@ -116,8 +116,9 @@ def _level1(ctx: SuiteContext, N: int) -> MomentTable:
     """Moment table of the level-1 word (N, first=0), of degree 4 and degree 2 in a."""
     # the top powers of a read are those of lead^2 and nxt^2 = (a - d)^2 in
     # suite_recurrence; suite_stretch reads p <= 1 and suite_sanderson p = 0.
-    # Each power of a costs a pass over the entries, and the covariance
-    # suite's degree-2 reads of this chain are served by the same table.
+    # Degree 2 in a is what the chain's column sums carry, so the table costs
+    # no pass over entries, and the covariance suite's degree-2 reads of this
+    # chain are served by the same table.
     return ctx.moments(_L0, 0, N, 4, 2)
 
 

@@ -15,12 +15,16 @@ from demazure_sl2 import (
     WeylWord,
     apply_demazure,
     coroot_pairing,
+    degree_histogram,
     distribution_chain,
     finite_weight_functional,
+    heatmap,
     level1_distribution,
     marginal,
+    palindromicity_check,
     weight_distribution,
 )
+from demazure_sl2.serialize import distribution_csv, distribution_json
 from frozen import MU2, MU3, MU5, SIGNED
 from oracles import apply_demazure_pointwise, brute_pushforward, random_signed_measure, step, tensor_character_row
 
@@ -503,3 +507,15 @@ def test_readers_name_a_plain_tuple_or_scalar_in_one_line():
     for build in (lambda: WeightDistribution((1, 0), {(0, 0): 1}), lambda: WeightDistribution.delta((1, 0))):
         with pytest.raises(TypeError, match="^highest weight must be a HighestWeight, not tuple$"):
             build()
+    # the operator, the palindrome check and the writers check the distribution they read
+    readers = (
+        lambda: apply_demazure(1, (1, 0)),
+        lambda: palindromicity_check((1, 0), 3),
+        lambda: heatmap((1, 0)),
+        lambda: degree_histogram((1, 0)),
+        lambda: distribution_csv((1, 0)),
+        lambda: distribution_json((1, 0), WeylWord(3, 0)),
+    )
+    for read in readers:
+        with pytest.raises(TypeError, match="^distribution must be a WeightDistribution, not tuple$"):
+            read()

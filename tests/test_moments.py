@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -396,6 +398,30 @@ def test_a_degree_tables_are_the_full_table_restricted():
                 assert table.mass == full.mass and table.sums == want, (degree, a_degree)
                 assert (table.degree, table.a_degree) == (degree, a_degree)
                 assert mu.moment_table is table
+
+
+def test_carried_column_sums_give_the_per_entry_tables():
+    # a chain's distributions carry their columns' sums of c * a^p, p <= 2,
+    # through the fold; a pickle round trip and copy.copy and copy.deepcopy
+    # drop them, so those tables are summed from the entries
+    rng = random.Random(30)
+    weights = {(1, 0), (0, 1)}
+    while len(weights) < 7:
+        m = rng.randint(0, 5)
+        weights.add((m, rng.randint(max(0, 1 - m), 5 - m)))
+    for m, n in sorted(weights):
+        for first in (0, 1):
+            for N, mu in enumerate(islice(distribution_chain(HighestWeight(m, n), first), 13)):
+                copies = (pickle.loads(pickle.dumps(mu)), copy.copy(mu), copy.deepcopy(mu))
+                assert mu.column_sums is not None
+                assert all(nu.column_sums is None and nu == mu for nu in copies)
+                for degree in range(5):
+                    for a_degree in range(min(degree, 2) + 1):
+                        tables = []
+                        for nu in (mu, *copies):
+                            nu.moment_table = None
+                            tables.append(raw_moments(nu, degree, a_degree))
+                        assert tables[1:] == [tables[0]] * 3, (m, n, first, N, degree, a_degree)
 
 
 def test_the_memo_serves_covered_bounds_and_grows_to_the_union_of_both(monkeypatch):

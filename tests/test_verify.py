@@ -148,13 +148,17 @@ def test_run_all_sums_each_table_at_the_bounds_its_suites_read(monkeypatch):
     # the level-1 suites read degree 4 and degree 2 in a of mu_1..mu_13 (the
     # recurrence suite reads mu_{N+1}); the covariance suite's degree-2 reads
     # of that L0 chain are restrictions of those tables, so (2, 2) tables are
-    # summed for the L1 chain and the conjecture suite's chains alone
-    stages = []
-    original = moments._power_sums
+    # summed for the L1 chain and the conjecture suite's chains alone.  Every
+    # table read is of a chain snapshot, whose column sums were carried
+    # through the fold, so no table makes a pass over entries
+    stages, entry_passes = [], []
+    original, entry_stage = moments._power_sums, moments._entry_sums
     monkeypatch.setattr(moments, "_power_sums", lambda mu, *bounds: stages.append(bounds) or original(mu, *bounds))
+    monkeypatch.setattr(moments, "_entry_sums", lambda mu, *bounds: entry_passes.append(mu) or entry_stage(mu, *bounds))
     assert all(r.passed for r in run_suite("all", 12))
     assert set(stages) == {(4, 2), (2, 2)}
     assert stages.count((4, 2)) == 13
+    assert entry_passes == []
 
 
 def test_corrupted_chain_prints_fail_lines():
