@@ -18,7 +18,9 @@ The maximum degree is checked against m*N^2/4 alongside.
 rescaled_summary is wlln_series at one length.  wlln_series and
 conjecture_check share one walk, _walk: an islice of distribution_chain up
 to the longest length, which reads each snapshot once into its maximum
-degree, maximum absolute finite weight and degree-2 moment table.
+degree, maximum absolute finite weight and degree-2 moment table.  All
+three come from the packed columns and their carried sums in O(columns):
+the walk decodes no entry.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ def _walk(hw: HighestWeight, first: int, ns: Sequence[int]) -> Iterator[tuple[in
     wanted = set(ns)
     for t, mu in enumerate(islice(distribution_chain(hw, first), ns[-1] + 1)):
         if t in wanted:
-            # a column's finite weight is n + 2d
-            max_fw = max([0] + [abs(hw.n + 2 * d) for d, _ in mu.columns()])
+            # a column's finite weight is n + 2d; keys and degree bounds decode no entry
+            max_fw = max([0] + [abs(hw.n + 2 * d) for d in mu.column_keys()])
             yield t, max(0, mu.degree_range()[1] - 1), max_fw, raw_moments(mu, 2)
 
 

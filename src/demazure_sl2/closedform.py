@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from math import comb
 from operator import sub
 
 from .demazure import WeightDistribution
@@ -72,10 +73,25 @@ def level1_distribution(N: int) -> WeightDistribution:
     String d = k - N//2 is [N k]_q from row d*d up; strings k and N - k share
     one coefficient list.  No Demazure operator is applied, so this checks
     the recursion independently at both parities.
+
+    It carries its column sums (WeightDistribution.column_sums) from the
+    area sums of [N k]_q, with C = C(N, k) and v = k(N - k): mass C,
+    sum(i * c) = C * v/2 and sum(i^2 * c) = C * v * (N + 1 + 3v)/12 (mean
+    v/2, variance v(N + 1)/12), shifted to the rows a = d*d + i.  So its
+    moment tables of degree <= 2 in a cost O(columns), as a chain
+    snapshot's do.
     """
     half = _binomial_row(word_length(N), N // 2)  # [N k] = [N N-k]: read back past the middle row at even N
     cols = {d: (d * d, cs) for d, cs in enumerate(half + half[N % 2 - 2 :: -1], -(N // 2))}
-    return WeightDistribution.from_columns(HighestWeight.fundamental(0), cols)
+    mu = WeightDistribution.from_columns(HighestWeight.fundamental(0), cols)
+    sums = {}
+    for d in cols:
+        k, sq = d + N // 2, d * d
+        c, v = comb(N, k), k * (N - k)
+        s1, s2 = c * v // 2, c * v * (N + 1 + 3 * v) // 12
+        sums[d] = c, sq * c + s1, sq * (sq * c + 2 * s1) + s2
+    mu.column_sums = sums
+    return mu
 
 
 def string_symmetry_shift(N: int, p: LatticePoint) -> int:

@@ -24,13 +24,18 @@ equal to output column C - e, is
 
     sum of columns s >= e with k >= 0  minus  sum of columns s <= C - 1 - e with k <= -2.
 
-A downward sweep over e keeps that difference as one list of its own over
-the input's rows, out[e] = out[e + 1] + column e - column C - 1 - e (each
-term only where it is dominant resp. antidominant), adding or subtracting
-the column into its slice in place.  One application costs one addition
-or subtraction per input entry and one copy per output entry, all inside
-map().  The definitional per-point expansion is kept in the test suite as
-an independent oracle.
+Each column is packed into one int, its entries in fixed-width W-bit slots
+from its lowest row up, so a whole column is added or subtracted in one
+big-int operation.  A downward sweep over e keeps that difference as one
+running int over the input's rows, out[e] = out[e + 1] + column e - column
+C - 1 - e (each term only where it is dominant resp. antidominant), each
+column shifted to its rows; output column e is the running int shifted down
+to its lowest nonzero slot.  One application costs a few big-int additions
+and shifts per input column, running in C over the digits of the ints, with
+no Python object per entry.  The entries as lists are a view decoded on the
+first read that needs them (columns, items, the writers, ==, pickling), also
+in C.  The definitional per-point expansion is kept in the test suite as an
+independent oracle.
 
 The rows of a column do not move, so the same sweep gives each output
 column's power sums sum(c * r^p) over its rows r from the input's: the
@@ -38,14 +43,16 @@ distributions of distribution_chain carry them in the a rows, for
 p <= CARRIED_A_DEGREE, at three int additions per input column, and D_0
 moves them binomially to the b rows and back.  That costs O(columns) per
 application, and moments.raw_moments reads every table of degree <= 2 in
-a of a chain snapshot off them with no pass over entries.
+a of a chain snapshot off them with no pass over entries.  The slot width
+reads them too: the mass bounds every entry of the next application.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import accumulate, chain, compress, cycle, islice
-from operator import add, not_, sub
+from operator import methodcaller, not_
+from sys import byteorder
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .lattice import HighestWeight, LatticePoint, ValidatedTuple, generator_index, instance_of, word_length
@@ -69,12 +76,19 @@ class WeylWord(ValidatedTuple, namedtuple("WeylWord", "length first")):
         return super().__new__(cls, word_length(length), generator_index(first))
 
 
-# Column storage: d -> (a0, vals) with vals[i] the mass at (a0 + i, a0 + i - d).
-# Both ends of vals are nonzero and empty columns are absent, so equal
-# measures have equal column dicts; interior zeros are allowed.  Vectors
-# are shared between columns and distributions and never mutated.  A D_j
-# output is s_j-invariant and holds one list per mirrored pair: after D_1
-# columns d and -n - d, after D_0 columns d and m - d, and in
+# Column storage, in two forms of d -> (a0, column), c_i the mass at
+# (a0 + i, a0 + i - d).  Packed: the column is the int x = sum(c_i << W*i),
+# W the distribution's slot width, a multiple of 64 with every |c_i| <
+# 2^(W-1); c_0 is nonzero, so x is, and its bit length gives the column's
+# length (_length).  Lists: the column is vals with vals[i] = c_i, both ends
+# nonzero.  Either way empty columns are absent and interior zeros allowed,
+# so equal measures have equal column dicts.  apply_demazure packs; the
+# lists are the view decoded from the packing on the first read of entries
+# (_unpack), or the storage of a distribution built from entries or columns,
+# which its first fold packs.  Ints and lists are shared between columns and
+# distributions and never mutated.  A D_j output is s_j-invariant and holds
+# one int per mirrored pair, so one decoded list: after D_1 columns d and
+# -n - d, after D_0 columns d and m - d, and in
 # closedform.level1_distribution strings k and N - k.  moments.raw_moments
 # (to sum each shared list once), WeightDistribution.canonical_pieces and
 # render.heatmap (to format or shade each shared list once) rely on this.
@@ -83,11 +97,12 @@ class WeylWord(ValidatedTuple, namedtuple("WeylWord", "length first")):
 # drops them, so a copy or an unpickled distribution starts with none.
 # Column sums (WeightDistribution.column_sums) are per column, not per
 # vector: mirrored columns after D_0 share a vector over b rows but not
-# their sums over a rows.  They are set by delta and apply_demazure alone,
-# so a distribution built from entries or columns (the level-1 closed form,
-# a hand-built or an unpickled one) has none and raw_moments sums its
-# entries.
+# their sums over a rows.  They are set by delta and apply_demazure, which
+# carries them from its input, and by closedform.level1_distribution, from
+# the area sums of Gaussian binomials; a distribution built otherwise (a
+# hand-built or an unpickled one) has none and raw_moments sums its entries.
 Column = tuple[int, list[int]]
+PackedColumn = tuple[int, int]
 
 # The degree in a of the power sums a distribution of the chain carries per
 # column: 2, the largest that any moment reader of the package asks for
@@ -99,12 +114,75 @@ CARRIED_A_DEGREE = 2
 ColumnSums = dict[int, tuple[int, ...]]
 
 
-def _trim(lo: int, vals: list[int]) -> Column | None:
-    """Strip zero ends; None for an all-zero vector."""
-    if vals[0] and vals[-1]:
-        return lo, vals
-    nonzero = [i for i, c in enumerate(vals) if c]
-    return (lo + nonzero[0], vals[nonzero[0] : nonzero[-1] + 1]) if nonzero else None
+def _length(x: int, width: int) -> int:
+    """Number of slots of packed column x: its top slot holds the top bits, as |c| < 2^(W-1) in every slot."""
+    return x.bit_length() // width + 1
+
+
+def _slot_bias(n: int, width: int, half: int) -> int:
+    """half in each of n width-bit slots: sum(half << width * i for i < n)."""
+    return int.from_bytes(half.to_bytes(width // 8, "little") * n, "little")
+
+
+def _words(raw: memoryview, fmt: str) -> list[int]:
+    """The 64-bit words of raw, least significant first: signed for fmt "q", unsigned for "Q"."""
+    words = raw.cast(fmt).tolist()
+    if byteorder == "big":  # int.to_bytes wrote the most significant word first
+        words.reverse()
+    return words
+
+
+def _unpack(x: int, width: int, signed: bool) -> list[int]:
+    """The entries of packed column x, lowest row first, decoded in C.
+
+    With no negative entry the slots are the bytes of x.  Otherwise adding
+    2^(W-1) to every slot leaves each in [0, 2^W), so no carry crosses a
+    slot, and xor-ing it back leaves each entry's W-bit two's complement.
+    At W = 64 one signed cast reads them, and a wider slot is put together
+    from its 64-bit words, the top one signed.
+    """
+    n = _length(x, width)
+    if signed:
+        bias = _slot_bias(n, width, 1 << width - 1)
+        x = (x + bias) ^ bias
+    raw = memoryview(x.to_bytes(n * width // 8, byteorder))
+    k = width // 64
+    vals = _words(raw, "q")
+    if k > 1:
+        words, vals = _words(raw, "Q"), vals[k - 1 :: k]
+        for t in range(k - 2, -1, -1):
+            vals = list(map(int.__add__, map((1 << 64).__mul__, vals), words[t::k]))
+    return vals
+
+
+def _pack(vals: list[int], width: int) -> int:
+    """The column vals packed in width-bit slots: each entry offset by 2^(W-1) and written as bytes, in C."""
+    half = 1 << width - 1
+    raw = b"".join(map(methodcaller("to_bytes", width // 8, "little"), map(half.__add__, vals)))
+    return int.from_bytes(raw, "little") - _slot_bias(len(vals), width, half)
+
+
+def _widen(x: int, width: int, wider: int) -> int:
+    """Packed column x moved to wider slots, in C: the words of each offset slot go to the low words of a wider one."""
+    n, half = _length(x, width), 1 << width - 1
+    k, step = width // 64, wider // 64
+    src = memoryview((x + _slot_bias(n, width, half)).to_bytes(n * width // 8, "little")).cast("Q")
+    dst = bytearray(n * wider // 8)
+    words = memoryview(dst).cast("Q")
+    for t in range(k):
+        words[t::step] = src[t::k]
+    return int.from_bytes(dst, "little") - _slot_bias(n, wider, half)
+
+
+def _recode(cols: dict, code: Callable) -> dict:
+    """cols with code applied to each column's list or int, once per distinct one: mirrored columns share the result."""
+    done = {}  # id of a list or int -> its result; cols keeps every one alive
+    out = {}
+    for d, (a0, v) in cols.items():
+        if id(v) not in done:
+            done[id(v)] = code(v)
+        out[d] = a0, done[id(v)]
+    return out
 
 
 class WeightDistribution:
@@ -115,40 +193,49 @@ class WeightDistribution:
     permitted so the operators can be probed on arbitrary inputs.  hw must
     be a HighestWeight, and masses and coordinates ints (not bools).
 
-    Two derived views are built once per distribution and reused by every
-    reader: the decimal text of each distinct column vector (see
-    canonical_pieces) and ``moment_table``, None or the one
+    The columns are stored packed or as lists (see the Column storage
+    comment above).  Three derived views are built once per distribution
+    and reused by every reader: the lists decoded from the packing, on the
+    first read of entries; the decimal text of each distinct column vector
+    (see canonical_pieces); and ``moment_table``, None or the one
     moments.MomentTable that moments.raw_moments keeps for it, at the
     largest degree and degree in a asked of it.  ``column_sums`` is None or
-    the ColumnSums of the columns: delta sets it and apply_demazure carries
-    it from its input, so every distribution of distribution_chain has it,
-    and moments.raw_moments reads tables of degree <= CARRIED_A_DEGREE in a
-    off it in O(columns).  None of the three takes part in ==, copies or
-    pickles.
+    the ColumnSums of the columns: delta and closedform.level1_distribution
+    set it and apply_demazure carries it from its input, so every
+    distribution of distribution_chain has it, and moments.raw_moments reads
+    tables of degree <= CARRIED_A_DEGREE in a off it in O(columns).  column_keys and degree_range read the packing
+    and decode nothing.  None of the views and sums takes part in ==,
+    copies or pickles.
     """
 
-    __slots__ = ("hw", "_cols", "_texts", "moment_table", "column_sums")
+    __slots__ = ("hw", "_packed", "_width", "_lists", "_texts", "moment_table", "column_sums")
 
     def __init__(self, hw: HighestWeight, entries: Mapping[tuple[int, int], int] | None = None):
-        self.hw = instance_of(hw, HighestWeight, "highest weight")
+        hw = instance_of(hw, HighestWeight, "highest weight")
         by_d: dict[int, dict[int, int]] = {}
         for (a, b), c in (entries or {}).items():
             if not (type(a) is int and type(b) is int and type(c) is int):
                 raise TypeError("distribution coordinates and masses must be integers")
             if c:
                 by_d.setdefault(a - b, {})[a] = c
-        self._cols = {}
+        cols = {}
         for d, masses in by_d.items():
             a0 = min(masses)
-            self._cols[d] = (a0, [masses.get(a, 0) for a in range(a0, max(masses) + 1)])
+            cols[d] = (a0, [masses.get(a, 0) for a in range(a0, max(masses) + 1)])
+        self._init(hw, cols, None, 0)
+
+    def _init(self, hw: HighestWeight, lists: dict | None, packed: dict | None, width: int) -> None:
+        """Set the storage, lists or packed columns at slot width width (0 for none), with empty derived views."""
+        self.hw, self._lists, self._packed, self._width = hw, lists, packed, width
         self._texts: dict[int, list[str]] = {}
         self.moment_table = None
         self.column_sums: ColumnSums | None = None
 
     @classmethod
     def delta(cls, hw: HighestWeight) -> "WeightDistribution":
-        """Point mass at the highest weight itself, (a, b) = (0, 0), with its column sums."""
-        mu = cls(hw, {(0, 0): 1})
+        """Point mass at the highest weight itself, (a, b) = (0, 0), packed, with its column sums."""
+        mu = cls.__new__(cls)
+        mu._init(instance_of(hw, HighestWeight, "highest weight"), None, {0: (0, 1)}, 64)
         mu.column_sums = {0: (1,) + (0,) * CARRIED_A_DEGREE}
         return mu
 
@@ -160,21 +247,33 @@ class WeightDistribution:
         nonempty, as the Column storage comment above requires.
         """
         mu = cls.__new__(cls)
-        mu.hw = hw
-        mu._cols = cols
-        mu._texts = {}
-        mu.moment_table = None
-        mu.column_sums = None
+        mu._init(hw, cols, None, 0)
         return mu
 
     def __reduce__(self):
-        # the columns alone: a memo keyed by id(vals) would go stale in a copy, and
+        # the columns as lists alone: a memo keyed by id(vals) would go stale in a copy, and
         # column sums are dropped with the derived views, so a copy sums its entries
         return WeightDistribution.from_columns, (self.hw, self._cols)
+
+    @property
+    def _cols(self) -> dict[int, Column]:
+        """The columns as lists: the storage, or the view decoded from the packing on the first read and kept.
+
+        Column sums are set on Demazure characters alone, whose entries are
+        multiplicities, so a distribution with them has no negative entry.
+        """
+        if self._lists is None:
+            width, signed = self._width, self.column_sums is None
+            self._lists = _recode(self._packed, lambda x: _unpack(x, width, signed))
+        return self._lists
 
     def columns(self) -> Iterable[tuple[int, Column]]:
         """(d, (a0, vals)) per column of fixed d = a - b; vals is read-only."""
         return self._cols.items()
+
+    def column_keys(self) -> Iterable[int]:
+        """The d = a - b of the nonempty columns; decodes no entry."""
+        return (self._lists if self._packed is None else self._packed).keys()
 
     def mass(self, p: tuple[int, int]) -> int:
         a, b = p
@@ -249,9 +348,12 @@ class WeightDistribution:
         return [(LatticePoint(*p), c) for p, c in sorted(self.items())]
 
     def degree_range(self) -> tuple[int, int]:
-        """(lo, hi) with every support degree in range(lo, hi); (0, 0) when empty."""
-        lo = min((a0 for a0, _ in self._cols.values()), default=0)
-        return lo, max((a0 + len(vals) for a0, vals in self._cols.values()), default=0)
+        """(lo, hi) with every support degree in range(lo, hi); (0, 0) when empty.  Decodes no entry."""
+        if self._packed is None:
+            spans = [(a0, len(vals)) for a0, vals in self._lists.values()]
+        else:
+            spans = [(a0, _length(x, self._width)) for a0, x in self._packed.values()]
+        return min((a0 for a0, _ in spans), default=0), max((a0 + n for a0, n in spans), default=0)
 
     @property
     def support_size(self) -> int:
@@ -272,43 +374,75 @@ class WeightDistribution:
         return f"WeightDistribution(hw={self.hw}, support={len(self)}, mass={self.total_mass()})"
 
 
-def _fold(cols: dict[int, Column], sums: ColumnSums | None, C: int) -> tuple[dict[int, Column], ColumnSums | None]:
-    """D_j on columns keyed by string coordinate s, pairing k = 2s - C, and on their row power sums.
+def _fold_input(mu: WeightDistribution) -> tuple[dict[int, PackedColumn], int]:
+    """mu's packed columns and their slot width W, wide enough for D_j on mu.
 
-    Vectors run over rows that D_j does not move.  Dominant columns
+    Every output entry of D_j, and every partial sum of its sweep, is a
+    signed sum of input entries of one row, so B = sum(|c|) over mu bounds
+    it, and W must be a multiple of 64 with B < 2^(W-1).  Column sums are
+    set on Demazure characters alone, whose entries are multiplicities, so
+    there B is the mass, read off them in O(columns); any other input is
+    decoded and its |c| summed.  A distribution built from lists is packed
+    here and a narrower packing widened, once: mu keeps the result.
+    """
+    if mu.column_sums is not None:
+        bound = sum(s[0] for s in mu.column_sums.values())
+    else:
+        bound = sum(sum(map(abs, vals)) for _, vals in mu._cols.values())
+    width = 64 * (bound.bit_length() // 64 + 1)
+    if mu._packed is None:
+        mu._packed = _recode(mu._lists, lambda vals: _pack(vals, width))
+    elif mu._width < width:
+        mu._packed = _recode(mu._packed, lambda x: _widen(x, mu._width, width))
+    mu._width = max(mu._width, width)
+    return mu._packed, mu._width
+
+
+def _fold(
+    cols: dict[int, PackedColumn], sums: ColumnSums | None, C: int, width: int
+) -> tuple[dict[int, PackedColumn], ColumnSums | None]:
+    """D_j on packed columns keyed by string coordinate s, pairing k = 2s - C, and on their row power sums.
+
+    Columns run over rows that D_j does not move.  Dominant columns
     (k >= 0) are summed from the top down, antidominant ones (k <= -2)
     from the bottom up; k = -1 columns contribute nothing.  One running
-    list over the input's rows holds output column e: stepping e down
-    adds dominant column e into its slice and subtracts antidominant
-    column C - 1 - e from its slice, both in place, and the output is a
-    copy of the rows reached so far.  As the rows do not move, the power
-    sums of the output columns in the row coordinate are the same suffix
-    sums over those of the input (_fold_sums): no pass over entries.  sums
-    is None when the input carries none.
+    int over the input's rows, slot r - lo for row r, holds output column
+    e: stepping e down adds dominant column e and subtracts antidominant
+    column C - 1 - e, each shifted to its rows, and the output is the
+    running int shifted down to its lowest nonzero slot, l (the lowest row
+    some column has reached) unless rows cancelled at the bottom.  As the
+    rows do not move, the power sums of the output columns in the row
+    coordinate are the same suffix sums over those of the input
+    (_fold_sums): no pass over entries.  sums is None when the input
+    carries none.
     """
     dom = {s: col for s, col in cols.items() if 2 * s >= C}
     anti = {s: col for s, col in cols.items() if 2 * s <= C - 2}
-    out: dict[int, Column] = {}
+    out: dict[int, PackedColumn] = {}
     stop = (C - 1) // 2  # the last e with 2e < C
     top = max(max(dom, default=stop), C - 1 - min(anti, default=C - 1 - stop))
     lo = min((r0 for r0, _ in cols.values()), default=0)
-    rows = max((r0 + len(vals) for r0, vals in cols.values()), default=lo) - lo
-    run = [0] * rows
-    l, h = rows, 0  # rows l..h-1 are the ones some column has reached
+    slot = (1 << width) - 1
+    run, l = 0, max((r0 for r0, _ in cols.values()), default=lo) - lo
     for e in range(top, stop, -1):
-        for op, col in ((add, dom.get(e)), (sub, anti.get(C - 1 - e))):
-            if col is not None:
-                r0, vals = col
-                i, j = r0 - lo, r0 - lo + len(vals)
-                run[i:j] = map(op, run[i:j], vals)
-                l, h = min(l, i), max(h, j)
-        res = _trim(lo + l, run[l:h])
-        if res is not None:
-            out[e] = out[C - e] = res
+        col = dom.get(e)
+        if col is not None:
+            run += col[1] << width * (col[0] - lo)
+            l = min(l, col[0] - lo)
+        col = anti.get(C - 1 - e)
+        if col is not None:
+            run -= col[1] << width * (col[0] - lo)
+            l = min(l, col[0] - lo)
+        if run:
+            r0, x = lo + l, run >> width * l
+            if not x & slot:  # the bottom rows cancelled
+                z = ((x & -x).bit_length() - 1) // width
+                r0, x = r0 + z, x >> width * z
+            out[e] = out[C - e] = r0, x
     return out, None if sums is None else _fold_sums(sums, C, range(top, stop, -1), out)
 
 
-def _fold_sums(sums: ColumnSums, C: int, es: range, out: dict[int, Column]) -> ColumnSums:
+def _fold_sums(sums: ColumnSums, C: int, es: range, out: dict[int, PackedColumn]) -> ColumnSums:
     """The power sums of _fold's output columns out, from those of its input: the same suffix sums over es.
 
     Output column e, and C - e, is the sum of dominant columns s >= e minus
@@ -330,26 +464,29 @@ def _fold_sums(sums: ColumnSums, C: int, es: range, out: dict[int, Column]) -> C
     return res
 
 
-def _flip(cols: dict[int, Column], sums: ColumnSums | None) -> tuple[dict[int, Column], ColumnSums | None]:
+def _flip(cols: dict[int, PackedColumn], sums: ColumnSums | None) -> tuple[dict[int, PackedColumn], ColumnSums | None]:
     """Re-key columns by -d and their rows by b = a - d, and back; the power sums move to the new rows.
 
     Both ways a column keyed s moves to key -s and its rows by -s, so
     sum(c * x^p) becomes sum(c * (x - s)^p), written out for CARRIED_A_DEGREE = 2.
     """
-    flipped = {-s: (r0 - s, vals) for s, (r0, vals) in cols.items()}
+    flipped = {-s: (r0 - s, x) for s, (r0, x) in cols.items()}
     if sums is None:
         return flipped, None
     return flipped, {-s: (p0, p1 - s * p0, p2 - s * (2 * p1 - s * p0)) for s, (p0, p1, p2) in sums.items()}
 
 
 def apply_demazure(j: int, mu: WeightDistribution) -> WeightDistribution:
-    """One application of D_j; input is not modified.  The output carries column sums when mu does."""
-    cols, sums = instance_of(mu, WeightDistribution, "distribution")._cols, mu.column_sums
-    if generator_index(j):
-        cols, sums = _fold(cols, sums, -mu.hw.n)
+    """One application of D_j; mu keeps its entries, packed on its first fold.  The output carries sums when mu does."""
+    mu = instance_of(mu, WeightDistribution, "distribution")
+    j = generator_index(j)
+    (cols, width), sums = _fold_input(mu), mu.column_sums
+    if j:
+        cols, sums = _fold(cols, sums, -mu.hw.n, width)
     else:
-        cols, sums = _flip(*_fold(*_flip(cols, sums), -mu.hw.m))
-    out = WeightDistribution.from_columns(mu.hw, cols)
+        cols, sums = _flip(*_fold(*_flip(cols, sums), -mu.hw.m, width))
+    out = WeightDistribution.__new__(WeightDistribution)
+    out._init(mu.hw, None, cols, width)
     out.column_sums = sums
     return out
 

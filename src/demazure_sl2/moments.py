@@ -8,9 +8,10 @@ two bounds, its degree (p + r) and its degree in a (p): only powers of a
 can cost passes over entries, so a caller that reads no high power of a
 asks for a lower degree in a.  A distribution of
 demazure.distribution_chain carries its columns' sums of c * a^p for
-p <= demazure.CARRIED_A_DEGREE = 2 through the fold, so its tables of
-degree <= 2 in a, which are all the package's readers ask for, cost
-O(columns) and no pass over entries.  The distribution keeps one table,
+p <= demazure.CARRIED_A_DEGREE = 2 through the fold, and
+closedform.level1_distribution carries them from the area sums of its
+Gaussian binomials, so their tables of degree <= 2 in a, which are all the
+package's readers ask for, cost O(columns) and no pass over entries.  The distribution keeps one table,
 computed at the larger of each bound asked for so far, and a read that
 table covers gets it restricted, so the covariance matrix and the two
 means of an ellipse cost one table, and no caller keeps a second cache
@@ -134,9 +135,10 @@ def raw_moments(mu: WeightDistribution, degree: int, a_degree: int | None = None
     a_degree, the table's degree in a, defaults to degree and must not
     exceed it.  The table is computed in two stages.  Stage 1 gives the
     power sums s_p = sum(c * a^p) of each column, p <= a_degree.  When mu
-    carries them (mu.column_sums, set along demazure.distribution_chain)
-    and a_degree <= demazure.CARRIED_A_DEGREE, it reads them there in
-    O(columns), with no pass over entries.  Otherwise, per column of fixed
+    carries them (mu.column_sums, set along demazure.distribution_chain
+    and by closedform.level1_distribution) and a_degree <=
+    demazure.CARRIED_A_DEGREE, it reads them there in O(columns), with no
+    pass over entries.  Otherwise, per column of fixed
     d = a - b, with hi one past its top row, the last entries of `a_degree`
     iterated prefix sums of the column vector, and the sum of the last one,
     are sum(c * C(w + k - 1, k)) for k <= a_degree, w = hi - a.  They

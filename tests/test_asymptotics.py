@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -19,7 +20,7 @@ from demazure_sl2 import (
     weight_distribution,
     wlln_series,
 )
-from demazure_sl2 import asymptotics
+from demazure_sl2 import asymptotics, covariance_matrix, demazure, distribution_chain
 from demazure_sl2.asymptotics import FitMismatchError
 from demazure_sl2.moments import MomentTable
 
@@ -221,3 +222,21 @@ def test_summaries_name_a_plain_tuple_in_one_line():
         rescaled_summary(L0, (3, 0))
     with pytest.raises(TypeError, match="^highest weight must be a HighestWeight, not tuple$"):
         wlln_series((1, 0), [2])
+
+
+def test_walks_and_chain_covariances_decode_no_entry(monkeypatch):
+    # the walk reads column keys, degree bounds and the carried column sums,
+    # and the covariance matrix of a chain snapshot reads the sums alone, so
+    # no packed column is decoded; 5^30 > 2^64, so the 4*L0 walk widens slots
+    decoded = []
+    unpack = demazure._unpack
+    monkeypatch.setattr(demazure, "_unpack", lambda x, *rest: decoded.append(x) or unpack(x, *rest))
+    wlln_series(HighestWeight(4, 0), [5, 10, 20, 30])
+    wlln_series(L0, [10, 30, 50, 70])
+    conjecture_check(3, [2, 4, 6, 8, 10, 12])
+    for first in (0, 1):
+        for mu in islice(distribution_chain(HighestWeight(2, 1), first), 30):
+            covariance_matrix(mu)
+    assert decoded == []
+    list(mu.items())  # an entry read decodes, once per distinct column
+    assert 0 < len(decoded) < len(list(mu.columns()))

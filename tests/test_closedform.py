@@ -1,6 +1,8 @@
 import os
+import pickle
 import subprocess
 import sys
+from itertools import islice
 from math import comb
 from pathlib import Path
 
@@ -12,11 +14,13 @@ from demazure_sl2 import (
     LatticePoint,
     WeightDistribution,
     apply_demazure,
+    distribution_chain,
     gaussian_binomial,
     level1_distribution,
     palindromicity_check,
     string_symmetry_shift,
 )
+from demazure_sl2.moments import raw_moments
 from oracles import lattice_path_area_counts
 
 
@@ -95,6 +99,24 @@ def test_row_cache_holds_one_row():
 def test_level1_matches_recursion(chain41):
     for N, mu in enumerate(chain41):
         assert level1_distribution(N) == mu, N
+
+
+def test_level1_carried_sums_equal_the_entry_tables():
+    # the closed form carries its column sums from the area sums of [N k]_q;
+    # a pickled copy carries none, so its table is summed from the entries
+    for N in range(41):
+        mu = level1_distribution(N)
+        copy = pickle.loads(pickle.dumps(mu))
+        assert mu.column_sums is not None and copy.column_sums is None and copy == mu
+        assert raw_moments(mu, 4, 2) == raw_moments(copy, 4, 2), N
+
+
+def test_level1_chain_equals_the_closed_form_past_64_bit_slots():
+    # the mass, which bounds the slots, passes 2^62 near N = 62, so the
+    # chain's packed columns widen to 128-bit slots on the way to N = 70
+    mu = next(islice(distribution_chain(HighestWeight.fundamental(0), 0), 70, None))
+    assert mu._width == 128
+    assert mu == level1_distribution(70)
 
 
 def test_level1_column_geometry():

@@ -423,6 +423,81 @@ def test_fast_operator_matches_definitional(hw, entries, j):
     assert apply_demazure(j, mu) == apply_demazure_pointwise(j, mu)
 
 
+# masses around the edges of 64- and 128-bit slots and past them, both signs
+_EDGES = (2**62, 2**63, 2**126, 2**127, 2**200)
+_big_masses = st.builds(lambda e, off, neg: (-1) ** neg * (e + off), st.sampled_from(_EDGES), st.integers(-2, 2), _js)
+_points = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
+
+
+def _cancelling_partner(hw, j, p):
+    """The point on p's row in string column C - 1 - s: under D_j its string is p's, with the other sign.
+
+    s = d = a - b and C = -n for j = 1 (rows a); s = -d and C = -m for j = 0
+    (rows b).  Output column e takes both or neither, so a pair of equal
+    masses cancels in every output column.
+    """
+    a, b = p
+    return (a, a + hw.n + 1 + (a - b)) if j else (b + hw.m + 1 - (a - b), b)
+
+
+@given(
+    hw=_hws,
+    entries=st.dictionaries(_points, _big_masses, min_size=1, max_size=8),
+    pairs=st.lists(_points, max_size=4),
+    pair_mass=_big_masses,
+    j=_js,
+    k=_js,
+)
+@settings(max_examples=120, deadline=None)
+def test_operator_matches_definitional_at_slot_edges(hw, entries, pairs, pair_mass, j, k):
+    # signed masses at the slot edges, with cancelling pairs, so output
+    # columns and the bottom rows of the running sum cancel to zero; the
+    # second application reads a signed input that carries no column sums
+    for p in pairs:
+        entries[p] = entries[_cancelling_partner(hw, j, p)] = pair_mass
+    mu = WeightDistribution(hw, entries)
+    once = apply_demazure(j, mu)
+    assert once == apply_demazure_pointwise(j, mu)
+    assert once.column_sums is None
+    twice = apply_demazure(k, once)
+    assert twice == apply_demazure_pointwise(k, apply_demazure_pointwise(j, mu))
+    assert WeightDistribution(hw, dict(twice.items())) == twice
+
+
+def test_slot_edges_cancel_and_fill_exactly():
+    # a row summing to +-(2^63 - 1) fills a 64-bit slot; total masses of
+    # 2^64 and past 2^200 take 128- and 256-bit slots
+    cases = [
+        WeightDistribution(L0, {(5, 4): 2**62, (5, 5): 2**62 - 1}),
+        WeightDistribution(L0, {(5, 7): 2**62, (5, 8): 2**62 - 1}),
+        WeightDistribution(L0, {(5, 4): 2**63, (5, 5): -(2**63) + 1}),
+        WeightDistribution(L0, {(5, 4): 2**127 + 1, (6, 5): -(2**200), (6, 7): -(2**200)}),
+    ]
+    outs = [apply_demazure(1, mu) for mu in cases]
+    assert [out._width for out in outs] == [64, 64, 128, 256]
+    assert [max(out.items(), key=lambda item: abs(item[1]))[1] for out in outs[:2]] == [2**63 - 1, -(2**63) + 1]
+    for mu, out in zip(cases, outs):
+        assert out == apply_demazure_pointwise(1, mu)
+        assert apply_demazure(0, out) == apply_demazure_pointwise(0, apply_demazure_pointwise(1, mu))
+    # every column of a pair cancels: the output is empty
+    pairs = {p: 2**200 for q in ((0, 0), (3, 1), (4, 8)) for p in (q, _cancelling_partner(L0, 1, q))}
+    assert apply_demazure(1, WeightDistribution(L0, pairs)) == WeightDistribution(L0)
+
+
+def test_packed_columns_decode_and_widen_at_every_width():
+    # the packed form behind the operator: entries up to +-(2^(W-1) - 1), interior zeros
+    from demazure_sl2.demazure import _pack, _unpack, _widen
+
+    for width in (64, 128, 192, 320):
+        edge = 2 ** (width - 1) - 1
+        for vals in ([1], [-1], [edge], [-edge], [edge, 0, -edge, 1], [-1, 0, 0, edge], [3, -(2**62), 2**62, -edge]):
+            x = _pack(vals, width)
+            assert _unpack(x, width, True) == vals, (width, vals)
+            assert _unpack(_widen(x, width, width + 128), width + 128, True) == vals, (width, vals)
+            if min(vals) >= 0:  # a column with no negative entry decodes without the offset
+                assert _unpack(x, width, False) == vals, (width, vals)
+
+
 @given(hw=_hws, entries=_entries, j=_js)
 @settings(max_examples=80, deadline=None)
 def test_operator_is_idempotent(hw, entries, j):

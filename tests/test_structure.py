@@ -137,10 +137,14 @@ def test_closed_form_imports_no_operator():
 def test_asymptotics_walks_the_chain_and_reads_a_distribution_in_one_place_each():
     # rescaled_summary, wlln_series and conjecture_check share one chain
     # walk, _walk, which is also the one reader of a distribution, so a
-    # second route to the snapshots replaces one function, not two loops
+    # second route to the snapshots replaces one function, not two loops.
+    # It reads column keys and degree bounds, which decode no entry, and
+    # never the entries themselves
     callers = _callers(PACKAGE / "asymptotics.py")
-    for name in ("distribution_chain", "raw_moments", ".degree_range", ".columns"):
+    for name in ("distribution_chain", "raw_moments", ".degree_range", ".column_keys"):
         assert callers.get(name) == {"_walk"}, name
+    for name in (".columns", ".items", ".sorted_items", ".mass", ".total_mass"):
+        assert name not in callers, name
     assert "weight_distribution" not in callers and ".weight_distribution" not in callers
 
 
@@ -215,11 +219,20 @@ def test_modules_load_on_use():
         ellipse: {"cli", "demazure", "lattice", "moments", "render"},
     }
     bare = _modules_after("pass")  # a site .pth may preload stdlib modules; count only what the code adds
+    # start-up cost (setup_s of the benchmark): the package import and the
+    # benchmark's set-up load no stdlib module beyond those that the stdlib
+    # imports of __init__, cli, demazure and lattice load, with the ones an
+    # argparse parser loads when built
+    startup = {"import demazure_sl2", _bench_setup_code()}
+    imports = "__future__, argparse, collections, fractions, importlib, itertools, math, operator, sys, typing"
+    stdlib = _modules_after(f"import {imports}; argparse.ArgumentParser()")
     for code, submodules in cases.items():
         added = _modules_after(code) - bare
         assert {m.removeprefix("demazure_sl2.") for m in added if m.startswith("demazure_sl2.")} == submodules, code
         if code != ellipse:
             assert "dataclasses" not in added, code
+        if code in startup:
+            assert {m for m in added if m.split(".")[0] != "demazure_sl2"} <= stdlib, code
 
 
 def test_public_namespace():
