@@ -26,25 +26,27 @@ equal to output column C - e, is
 
 Each column is packed into one int, its entries in fixed-width W-bit slots
 from its lowest row up, so a whole column is added or subtracted in one
-big-int operation.  A downward sweep over e keeps that difference as one
-running int over the input's rows, out[e] = out[e + 1] + column e - column
-C - 1 - e (each term only where it is dominant resp. antidominant), each
-column shifted to its rows; output column e is the running int shifted down
-to its lowest nonzero slot.  One application costs a few big-int additions
-and shifts per input column, running in C over the digits of the ints, with
-no Python object per entry.  The entries as lists are a view decoded on the
-first read that needs them (columns, items, the writers, ==, pickling), also
-in C.  The definitional per-point expansion is kept in the test suite as an
-independent oracle.
+big-int operation.  One downward sweep over 2e >= C keeps that difference
+as one running int over the input's rows, out[e] = out[e + 1] + column e -
+column C - 1 - e, each column shifted to its rows: in that range column e
+is always dominant and column C - 1 - e always antidominant, so the sweep
+reads both straight from the input.  Output column e is the running int
+shifted down to its lowest nonzero slot.  One application costs a few
+big-int additions and shifts per input column, running in C over the
+digits of the ints, with no Python object per entry.  The entries as lists
+are a view decoded on the first read that needs them (columns, items, the
+writers, ==, pickling), also in C.  The definitional per-point expansion is
+kept in the test suite as an independent oracle.
 
-The rows of a column do not move, so the same sweep gives each output
-column's power sums sum(c * r^p) over its rows r from the input's: the
-distributions of distribution_chain carry them in the a rows, for
-p <= CARRIED_A_DEGREE, at three int additions per input column, and D_0
-moves them binomially to the b rows and back.  That costs O(columns) per
-application, and moments.raw_moments reads every table of degree <= 2 in
-a of a chain snapshot off them with no pass over entries.  The slot width
-reads them too: the mass bounds every entry of the next application.
+The rows of a column do not move, so each step of the same sweep also
+moves three running power sums sum(c * r^p) over the rows r, and output
+column e stores its sums where it stores its int: the distributions of
+distribution_chain carry them in the a rows, for p <= CARRIED_A_DEGREE, at
+three int additions per input column, and D_0 moves them binomially to the
+b rows and back.  That costs O(columns) per application, and
+moments.raw_moments reads every table of degree <= 2 in a of a chain
+snapshot off them with no pass over entries.  The slot width reads them
+too: the mass bounds every entry of the next application.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ PackedColumn = tuple[int, int]
 
 # The degree in a of the power sums a distribution of the chain carries per
 # column: 2, the largest that any moment reader of the package asks for
-# (covariance_matrix, the level-1 suites, asymptotics' walk).  _fold_sums
-# and _flip are written out for it.
+# (covariance_matrix, the level-1 suites, asymptotics' walk).  The sweep of
+# _fold and _flip are written out for it.
 CARRIED_A_DEGREE = 2
 # d -> (sum(c * a^p) over column d for p = 0..CARRIED_A_DEGREE), keyed as the
 # columns are; mirrored columns of a D_1 output share one tuple.
@@ -203,9 +205,9 @@ class WeightDistribution:
     the ColumnSums of the columns: delta and closedform.level1_distribution
     set it and apply_demazure carries it from its input, so every
     distribution of distribution_chain has it, and moments.raw_moments reads
-    tables of degree <= CARRIED_A_DEGREE in a off it in O(columns).  column_keys and degree_range read the packing
-    and decode nothing.  None of the views and sums takes part in ==,
-    copies or pickles.
+    tables of degree <= CARRIED_A_DEGREE in a off it in O(columns).
+    column_keys and degree_range read the packing and decode nothing.  None
+    of the views and sums takes part in ==, copies or pickles.
     """
 
     __slots__ = ("hw", "_packed", "_width", "_lists", "_texts", "moment_table", "column_sums")
@@ -403,65 +405,49 @@ def _fold(
 ) -> tuple[dict[int, PackedColumn], ColumnSums | None]:
     """D_j on packed columns keyed by string coordinate s, pairing k = 2s - C, and on their row power sums.
 
-    Columns run over rows that D_j does not move.  Dominant columns
-    (k >= 0) are summed from the top down, antidominant ones (k <= -2)
-    from the bottom up; k = -1 columns contribute nothing.  One running
-    int over the input's rows, slot r - lo for row r, holds output column
-    e: stepping e down adds dominant column e and subtracts antidominant
-    column C - 1 - e, each shifted to its rows, and the output is the
-    running int shifted down to its lowest nonzero slot, l (the lowest row
-    some column has reached) unless rows cancelled at the bottom.  As the
-    rows do not move, the power sums of the output columns in the row
-    coordinate are the same suffix sums over those of the input
-    (_fold_sums): no pass over entries.  sums is None when the input
-    carries none.
+    Columns run over rows that D_j does not move.  One downward sweep over
+    e > (C - 1)//2 reads input columns e, always dominant (k >= 0), and
+    C - 1 - e, always antidominant (k <= -2), so k = -1 columns are never
+    read.  One running int over the input's rows, slot r - lo for row r,
+    holds output column e: each step adds column e and subtracts column
+    C - 1 - e, each shifted to its rows, and the output is the running int
+    shifted down to its lowest nonzero slot, l (the lowest row some column
+    has reached) unless rows cancelled at the bottom.  As the rows do not
+    move, three running ints move the power sums in the same step, written
+    out for CARRIED_A_DEGREE = 2, and output column e stores its sums with
+    it: no pass over entries.  sums is None when the input carries none;
+    then it reads zeros and the output carries none.
     """
-    dom = {s: col for s, col in cols.items() if 2 * s >= C}
-    anti = {s: col for s, col in cols.items() if 2 * s <= C - 2}
+    carried = sums if sums is not None else dict.fromkeys(cols, (0,) * (CARRIED_A_DEGREE + 1))
     out: dict[int, PackedColumn] = {}
+    res: ColumnSums = {}
     stop = (C - 1) // 2  # the last e with 2e < C
-    top = max(max(dom, default=stop), C - 1 - min(anti, default=C - 1 - stop))
+    top = max((max(s, C - 1 - s) for s in cols), default=stop)
     lo = min((r0 for r0, _ in cols.values()), default=0)
     slot = (1 << width) - 1
     run, l = 0, max((r0 for r0, _ in cols.values()), default=lo) - lo
+    s0 = s1 = s2 = 0
     for e in range(top, stop, -1):
-        col = dom.get(e)
+        col = cols.get(e)
         if col is not None:
             run += col[1] << width * (col[0] - lo)
             l = min(l, col[0] - lo)
-        col = anti.get(C - 1 - e)
+            p0, p1, p2 = carried[e]
+            s0, s1, s2 = s0 + p0, s1 + p1, s2 + p2
+        col = cols.get(C - 1 - e)
         if col is not None:
             run -= col[1] << width * (col[0] - lo)
             l = min(l, col[0] - lo)
+            p0, p1, p2 = carried[C - 1 - e]
+            s0, s1, s2 = s0 - p0, s1 - p1, s2 - p2
         if run:
             r0, x = lo + l, run >> width * l
             if not x & slot:  # the bottom rows cancelled
                 z = ((x & -x).bit_length() - 1) // width
                 r0, x = r0 + z, x >> width * z
             out[e] = out[C - e] = r0, x
-    return out, None if sums is None else _fold_sums(sums, C, range(top, stop, -1), out)
-
-
-def _fold_sums(sums: ColumnSums, C: int, es: range, out: dict[int, PackedColumn]) -> ColumnSums:
-    """The power sums of _fold's output columns out, from those of its input: the same suffix sums over es.
-
-    Output column e, and C - e, is the sum of dominant columns s >= e minus
-    that of antidominant columns s <= C - 1 - e; over the descending e range
-    es of _fold every s = e is dominant and every s = C - 1 - e antidominant.
-    Three running ints, written out for CARRIED_A_DEGREE = 2.
-    """
-    res: ColumnSums = {}
-    s0 = s1 = s2 = 0
-    for e in es:
-        if e in sums:
-            p0, p1, p2 = sums[e]
-            s0, s1, s2 = s0 + p0, s1 + p1, s2 + p2
-        if C - 1 - e in sums:
-            p0, p1, p2 = sums[C - 1 - e]
-            s0, s1, s2 = s0 - p0, s1 - p1, s2 - p2
-        if e in out:
             res[e] = res[C - e] = s0, s1, s2
-    return res
+    return out, None if sums is None else res
 
 
 def _flip(cols: dict[int, PackedColumn], sums: ColumnSums | None) -> tuple[dict[int, PackedColumn], ColumnSums | None]:

@@ -11,11 +11,11 @@ demazure.distribution_chain carries its columns' sums of c * a^p for
 p <= demazure.CARRIED_A_DEGREE = 2 through the fold, and
 closedform.level1_distribution carries them from the area sums of its
 Gaussian binomials, so their tables of degree <= 2 in a, which are all the
-package's readers ask for, cost O(columns) and no pass over entries.  The distribution keeps one table,
-computed at the larger of each bound asked for so far, and a read that
-table covers gets it restricted, so the covariance matrix and the two
-means of an ellipse cost one table, and no caller keeps a second cache
-of tables.
+package's readers ask for, cost O(columns) and no pass over entries.  The
+distribution keeps one table, computed at the larger of each bound asked
+for so far, and a read that table covers gets it restricted, so the
+covariance matrix and the two means of an ellipse cost one table, and no
+caller keeps a second cache of tables.
 Tables and functionals are both written in the column coordinates (a, d),
 d = a - b, of the distribution's storage: the table holds
 sum(mass * a^p * d^r), and Functional.numerators gives a functional's int
@@ -26,12 +26,12 @@ int dot products of its power sums with those numerators and one division
 at the end: cov pairs the terms of f and g and never builds f * g, and it
 ends in the final division it shares with pushforward_covariance, which
 sums per column without the image, and coordinate_covariance.  Where
-raw_moments has no carried sums to read (the level-1 closed form, a
-distribution built by hand, copied or unpickled, or a degree above 2 in a),
-the work per support point is int arithmetic inside map, accumulate and
-sum only: a_degree + 1 additions per entry of each distinct column vector
-(iterated prefix sums and a final sum) and no multiplication, turned into
-power sums per column as vectors over the columns.  Mirrored columns share
+raw_moments has no carried sums to read (a distribution built by hand,
+copied or unpickled, or a degree above 2 in a), the work per support point
+is int arithmetic inside map, accumulate and sum only: a_degree + 1
+additions per entry of each distinct column vector (iterated prefix sums
+and a final sum) and no multiplication, turned into power sums per column
+as vectors over the columns.  Mirrored columns share
 one vector (see the Column storage comment in demazure.py), so each pair
 is summed once.  Either way powers of d are one number per column.
 pushforward(mu, *fs), the one image routine (marginal reads it for one

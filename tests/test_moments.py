@@ -424,6 +424,21 @@ def test_carried_column_sums_give_the_per_entry_tables():
                         assert tables[1:] == [tables[0]] * 3, (m, n, first, N, degree, a_degree)
 
 
+@pytest.mark.parametrize(
+    "m, n, first, Ns",
+    [(2, 1, 1, (40, 50)), (1, 2, 0, (35, 45, 55)), (4, 0, 0, (30,))],
+)
+def test_carried_column_sums_past_64_bit_slots(m, n, first, Ns):
+    # at levels 2-4 the multiplicities of these snapshots need 128-bit slots;
+    # the sums carried through D_0 flips (n > 0) and D_1 folds there still
+    # equal the table a pickled copy sums from its entries
+    chain = distribution_chain(HighestWeight(m, n), first)
+    for N, mu in enumerate(islice(chain, max(Ns) + 1)):
+        if N in Ns:
+            assert mu._width == 128 and mu.column_sums is not None, N
+            assert raw_moments(mu, 2) == raw_moments(pickle.loads(pickle.dumps(mu)), 2), N
+
+
 def test_the_memo_serves_covered_bounds_and_grows_to_the_union_of_both(monkeypatch):
     stages = []
     original = moments._power_sums
