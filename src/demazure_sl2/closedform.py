@@ -15,8 +15,10 @@ Row N comes from the product recurrence
 
     [N k+1]_q = [N k]_q (1 - q^(N-k)) / (1 - q^(k+1)),
 
-one shifted subtraction and one running sum per residue class mod k + 1,
-so a row costs no earlier row and nothing is cached between calls; by
+evaluated at q = 2^W, where each coefficient fills one W-bit slot: the
+value is the string's packed column (the Column storage comment in
+demazure.py), built by shift-adds with no Python object per coefficient.
+A row costs no earlier row and nothing is cached between calls; by
 [N k] = [N N-k] it is built only to k = N//2.
 
 The coefficients of [N k]_q are palindromic, so each string is mirrored by
@@ -30,31 +32,34 @@ the shift behind `string_symmetry_shift` and `palindromicity_check`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import comb
-from operator import sub
 
 from .demazure import WeightDistribution
 from .lattice import HighestWeight, LatticePoint, instance_of, word_length
 
 
-def _binomial_row(N: int, top: int) -> list[list[int]]:
-    """Coefficient lists of [N k]_q for k = 0 .. top, constant term first.
+def _binomial_row(N: int, top: int) -> tuple[int, list[int]]:
+    """(W, [[N k]_q at q = 2^W for k = 0 .. top]): each coefficient in its own W-bit slot, constant term lowest.
 
-    [N k+1] = [N k] (1 - q^(N-k)) / (1 - q^(k+1)): the product is one shifted
-    subtraction, and the quotient c of p by 1 - q^m obeys c_i = p_i + c_(i-m),
-    a running sum over each residue class mod m whose top m terms are 0.
+    [N k+1] = [N k] (1 - q^(N-k)) / (1 - q^(k+1)).  The product is one shift
+    and one subtraction.  The quotient of p by 1 - q^m is p (1 + q^m +
+    q^2m + ...), summed by doubling the range of the powers and masked to
+    the n = (k + 1)(N - k - 1) + 1 slots of [N k+1] at every step: modulo
+    q^n the series stops once its powers reach q^n, and [N k+1] < q^n, as
+    every coefficient lies in [0, 2^W).  W = 64*(N//63 + 1) keeps every
+    C(N, k) < 2^N <= 2^(W-1), the packing's bound.
     """
-    row = [[1]]
+    width = 64 * (N // 63 + 1)
+    row = [1]
     for k in range(top):
-        cs, m = row[-1], k + 1
-        p = cs + [0] * (N - k)
-        p[N - k :] = map(sub, p[N - k :], cs)
-        for r in range(m):
-            p[r::m] = accumulate(p[r::m])
-        del p[-m:]
-        row.append(p)
-    return row
+        n = (k + 1) * (N - k - 1) + 1
+        mask, span = (1 << width * n) - 1, k + 1
+        x = (row[-1] - (row[-1] << width * (N - k))) & mask
+        while span < n:
+            x = (x + (x << width * span)) & mask
+            span *= 2
+        row.append(x)
+    return width, row
 
 
 def gaussian_binomial(N: int, k: int) -> tuple[int, ...]:
@@ -64,15 +69,19 @@ def gaussian_binomial(N: int, k: int) -> tuple[int, ...]:
         raise ValueError("k must be an integer")
     if k < 0 or k > N:
         return ()
-    return tuple(_binomial_row(N, min(k, N - k))[-1])
+    width, row = _binomial_row(N, min(k, N - k))
+    string = WeightDistribution.from_columns(HighestWeight.fundamental(0), {0: (0, row[-1])}, width)
+    ((_, (_, vals)),) = string.columns()  # its own row, not level1_distribution's: tests compare the two
+    return tuple(vals)
 
 
 def level1_distribution(N: int) -> WeightDistribution:
     """Closed-form distribution for hw = L0 and the word (N, first=0), for every N >= 0.
 
-    String d = k - N//2 is [N k]_q from row d*d up; strings k and N - k share
-    one coefficient list.  No Demazure operator is applied, so this checks
-    the recursion independently at both parities.
+    String d = k - N//2 is [N k]_q from row d*d up, stored as its value at
+    q = 2^W, which is its packed column; strings k and N - k share that
+    int, and so one decoded coefficient list.  No Demazure operator is
+    applied, so this checks the recursion independently at both parities.
 
     It carries its column sums (WeightDistribution.column_sums) from the
     area sums of [N k]_q, with C = C(N, k) and v = k(N - k): mass C,
@@ -81,9 +90,9 @@ def level1_distribution(N: int) -> WeightDistribution:
     moment tables of degree <= 2 in a cost O(columns), as a chain
     snapshot's do.
     """
-    half = _binomial_row(word_length(N), N // 2)  # [N k] = [N N-k]: read back past the middle row at even N
-    cols = {d: (d * d, cs) for d, cs in enumerate(half + half[N % 2 - 2 :: -1], -(N // 2))}
-    mu = WeightDistribution.from_columns(HighestWeight.fundamental(0), cols)
+    width, half = _binomial_row(word_length(N), N // 2)  # [N k] = [N N-k]: read back past the middle row at even N
+    cols = {d: (d * d, x) for d, x in enumerate(half + half[N % 2 - 2 :: -1], -(N // 2))}
+    mu = WeightDistribution.from_columns(HighestWeight.fundamental(0), cols, width)
     sums = {}
     for d in cols:
         k, sq = d + N // 2, d * d

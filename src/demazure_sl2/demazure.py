@@ -33,10 +33,12 @@ is always dominant and column C - 1 - e always antidominant, so the sweep
 reads both straight from the input.  Output column e is the running int
 shifted down to its lowest nonzero slot.  One application costs a few
 big-int additions and shifts per input column, running in C over the
-digits of the ints, with no Python object per entry.  The entries as lists
+digits of the ints, with no Python object per entry.  Every distribution
+holds its columns packed, however it was built, and the entries as lists
 are a view decoded on the first read that needs them (columns, items, the
-writers, ==, pickling), also in C.  The definitional per-point expansion is
-kept in the test suite as an independent oracle.
+writers, ==), also in C; copies and pickles carry the packing and decode
+nothing.  The definitional per-point expansion is kept in the test suite
+as an independent oracle.
 
 The rows of a column do not move, so each step of the same sweep also
 moves three running power sums sum(c * r^p) over the rows r, and output
@@ -78,19 +80,20 @@ class WeylWord(ValidatedTuple, namedtuple("WeylWord", "length first")):
         return super().__new__(cls, word_length(length), generator_index(first))
 
 
-# Column storage, in two forms of d -> (a0, column), c_i the mass at
-# (a0 + i, a0 + i - d).  Packed: the column is the int x = sum(c_i << W*i),
-# W the distribution's slot width, a multiple of 64 with every |c_i| <
-# 2^(W-1); c_0 is nonzero, so x is, and its bit length gives the column's
-# length (_length).  Lists: the column is vals with vals[i] = c_i, both ends
-# nonzero.  Either way empty columns are absent and interior zeros allowed,
-# so equal measures have equal column dicts.  apply_demazure packs; the
-# lists are the view decoded from the packing on the first read of entries
-# (_unpack), or the storage of a distribution built from entries or columns,
-# which its first fold packs.  Ints and lists are shared between columns and
-# distributions and never mutated.  A D_j output is s_j-invariant and holds
-# one int per mirrored pair, so one decoded list: after D_1 columns d and
-# -n - d, after D_0 columns d and m - d, and in
+# Column storage, d -> (a0, x), c_i the mass at (a0 + i, a0 + i - d): the
+# packed column x = sum(c_i << W*i), W the distribution's slot width (see
+# _slot_width), so every |c_i| < 2^(W-1).  c_0 is nonzero, so x is, and its
+# bit length gives the column's length (_length).  Empty columns are absent
+# and interior zeros allowed, so equal measures have equal column dicts.
+# Every route to a distribution stores this form: __init__ packs each column
+# as it is built, and delta, apply_demazure, closedform.level1_distribution,
+# copies and pickles build through from_columns.  The entries as lists,
+# vals[i] = c_i with both ends nonzero, are a view decoded from the packing
+# on the first read of entries (_unpack) and kept.  Ints are shared between
+# columns and distributions and never mutated, and the decode runs once per
+# distinct int, so columns that share an int share one decoded list.  A D_j
+# output is s_j-invariant and holds one int per mirrored pair: after D_1
+# columns d and -n - d, after D_0 columns d and m - d, and in
 # closedform.level1_distribution strings k and N - k.  moments.raw_moments
 # (to sum each shared list once), WeightDistribution.canonical_pieces and
 # render.heatmap (to format or shade each shared list once) rely on this.
@@ -114,6 +117,11 @@ CARRIED_A_DEGREE = 2
 # d -> (sum(c * a^p) over column d for p = 0..CARRIED_A_DEGREE), keyed as the
 # columns are; mirrored columns of a D_1 output share one tuple.
 ColumnSums = dict[int, tuple[int, ...]]
+
+
+def _slot_width(bound: int) -> int:
+    """The slot width W for entries bounded by B in absolute value: the least multiple of 64 with B < 2^(W-1)."""
+    return 64 * (bound.bit_length() // 64 + 1)
 
 
 def _length(x: int, width: int) -> int:
@@ -177,8 +185,8 @@ def _widen(x: int, width: int, wider: int) -> int:
 
 
 def _recode(cols: dict, code: Callable) -> dict:
-    """cols with code applied to each column's list or int, once per distinct one: mirrored columns share the result."""
-    done = {}  # id of a list or int -> its result; cols keeps every one alive
+    """cols with code applied to each column's int, once per distinct one: mirrored columns share the result."""
+    done = {}  # id of an int -> its result; cols keeps every one alive
     out = {}
     for d, (a0, v) in cols.items():
         if id(v) not in done:
@@ -195,11 +203,11 @@ class WeightDistribution:
     permitted so the operators can be probed on arbitrary inputs.  hw must
     be a HighestWeight, and masses and coordinates ints (not bools).
 
-    The columns are stored packed or as lists (see the Column storage
-    comment above).  Three derived views are built once per distribution
-    and reused by every reader: the lists decoded from the packing, on the
-    first read of entries; the decimal text of each distinct column vector
-    (see canonical_pieces); and ``moment_table``, None or the one
+    The columns are stored packed, whichever route built the distribution
+    (see the Column storage comment above).  Three derived views are built
+    once per distribution and reused by every reader: the lists decoded
+    from the packing, on the first read of entries; the decimal text of
+    each distinct column vector (see canonical_pieces); and ``moment_table``, None or the one
     moments.MomentTable that moments.raw_moments keeps for it, at the
     largest degree and degree in a asked of it.  ``column_sums`` is None or
     the ColumnSums of the columns: delta and closedform.level1_distribution
@@ -207,7 +215,8 @@ class WeightDistribution:
     distribution of distribution_chain has it, and moments.raw_moments reads
     tables of degree <= CARRIED_A_DEGREE in a off it in O(columns).
     column_keys and degree_range read the packing and decode nothing.  None
-    of the views and sums takes part in ==, copies or pickles.
+    of the views and sums takes part in ==, copies or pickles; a copy or a
+    pickle holds the packing alone and decodes nothing.
     """
 
     __slots__ = ("hw", "_packed", "_width", "_lists", "_texts", "moment_table", "column_sums")
@@ -215,51 +224,56 @@ class WeightDistribution:
     def __init__(self, hw: HighestWeight, entries: Mapping[tuple[int, int], int] | None = None):
         hw = instance_of(hw, HighestWeight, "highest weight")
         by_d: dict[int, dict[int, int]] = {}
+        bound = 0
         for (a, b), c in (entries or {}).items():
             if not (type(a) is int and type(b) is int and type(c) is int):
                 raise TypeError("distribution coordinates and masses must be integers")
             if c:
                 by_d.setdefault(a - b, {})[a] = c
+                bound += abs(c)
+        width = _slot_width(bound)  # the width D_j on it needs, so its first fold does not widen
         cols = {}
         for d, masses in by_d.items():
             a0 = min(masses)
-            cols[d] = (a0, [masses.get(a, 0) for a in range(a0, max(masses) + 1)])
-        self._init(hw, cols, None, 0)
+            cols[d] = (a0, _pack([masses.get(a, 0) for a in range(a0, max(masses) + 1)], width))
+        self._init(hw, cols, width)
 
-    def _init(self, hw: HighestWeight, lists: dict | None, packed: dict | None, width: int) -> None:
-        """Set the storage, lists or packed columns at slot width width (0 for none), with empty derived views."""
-        self.hw, self._lists, self._packed, self._width = hw, lists, packed, width
+    def _init(self, hw: HighestWeight, packed: dict[int, PackedColumn], width: int) -> None:
+        """Set the packed columns at slot width width, with empty derived views."""
+        self.hw, self._packed, self._width = hw, packed, width
+        self._lists: dict[int, Column] | None = None
         self._texts: dict[int, list[str]] = {}
         self.moment_table = None
         self.column_sums: ColumnSums | None = None
 
     @classmethod
     def delta(cls, hw: HighestWeight) -> "WeightDistribution":
-        """Point mass at the highest weight itself, (a, b) = (0, 0), packed, with its column sums."""
-        mu = cls.__new__(cls)
-        mu._init(instance_of(hw, HighestWeight, "highest weight"), None, {0: (0, 1)}, 64)
+        """Point mass at the highest weight itself, (a, b) = (0, 0), with its column sums."""
+        mu = cls.from_columns(instance_of(hw, HighestWeight, "highest weight"), {0: (0, 1)}, 64)
         mu.column_sums = {0: (1,) + (0,) * CARRIED_A_DEGREE}
         return mu
 
     @classmethod
-    def from_columns(cls, hw: HighestWeight, cols: dict[int, Column]) -> "WeightDistribution":
-        """The distribution whose columns are cols, taken as given: no copy, no check.
+    def from_columns(cls, hw: HighestWeight, cols: dict[int, PackedColumn], width: int) -> "WeightDistribution":
+        """The distribution whose columns are cols, packed at slot width width, taken as given: no copy, no check.
 
-        Precondition: every column is trimmed (both ends of vals nonzero) and
-        nonempty, as the Column storage comment above requires.
+        Precondition: width is a multiple of 64, and every column is packed
+        as the Column storage comment above requires: its lowest slot
+        nonzero, every entry below 2^(width-1) in absolute value.  Copies and
+        pickles build through here, so they share or rebuild the ints alone.
         """
         mu = cls.__new__(cls)
-        mu._init(hw, cols, None, 0)
+        mu._init(hw, cols, width)
         return mu
 
     def __reduce__(self):
-        # the columns as lists alone: a memo keyed by id(vals) would go stale in a copy, and
+        # the packing alone: a memo keyed by id(vals) would go stale in a copy, and
         # column sums are dropped with the derived views, so a copy sums its entries
-        return WeightDistribution.from_columns, (self.hw, self._cols)
+        return WeightDistribution.from_columns, (self.hw, self._packed, self._width)
 
     @property
     def _cols(self) -> dict[int, Column]:
-        """The columns as lists: the storage, or the view decoded from the packing on the first read and kept.
+        """The columns as lists: the view decoded from the packing on the first read and kept.
 
         Column sums are set on Demazure characters alone, whose entries are
         multiplicities, so a distribution with them has no negative entry.
@@ -275,7 +289,7 @@ class WeightDistribution:
 
     def column_keys(self) -> Iterable[int]:
         """The d = a - b of the nonempty columns; decodes no entry."""
-        return (self._lists if self._packed is None else self._packed).keys()
+        return self._packed.keys()
 
     def mass(self, p: tuple[int, int]) -> int:
         a, b = p
@@ -351,10 +365,7 @@ class WeightDistribution:
 
     def degree_range(self) -> tuple[int, int]:
         """(lo, hi) with every support degree in range(lo, hi); (0, 0) when empty.  Decodes no entry."""
-        if self._packed is None:
-            spans = [(a0, len(vals)) for a0, vals in self._lists.values()]
-        else:
-            spans = [(a0, _length(x, self._width)) for a0, x in self._packed.values()]
+        spans = [(a0, _length(x, self._width)) for a0, x in self._packed.values()]
         return min((a0 for a0, _ in spans), default=0), max((a0 + n for a0, n in spans), default=0)
 
     @property
@@ -381,22 +392,18 @@ def _fold_input(mu: WeightDistribution) -> tuple[dict[int, PackedColumn], int]:
 
     Every output entry of D_j, and every partial sum of its sweep, is a
     signed sum of input entries of one row, so B = sum(|c|) over mu bounds
-    it, and W must be a multiple of 64 with B < 2^(W-1).  Column sums are
-    set on Demazure characters alone, whose entries are multiplicities, so
-    there B is the mass, read off them in O(columns); any other input is
-    decoded and its |c| summed.  A distribution built from lists is packed
-    here and a narrower packing widened, once: mu keeps the result.
+    it, and W is _slot_width(B).  Column sums are set on Demazure characters
+    alone, whose entries are multiplicities, so there B is the mass, read
+    off them in O(columns); any other input is decoded and its |c| summed.
+    A packing narrower than W is widened, once: mu keeps the result.
     """
     if mu.column_sums is not None:
         bound = sum(s[0] for s in mu.column_sums.values())
     else:
         bound = sum(sum(map(abs, vals)) for _, vals in mu._cols.values())
-    width = 64 * (bound.bit_length() // 64 + 1)
-    if mu._packed is None:
-        mu._packed = _recode(mu._lists, lambda vals: _pack(vals, width))
-    elif mu._width < width:
-        mu._packed = _recode(mu._packed, lambda x: _widen(x, mu._width, width))
-    mu._width = max(mu._width, width)
+    narrow, width = mu._width, _slot_width(bound)
+    if narrow < width:
+        mu._packed, mu._width = _recode(mu._packed, lambda x: _widen(x, narrow, width)), width
     return mu._packed, mu._width
 
 
@@ -463,7 +470,7 @@ def _flip(cols: dict[int, PackedColumn], sums: ColumnSums | None) -> tuple[dict[
 
 
 def apply_demazure(j: int, mu: WeightDistribution) -> WeightDistribution:
-    """One application of D_j; mu keeps its entries, packed on its first fold.  The output carries sums when mu does."""
+    """One application of D_j; mu keeps its entries (its slots may widen).  The output carries sums when mu does."""
     mu = instance_of(mu, WeightDistribution, "distribution")
     j = generator_index(j)
     (cols, width), sums = _fold_input(mu), mu.column_sums
@@ -471,8 +478,7 @@ def apply_demazure(j: int, mu: WeightDistribution) -> WeightDistribution:
         cols, sums = _fold(cols, sums, -mu.hw.n, width)
     else:
         cols, sums = _flip(*_fold(*_flip(cols, sums), -mu.hw.m, width))
-    out = WeightDistribution.__new__(WeightDistribution)
-    out._init(mu.hw, None, cols, width)
+    out = WeightDistribution.from_columns(mu.hw, cols, width)
     out.column_sums = sums
     return out
 

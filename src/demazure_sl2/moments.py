@@ -6,7 +6,8 @@ functionals in the lattice coordinates reduce to raw power sums, which
 raw_moments collects per distribution into a MomentTable.  A table has
 two bounds, its degree (p + r) and its degree in a (p): only powers of a
 can cost passes over entries, so a caller that reads no high power of a
-asks for a lower degree in a.  A distribution of
+asks for a lower degree in a; expectation and covariance ask for the
+degree in a of what they read.  A distribution of
 demazure.distribution_chain carries its columns' sums of c * a^p for
 p <= demazure.CARRIED_A_DEGREE = 2 through the fold, and
 closedform.level1_distribution carries them from the area sums of its
@@ -112,7 +113,7 @@ class MomentTable(NamedTuple):
             if degree > self.degree:
                 msg = f"functional of degree {degree} exceeds the moment table's degree {self.degree}"
             else:
-                a_degree = sum(max((p for (p, _), _ in f.numerators()[1]), default=0) for f in factors)
+                a_degree = sum(map(_a_degree, factors))
                 msg = f"functional of degree {a_degree} in a exceeds the moment table's degree {self.a_degree} in a"
             raise ValueError(msg) from None
 
@@ -120,6 +121,11 @@ class MomentTable(NamedTuple):
         """Covariance matrix of the pair (degree, finite weight); needs degree 2, also in a."""
         d, w = degree_functional(), finite_weight_functional(hw)
         return CovarianceMatrix(self.cov(d, d), self.cov(d, w), self.cov(w, w))
+
+
+def _a_degree(f: Functional) -> int:
+    """The degree of f in a: the largest p of its monomials a^p * d^r; 0 for the zero functional."""
+    return max((p for (p, _), _ in f.numerators()[1]), default=0)
 
 
 def moment_degree(degree: int) -> int:
@@ -224,14 +230,15 @@ def _entry_sums(mu: WeightDistribution, a_degree: int) -> tuple[list[int], list[
 
 
 def expectation(mu: WeightDistribution, f: Functional) -> Fraction:
-    """Mean of f under mu, an exact rational.  Raises on zero total mass."""
-    return raw_moments(mu, instance_of(f, Functional, "functional").total_degree).expect(f)
+    """Mean of f under mu, an exact rational, from a table of f's degree and degree in a.  Raises on zero total mass."""
+    f = instance_of(f, Functional, "functional")
+    return raw_moments(mu, f.total_degree, _a_degree(f)).expect(f)
 
 
 def covariance(mu: WeightDistribution, f: Functional, g: Functional) -> Fraction:
-    """E[fg] - E[f]E[g] under mu, exact."""
-    degree = sum(instance_of(h, Functional, "functional").total_degree for h in (f, g))
-    return raw_moments(mu, degree).cov(f, g)
+    """E[fg] - E[f]E[g] under mu, exact, from a table of fg's degree and degree in a."""
+    fs = [instance_of(h, Functional, "functional") for h in (f, g)]
+    return raw_moments(mu, sum(h.total_degree for h in fs), sum(map(_a_degree, fs))).cov(f, g)
 
 
 def variance(mu: WeightDistribution, f: Functional) -> Fraction:

@@ -76,7 +76,7 @@ def heatmap(mu: WeightDistribution) -> str:
     a_min, a_end = instance_of(mu, WeightDistribution, "distribution").degree_range()
     if a_min == a_end:
         return _svg(2 * PADDING, 2 * PADDING, [])
-    d_min, d_max = min(d for d, _ in mu.columns()), max(d for d, _ in mu.columns())
+    d_min, d_max = min(mu.column_keys()), max(mu.column_keys())
     # per distinct vector (mirrored columns share one); an interior zero adds a harmless 0
     masses = list(set(chain.from_iterable({id(v): v for _, (_, v) in mu.columns()}.values())))
     if min(masses) < 0:

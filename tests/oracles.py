@@ -2,7 +2,8 @@
 
 Everything here is written from the definitions, with no shortcuts shared
 with the package code: the operator expands point by point, path counts
-are enumerated combinatorially, moments are summed per support point
+are enumerated combinatorially, Gaussian binomials are coefficient lists
+built by the q-binomial recurrence, moments are summed per support point
 with Fraction arithmetic throughout, the CSV, JSON and heatmap writers
 are formatted one support point at a time, and the histogram one bar at a
 time.
@@ -12,8 +13,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, lcm, log1p
+from operator import sub
 
 from demazure_sl2 import (
     Functional,
@@ -62,6 +64,25 @@ def lattice_path_area_counts(N: int, k: int) -> list[int]:
         area = sum(t - r for r, t in enumerate(east_positions))
         counts[area] += 1
     return counts
+
+
+def binomial_row(N: int, top: int) -> list[list[int]]:
+    """Coefficient lists of [N k]_q for k = 0 .. top, constant term first.
+
+    [N k+1] = [N k] (1 - q^(N-k)) / (1 - q^(k+1)): the product is one shifted
+    subtraction, and the quotient c of p by 1 - q^m obeys c_i = p_i + c_(i-m),
+    a running sum over each residue class mod m whose top m terms are 0.
+    """
+    row = [[1]]
+    for k in range(top):
+        cs, m = row[-1], k + 1
+        p = cs + [0] * (N - k)
+        p[N - k :] = map(sub, p[N - k :], cs)
+        for r in range(m):
+            p[r::m] = accumulate(p[r::m])
+        del p[-m:]
+        row.append(p)
+    return row
 
 
 def brute_expectation(mu: WeightDistribution, f: Functional) -> Fraction:

@@ -21,7 +21,7 @@ from demazure_sl2 import (
     string_symmetry_shift,
 )
 from demazure_sl2.moments import raw_moments
-from oracles import lattice_path_area_counts
+from oracles import binomial_row, lattice_path_area_counts
 
 
 def test_gaussian_binomial_small_values():
@@ -117,6 +117,19 @@ def test_level1_chain_equals_the_closed_form_past_64_bit_slots():
     mu = next(islice(distribution_chain(HighestWeight.fundamental(0), 0), 70, None))
     assert mu._width == 128
     assert mu == level1_distribution(70)
+
+
+def test_closed_form_at_slot_width_edges():
+    # [N k]_q is built at q = 2^W with W = 64 at N = 62, 128 at N = 63 .. 125
+    # and 192 at N = 126, 127; both readers equal the list recurrence
+    widths = []
+    for N in (62, 63, 64, 125, 126, 127):
+        want = binomial_row(N, N)
+        mu = level1_distribution(N)
+        widths.append(mu._width)
+        assert [gaussian_binomial(N, k) for k in range(N + 1)] == list(map(tuple, want)), N
+        assert {d: vals for d, (_, vals) in mu.columns()} == {k - N // 2: want[k] for k in range(N + 1)}, N
+    assert widths == [64, 128, 128, 128, 192, 192]
 
 
 def test_level1_column_geometry():

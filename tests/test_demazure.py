@@ -1,3 +1,4 @@
+import copy
 import pickle
 from itertools import islice
 from math import comb
@@ -24,6 +25,7 @@ from demazure_sl2 import (
     palindromicity_check,
     weight_distribution,
 )
+from demazure_sl2 import demazure
 from demazure_sl2.serialize import distribution_csv, distribution_json
 from frozen import MU2, MU3, MU5, SIGNED
 from oracles import apply_demazure_pointwise, brute_pushforward, random_signed_measure, step, tensor_character_row
@@ -496,6 +498,42 @@ def test_packed_columns_decode_and_widen_at_every_width():
             assert _unpack(_widen(x, width, width + 128), width + 128, True) == vals, (width, vals)
             if min(vals) >= 0:  # a column with no negative entry decodes without the offset
                 assert _unpack(x, width, False) == vals, (width, vals)
+
+
+def test_every_route_stores_packed_columns_and_decodes_nothing(monkeypatch):
+    # the lists are only the view decoded on the first read of entries: no
+    # route to a distribution decodes, column keys and degree bounds read the
+    # packing, and a copy reuses the packed ints
+    decoded = []
+    unpack = demazure._unpack
+    monkeypatch.setattr(demazure, "_unpack", lambda *args: decoded.append(args) or unpack(*args))
+    hw = HighestWeight(2, 1)
+    entries = {(0, 0): 3, (1, 0): -2, (2, 1): 0, (1, 3): 5, (4, 2): 2**70}
+    hand = WeightDistribution(hw, entries)
+    snap = weight_distribution(hw, WeylWord(9, 1))
+    routes = {
+        "__init__": hand,
+        "delta": WeightDistribution.delta(hw),
+        "from_columns": WeightDistribution.from_columns(hw, hand._packed, hand._width),
+        "distribution_chain": snap,
+        "copy": copy.copy(snap),
+        "deepcopy": copy.deepcopy(snap),
+        "pickle": pickle.loads(pickle.dumps(snap)),
+        "level1_distribution": level1_distribution(20),
+    }
+    for name, mu in routes.items():
+        assert mu._lists is None and mu._width % 64 == 0, name
+        assert all(type(x) is int and x for _, x in mu._packed.values()), name
+        assert list(mu.column_keys()) == list(mu._packed), name
+        mu.degree_range()
+    assert hand.degree_range() == (0, 5) and sorted(hand.column_keys()) == [-2, 0, 1, 2]
+    assert decoded == []
+    for name in ("copy", "deepcopy"):
+        assert all(routes[name]._packed[d][1] is x for d, (_, x) in snap._packed.items()), name
+    assert all(mu == snap for mu in (routes["copy"], routes["deepcopy"], routes["pickle"]))
+    assert routes["from_columns"] == hand and dict(hand.items()) == {p: c for p, c in entries.items() if c}
+    out = apply_demazure(0, hand)  # reads the input's entries to bound its slots
+    assert out._lists is None and out == apply_demazure_pointwise(0, hand)
 
 
 @given(hw=_hws, entries=_entries, j=_js)

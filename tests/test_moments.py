@@ -32,6 +32,7 @@ from demazure_sl2 import (
     weight_distribution,
 )
 from demazure_sl2 import moments
+from demazure_sl2.demazure import _pack
 from demazure_sl2.moments import (
     coordinate_covariance,
     pushforward_covariance,
@@ -310,11 +311,12 @@ def test_raw_moments_degree4_match_pointwise_sums():
 
 def test_raw_moments_agrees_on_shared_and_unshared_columns():
     # raw_moments runs its column stage once per distinct list; columns that
-    # share a list differ in d and a0, so everything after the stage stays
-    # per column.  The rebuild from entries shares nothing.
-    vals = [3, -1, 0, 2]
-    cols = {-2: (0, vals), 1: (5, vals), 4: (-3, vals), 0: (1, [1, 4]), 6: (2, vals[:2])}
-    mu = WeightDistribution.from_columns(HighestWeight(2, 1), cols)
+    # share a packed int share its decoded list, and differ in d and a0, so
+    # everything after the stage stays per column.  The rebuild from entries
+    # shares nothing.
+    vals = _pack([3, -1, 0, 2], 64)
+    cols = {-2: (0, vals), 1: (5, vals), 4: (-3, vals), 0: (1, _pack([1, 4], 64)), 6: (2, _pack([3, -1], 64))}
+    mu = WeightDistribution.from_columns(HighestWeight(2, 1), cols, 64)
     rebuilt = WeightDistribution(mu.hw, dict(mu.items()))
     assert rebuilt == mu
     assert len({id(v) for _, (_, v) in rebuilt.columns()}) == len(cols)
@@ -437,6 +439,22 @@ def test_carried_column_sums_past_64_bit_slots(m, n, first, Ns):
         if N in Ns:
             assert mu._width == 128 and mu.column_sums is not None, N
             assert raw_moments(mu, 2) == raw_moments(pickle.loads(pickle.dumps(mu)), 2), N
+
+
+def test_expectation_and_covariance_ask_for_the_degree_in_a_they_read(monkeypatch):
+    # functionals of d = a - b alone have degree 0 in a, so a chain snapshot
+    # serves them from its carried sums at any degree, with no pass over
+    # entries; a pickled copy carries none and sums its entries
+    mu = next(islice(distribution_chain(HighestWeight(4, 0), 0), 23, None))
+    copy_ = pickle.loads(pickle.dumps(mu))
+    d = A - B
+    summed = []
+    entry_sums = moments._entry_sums
+    monkeypatch.setattr(moments, "_entry_sums", lambda *args: summed.append(args) or entry_sums(*args))
+    got = covariance(mu, d * d, d), expectation(mu, d**3)
+    assert summed == []
+    assert got == (covariance(copy_, d * d, d), expectation(copy_, d**3))
+    assert summed != []
 
 
 def test_the_memo_serves_covered_bounds_and_grows_to_the_union_of_both(monkeypatch):

@@ -18,6 +18,8 @@ from demazure_sl2 import (
     weight_distribution,
     wlln_series,
 )
+from demazure_sl2 import demazure
+from demazure_sl2.demazure import _pack
 from demazure_sl2.serialize import (
     conjecture_json,
     distribution_csv,
@@ -172,7 +174,7 @@ def test_copies_and_pickles_do_not_carry_a_stale_text_memo():
             assert [write(clone) for write, _ in _writers(clone)] == expected
 
 
-def test_each_distinct_vector_is_formatted_once_across_all_writers():
+def test_each_distinct_vector_is_formatted_once_across_all_writers(monkeypatch):
     calls = []
 
     class Mult(int):
@@ -180,8 +182,12 @@ def test_each_distinct_vector_is_formatted_once_across_all_writers():
             calls.append(int(self))
             return int.__str__(self)
 
-    vals, flat = [Mult(c) for c in (1, 3, 0, 2)], [Mult(5)]
-    mu = WeightDistribution.from_columns(HighestWeight(1, 2), {-1: (0, vals), 2: (3, vals), 0: (1, flat), 1: (2, vals)})
+    # entries decode as Mult, so every str of one is counted; columns sharing an int share one decoded list
+    unpack = demazure._unpack
+    monkeypatch.setattr(demazure, "_unpack", lambda *args: list(map(Mult, unpack(*args))))
+    vals, flat = [1, 3, 0, 2], [5]
+    x, y = _pack(vals, 64), _pack(flat, 64)
+    mu = WeightDistribution.from_columns(HighestWeight(1, 2), {-1: (0, x), 2: (3, x), 0: (1, y), 1: (2, x)}, 64)
     plain = WeightDistribution(mu.hw, {p: int(c) for p, c in mu.items()})
     expected = [oracle(plain) for _, oracle in _writers(mu)]
     del calls[:]

@@ -134,6 +134,24 @@ def test_closed_form_imports_no_operator():
     assert offenders == []
 
 
+def test_packed_columns_are_the_one_storage_form():
+    # the lists are the view decoded from the packing, not a second storage:
+    # a distribution starts with none, and only the decode assigns them
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and any(
+                isinstance(leaf, ast.Attribute) and leaf.attr == "_lists" for t in targets for leaf in ast.walk(t)
+            ):
+                owner = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                found.append((path.name, owner[-1] if owner else "<module>", ast.unparse(node.value)))
+    assert [(name, owner) for name, owner, _ in found] == [("demazure.py", "_init"), ("demazure.py", "_cols")]
+    assert found[0][2] == "None" and "_unpack" in found[1][2]
+
+
 def test_asymptotics_walks_the_chain_and_reads_a_distribution_in_one_place_each():
     # rescaled_summary, wlln_series and conjecture_check share one chain
     # walk, _walk, which is also the one reader of a distribution, so a
