@@ -46,10 +46,11 @@ def _binomial_row(N: int, top: int) -> tuple[int, list[int]]:
     q^2m + ...), summed by doubling the range of the powers and masked to
     the n = (k + 1)(N - k - 1) + 1 slots of [N k+1] at every step: modulo
     q^n the series stops once its powers reach q^n, and [N k+1] < q^n, as
-    every coefficient lies in [0, 2^W).  W = 64*(N//63 + 1) keeps every
-    C(N, k) < 2^N <= 2^(W-1), the packing's bound.
+    every coefficient lies in [0, 2^W).  Every coefficient is at most
+    C(N, k) <= 2^N, so W = WeightDistribution.slot_width(2^N), the rule the
+    chain's packing uses, keeps it below 2^(W-1), the packing's bound.
     """
-    width = 64 * (N // 63 + 1)
+    width = WeightDistribution.slot_width(1 << N)
     row = [1]
     for k in range(top):
         n = (k + 1) * (N - k - 1) + 1
@@ -70,7 +71,7 @@ def gaussian_binomial(N: int, k: int) -> tuple[int, ...]:
     if k < 0 or k > N:
         return ()
     width, row = _binomial_row(N, min(k, N - k))
-    string = WeightDistribution.from_columns(HighestWeight.fundamental(0), {0: (0, row[-1])}, width)
+    string = WeightDistribution.from_columns(HighestWeight.fundamental(0), {0: (0, row[-1])}, width, None)
     ((_, (_, vals)),) = string.columns()  # its own row, not level1_distribution's: tests compare the two
     return tuple(vals)
 
@@ -83,24 +84,23 @@ def level1_distribution(N: int) -> WeightDistribution:
     int, and so one decoded coefficient list.  No Demazure operator is
     applied, so this checks the recursion independently at both parities.
 
-    It carries its column sums (WeightDistribution.column_sums) from the
+    It is built with its column sums (WeightDistribution.column_sums), the
     area sums of [N k]_q, with C = C(N, k) and v = k(N - k): mass C,
     sum(i * c) = C * v/2 and sum(i^2 * c) = C * v * (N + 1 + 3v)/12 (mean
     v/2, variance v(N + 1)/12), shifted to the rows a = d*d + i.  So its
     moment tables of degree <= 2 in a cost O(columns), as a chain
-    snapshot's do.
+    snapshot's do.  Its slot width is WeightDistribution.slot_width(2^N)
+    (see _binomial_row).
     """
     width, half = _binomial_row(word_length(N), N // 2)  # [N k] = [N N-k]: read back past the middle row at even N
     cols = {d: (d * d, x) for d, x in enumerate(half + half[N % 2 - 2 :: -1], -(N // 2))}
-    mu = WeightDistribution.from_columns(HighestWeight.fundamental(0), cols, width)
     sums = {}
     for d in cols:
         k, sq = d + N // 2, d * d
         c, v = comb(N, k), k * (N - k)
         s1, s2 = c * v // 2, c * v * (N + 1 + 3 * v) // 12
         sums[d] = c, sq * c + s1, sq * (sq * c + 2 * s1) + s2
-    mu.column_sums = sums
-    return mu
+    return WeightDistribution.from_columns(HighestWeight.fundamental(0), cols, width, sums)
 
 
 def string_symmetry_shift(N: int, p: LatticePoint) -> int:

@@ -36,9 +36,9 @@ big-int additions and shifts per input column, running in C over the
 digits of the ints, with no Python object per entry.  Every distribution
 holds its columns packed, however it was built, and the entries as lists
 are a view decoded on the first read that needs them (columns, items, the
-writers, ==), also in C; copies and pickles carry the packing and decode
-nothing.  The definitional per-point expansion is kept in the test suite
-as an independent oracle.
+writers, ==), also in C; copies and pickles carry the packing and the
+column sums and decode nothing.  The definitional per-point expansion is
+kept in the test suite as an independent oracle.
 
 The rows of a column do not move, so each step of the same sweep also
 moves three running power sums sum(c * r^p) over the rows r, and output
@@ -82,16 +82,18 @@ class WeylWord(ValidatedTuple, namedtuple("WeylWord", "length first")):
 
 # Column storage, d -> (a0, x), c_i the mass at (a0 + i, a0 + i - d): the
 # packed column x = sum(c_i << W*i), W the distribution's slot width (see
-# _slot_width), so every |c_i| < 2^(W-1).  c_0 is nonzero, so x is, and its
-# bit length gives the column's length (_length).  Empty columns are absent
-# and interior zeros allowed, so equal measures have equal column dicts.
+# WeightDistribution.slot_width), so every |c_i| < 2^(W-1).  c_0 is
+# nonzero, so x is, and its bit length gives the column's length (_length).
+# Empty columns are absent and interior zeros allowed, so equal measures
+# have equal column dicts.
 # Every route to a distribution stores this form: __init__ packs each column
 # as it is built, and delta, apply_demazure, closedform.level1_distribution,
 # copies and pickles build through from_columns.  The entries as lists,
 # vals[i] = c_i with both ends nonzero, are a view decoded from the packing
 # on the first read of entries (_unpack) and kept.  Ints are shared between
 # columns and distributions and never mutated, and the decode runs once per
-# distinct int, so columns that share an int share one decoded list.  A D_j
+# distinct value, so columns with equal ints share one decoded list, also
+# after a pickle round trip, which does not keep ints shared.  A D_j
 # output is s_j-invariant and holds one int per mirrored pair: after D_1
 # columns d and -n - d, after D_0 columns d and m - d, and in
 # closedform.level1_distribution strings k and N - k.  moments.raw_moments
@@ -102,10 +104,11 @@ class WeylWord(ValidatedTuple, namedtuple("WeylWord", "length first")):
 # drops them, so a copy or an unpickled distribution starts with none.
 # Column sums (WeightDistribution.column_sums) are per column, not per
 # vector: mirrored columns after D_0 share a vector over b rows but not
-# their sums over a rows.  They are set by delta and apply_demazure, which
-# carries them from its input, and by closedform.level1_distribution, from
-# the area sums of Gaussian binomials; a distribution built otherwise (a
-# hand-built or an unpickled one) has none and raw_moments sums its entries.
+# their sums over a rows.  They are passed to from_columns by delta, by
+# apply_demazure, which carries them from its input, and by
+# closedform.level1_distribution, from the area sums of Gaussian binomials,
+# and copies and pickles keep them.  Only a distribution built by hand
+# (__init__) has none, and raw_moments sums its entries.
 Column = tuple[int, list[int]]
 PackedColumn = tuple[int, int]
 
@@ -117,11 +120,6 @@ CARRIED_A_DEGREE = 2
 # d -> (sum(c * a^p) over column d for p = 0..CARRIED_A_DEGREE), keyed as the
 # columns are; mirrored columns of a D_1 output share one tuple.
 ColumnSums = dict[int, tuple[int, ...]]
-
-
-def _slot_width(bound: int) -> int:
-    """The slot width W for entries bounded by B in absolute value: the least multiple of 64 with B < 2^(W-1)."""
-    return 64 * (bound.bit_length() // 64 + 1)
 
 
 def _length(x: int, width: int) -> int:
@@ -185,13 +183,22 @@ def _widen(x: int, width: int, wider: int) -> int:
 
 
 def _recode(cols: dict, code: Callable) -> dict:
-    """cols with code applied to each column's int, once per distinct one: mirrored columns share the result."""
-    done = {}  # id of an int -> its result; cols keeps every one alive
+    """cols with code applied to each column's int, once per distinct value: equal ints share the result.
+
+    Ints are bucketed by (bit length, low 64 bits), which costs O(1) for
+    the nonnegative ints of a Demazure character where hashing one reads
+    all its digits, and matched by ==, which costs O(1) on the one object
+    that mirrored columns share.
+    """
+    done: dict[tuple[int, int], list] = {}
     out = {}
     for d, (a0, v) in cols.items():
-        if id(v) not in done:
-            done[id(v)] = code(v)
-        out[d] = a0, done[id(v)]
+        bucket = done.setdefault((v.bit_length(), v & 0xFFFFFFFFFFFFFFFF), [])
+        r = next((r for w, r in bucket if w == v), None)
+        if r is None:
+            r = code(v)
+            bucket.append((v, r))
+        out[d] = a0, r
     return out
 
 
@@ -204,22 +211,22 @@ class WeightDistribution:
     be a HighestWeight, and masses and coordinates ints (not bools).
 
     The columns are stored packed, whichever route built the distribution
-    (see the Column storage comment above).  Three derived views are built
-    once per distribution and reused by every reader: the lists decoded
-    from the packing, on the first read of entries; the decimal text of
-    each distinct column vector (see canonical_pieces); and ``moment_table``, None or the one
-    moments.MomentTable that moments.raw_moments keeps for it, at the
-    largest degree and degree in a asked of it.  ``column_sums`` is None or
-    the ColumnSums of the columns: delta and closedform.level1_distribution
-    set it and apply_demazure carries it from its input, so every
-    distribution of distribution_chain has it, and moments.raw_moments reads
-    tables of degree <= CARRIED_A_DEGREE in a off it in O(columns).
-    column_keys and degree_range read the packing and decode nothing.  None
-    of the views and sums takes part in ==, copies or pickles; a copy or a
-    pickle holds the packing alone and decodes nothing.
+    (see the Column storage comment above).  Its state, hw, the packed
+    columns, their slot width and ``column_sums``, is set once, by _init,
+    and never changed.  ``column_sums`` is None or the ColumnSums of the
+    columns: delta and closedform.level1_distribution pass them to
+    from_columns and apply_demazure carries them from its input, so every
+    distribution of distribution_chain has them, and moments.raw_moments
+    reads tables of degree <= CARRIED_A_DEGREE in a off them in O(columns).
+    Two derived views are built once per distribution and reused by every
+    reader: the lists decoded from the packing, on the first read of
+    entries, and the decimal text of each distinct column vector (see
+    canonical_pieces).  column_keys and degree_range read the packing and
+    decode nothing.  The views take no part in ==, copies or pickles; a
+    copy or a pickle holds the packing and the sums and decodes nothing.
     """
 
-    __slots__ = ("hw", "_packed", "_width", "_lists", "_texts", "moment_table", "column_sums")
+    __slots__ = ("hw", "_packed", "_width", "column_sums", "_lists", "_texts")
 
     def __init__(self, hw: HighestWeight, entries: Mapping[tuple[int, int], int] | None = None):
         hw = instance_of(hw, HighestWeight, "highest weight")
@@ -231,45 +238,52 @@ class WeightDistribution:
             if c:
                 by_d.setdefault(a - b, {})[a] = c
                 bound += abs(c)
-        width = _slot_width(bound)  # the width D_j on it needs, so its first fold does not widen
+        width = self.slot_width(bound)  # the width D_j on it needs, so its first fold does not widen
         cols = {}
         for d, masses in by_d.items():
             a0 = min(masses)
             cols[d] = (a0, _pack([masses.get(a, 0) for a in range(a0, max(masses) + 1)], width))
-        self._init(hw, cols, width)
+        self._init(hw, cols, width, None)
 
-    def _init(self, hw: HighestWeight, packed: dict[int, PackedColumn], width: int) -> None:
-        """Set the packed columns at slot width width, with empty derived views."""
-        self.hw, self._packed, self._width = hw, packed, width
+    def _init(self, hw: HighestWeight, packed: dict[int, PackedColumn], width: int, sums: ColumnSums | None) -> None:
+        """Set the state, the packed columns at slot width width and their sums, with empty derived views."""
+        self.hw, self._packed, self._width, self.column_sums = hw, packed, width, sums
         self._lists: dict[int, Column] | None = None
         self._texts: dict[int, list[str]] = {}
-        self.moment_table = None
-        self.column_sums: ColumnSums | None = None
+
+    @staticmethod
+    def slot_width(bound: int) -> int:
+        """The slot width W for entries bounded by B in absolute value: the least multiple of 64 with B < 2^(W-1)."""
+        return 64 * (bound.bit_length() // 64 + 1)
 
     @classmethod
     def delta(cls, hw: HighestWeight) -> "WeightDistribution":
         """Point mass at the highest weight itself, (a, b) = (0, 0), with its column sums."""
-        mu = cls.from_columns(instance_of(hw, HighestWeight, "highest weight"), {0: (0, 1)}, 64)
-        mu.column_sums = {0: (1,) + (0,) * CARRIED_A_DEGREE}
-        return mu
+        hw = instance_of(hw, HighestWeight, "highest weight")
+        return cls.from_columns(hw, {0: (0, 1)}, cls.slot_width(1), {0: (1,) + (0,) * CARRIED_A_DEGREE})
 
     @classmethod
-    def from_columns(cls, hw: HighestWeight, cols: dict[int, PackedColumn], width: int) -> "WeightDistribution":
-        """The distribution whose columns are cols, packed at slot width width, taken as given: no copy, no check.
+    def from_columns(
+        cls, hw: HighestWeight, cols: dict[int, PackedColumn], width: int, sums: ColumnSums | None
+    ) -> "WeightDistribution":
+        """The distribution whose columns are cols, packed at slot width width, with column sums sums (None: none).
 
-        Precondition: width is a multiple of 64, and every column is packed
-        as the Column storage comment above requires: its lowest slot
-        nonzero, every entry below 2^(width-1) in absolute value.  Copies and
-        pickles build through here, so they share or rebuild the ints alone.
+        Taken as given: no copy, no check.  Precondition: width is a
+        multiple of 64, every column is packed as the Column storage comment
+        above requires (its lowest slot nonzero, every entry below
+        2^(width-1) in absolute value), and sums, when given, are the
+        columns' ColumnSums of a measure with no negative entry.  Copies and
+        pickles build through here, so they share or rebuild the ints and
+        the sums alone.
         """
         mu = cls.__new__(cls)
-        mu._init(hw, cols, width)
+        mu._init(hw, cols, width, sums)
         return mu
 
     def __reduce__(self):
-        # the packing alone: a memo keyed by id(vals) would go stale in a copy, and
-        # column sums are dropped with the derived views, so a copy sums its entries
-        return WeightDistribution.from_columns, (self.hw, self._packed, self._width)
+        # the state alone: a memo keyed by id(vals) would go stale in a copy; the
+        # column sums go with the packing, so a copy reads its tables off them too
+        return WeightDistribution.from_columns, (self.hw, self._packed, self._width, self.column_sums)
 
     @property
     def _cols(self) -> dict[int, Column]:
@@ -388,23 +402,23 @@ class WeightDistribution:
 
 
 def _fold_input(mu: WeightDistribution) -> tuple[dict[int, PackedColumn], int]:
-    """mu's packed columns and their slot width W, wide enough for D_j on mu.
+    """mu's packed columns at a slot width W wide enough for D_j on mu, and W; mu is not modified.
 
     Every output entry of D_j, and every partial sum of its sweep, is a
     signed sum of input entries of one row, so B = sum(|c|) over mu bounds
-    it, and W is _slot_width(B).  Column sums are set on Demazure characters
-    alone, whose entries are multiplicities, so there B is the mass, read
-    off them in O(columns); any other input is decoded and its |c| summed.
-    A packing narrower than W is widened, once: mu keeps the result.
+    it, and W is WeightDistribution.slot_width(B).  Column sums are set on
+    Demazure characters alone, whose entries are multiplicities, so there B
+    is the mass, read off them in O(columns); any other input is decoded
+    and its |c| summed.  A packing narrower than W is returned widened.
     """
     if mu.column_sums is not None:
         bound = sum(s[0] for s in mu.column_sums.values())
     else:
         bound = sum(sum(map(abs, vals)) for _, vals in mu._cols.values())
-    narrow, width = mu._width, _slot_width(bound)
+    narrow, width = mu._width, WeightDistribution.slot_width(bound)
     if narrow < width:
-        mu._packed, mu._width = _recode(mu._packed, lambda x: _widen(x, narrow, width)), width
-    return mu._packed, mu._width
+        return _recode(mu._packed, lambda x: _widen(x, narrow, width)), width
+    return mu._packed, narrow
 
 
 def _fold(
@@ -470,7 +484,7 @@ def _flip(cols: dict[int, PackedColumn], sums: ColumnSums | None) -> tuple[dict[
 
 
 def apply_demazure(j: int, mu: WeightDistribution) -> WeightDistribution:
-    """One application of D_j; mu keeps its entries (its slots may widen).  The output carries sums when mu does."""
+    """One application of D_j; mu is not modified.  The output carries sums when mu does."""
     mu = instance_of(mu, WeightDistribution, "distribution")
     j = generator_index(j)
     (cols, width), sums = _fold_input(mu), mu.column_sums
@@ -478,9 +492,7 @@ def apply_demazure(j: int, mu: WeightDistribution) -> WeightDistribution:
         cols, sums = _fold(cols, sums, -mu.hw.n, width)
     else:
         cols, sums = _flip(*_fold(*_flip(cols, sums), -mu.hw.m, width))
-    out = WeightDistribution.from_columns(mu.hw, cols, width)
-    out.column_sums = sums
-    return out
+    return WeightDistribution.from_columns(mu.hw, cols, width, sums)
 
 
 def distribution_chain(hw: HighestWeight, first: int) -> Iterator[WeightDistribution]:

@@ -11,12 +11,10 @@ degree in a of what they read.  A distribution of
 demazure.distribution_chain carries its columns' sums of c * a^p for
 p <= demazure.CARRIED_A_DEGREE = 2 through the fold, and
 closedform.level1_distribution carries them from the area sums of its
-Gaussian binomials, so their tables of degree <= 2 in a, which are all the
-package's readers ask for, cost O(columns) and no pass over entries.  The
-distribution keeps one table, computed at the larger of each bound asked
-for so far, and a read that table covers gets it restricted, so the
-covariance matrix and the two means of an ellipse cost one table, and no
-caller keeps a second cache of tables.
+Gaussian binomials, and copies and pickles keep them, so their tables of
+degree <= 2 in a, which are all the package's readers ask for, cost
+O(columns) and no pass over entries.  Each call of raw_moments builds its
+table afresh; no distribution keeps one.
 Tables and functionals are both written in the column coordinates (a, d),
 d = a - b, of the distribution's storage: the table holds
 sum(mass * a^p * d^r), and Functional.numerators gives a functional's int
@@ -27,9 +25,9 @@ int dot products of its power sums with those numerators and one division
 at the end: cov pairs the terms of f and g and never builds f * g, and it
 ends in the final division it shares with pushforward_covariance, which
 sums per column without the image, and coordinate_covariance.  Where
-raw_moments has no carried sums to read (a distribution built by hand,
-copied or unpickled, or a degree above 2 in a), the work per support point
-is int arithmetic inside map, accumulate and sum only: a_degree + 1
+raw_moments has no carried sums to read (a distribution built by hand, or
+a degree above 2 in a), the work per support point is int arithmetic
+inside map, accumulate and sum only: a_degree + 1
 additions per entry of each distinct column vector (iterated prefix sums
 and a final sum) and no multiplication, turned into power sums per column
 as vectors over the columns.  Mirrored columns share
@@ -142,45 +140,32 @@ def raw_moments(mu: WeightDistribution, degree: int, a_degree: int | None = None
     exceed it.  The table is computed in two stages.  Stage 1 gives the
     power sums s_p = sum(c * a^p) of each column, p <= a_degree.  When mu
     carries them (mu.column_sums, set along demazure.distribution_chain
-    and by closedform.level1_distribution) and a_degree <=
-    demazure.CARRIED_A_DEGREE, it reads them there in O(columns), with no
-    pass over entries.  Otherwise, per column of fixed
+    and by closedform.level1_distribution, and kept by copies and pickles)
+    and a_degree <= demazure.CARRIED_A_DEGREE, it reads them there in
+    O(columns), with no pass over entries.  Otherwise, per column of fixed
     d = a - b, with hi one past its top row, the last entries of `a_degree`
     iterated prefix sums of the column vector, and the sum of the last one,
     are sum(c * C(w + k - 1, k)) for k <= a_degree, w = hi - a.  They
     depend on the vector alone, so this stage costs a_degree + 1 additions
     per entry of each distinct vector: columns that hold the same list, as
     the mirrored columns d and -n - d after D_1, d and m - d after D_0, and
-    the level-1 strings k and N - k do, reuse one result.  Times k! these are the rising-factorial sums
-    sum(c * w(w+1)...(w+k-1)), and multiplying by a = hi - w in that basis,
+    the level-1 strings k and N - k do, reuse one result.  Times k! these
+    are the rising-factorial sums sum(c * w(w+1)...(w+k-1)), and
+    multiplying by a = hi - w in that basis,
 
         a * w(w+1)...(w+k-1) = (hi + k) * w(w+1)...(w+k-1) - w(w+1)...(w+k),
 
     takes them to s_p in `a_degree` rounds of one column-vector map per k,
     for all columns at once.  Stage 2, the one assembly: the table entry
     (p, r) is the dot product of s_p with the per-column powers d^r, which
-    cost nothing per entry.
-
-    The distribution keeps one table in mu.moment_table.  A request that
-    it covers in both bounds returns the same object, or that table
-    restricted to the requested keys; any other request computes the table
-    at the larger of each bound and replaces it, so every moment read of
-    one distribution at bounds it has seen runs the two stages once.  mu
-    and both bounds are checked before the memo is read.
+    cost nothing per entry.  Nothing is kept: every call builds its table.
     """
     mu = instance_of(mu, WeightDistribution, "distribution")
     degree = moment_degree(degree)
     a_degree = degree if a_degree is None else moment_degree(a_degree)
     if a_degree > degree:
         raise ValueError("a_degree must not exceed degree")
-    table = mu.moment_table
-    held = (0, 0) if table is None else (table.degree, table.a_degree)
-    if table is None or held[0] < degree or held[1] < a_degree:
-        held = max(held[0], degree), max(held[1], a_degree)
-        table = mu.moment_table = _power_sums(mu, *held)
-    if held == (degree, a_degree):
-        return table
-    return MomentTable(table.mass, {(p, r): s for (p, r), s in table.sums.items() if p + r <= degree and p <= a_degree})
+    return _power_sums(mu, degree, a_degree)
 
 
 def _power_sums(mu: WeightDistribution, degree: int, a_degree: int) -> MomentTable:

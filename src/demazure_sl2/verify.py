@@ -32,9 +32,9 @@ with is written once in lead, nxt and c.
 A SuiteContext caches the operator chains only, so "all" pays for each
 distribution once; a chain is the list read so far from one live
 demazure.distribution_chain per (m, n, first).  Moment tables are not
-cached here: each distribution of a chain keeps its own table, at the
-largest degree and degree in a asked of it (moments.raw_moments), so the
-chain holds them too.
+cached anywhere: a chain snapshot carries its column sums, so each table
+costs O(columns) and each suite builds the tables it reads (the recurrence
+suite reuses each N's table as the next N's).
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def format_check(c: CheckResult) -> str:
 
 
 class SuiteContext:
-    """Caches alternating-word chains across suites; moment tables live on their distributions."""
+    """Caches alternating-word chains across suites; moment tables are built on each read."""
 
     def __init__(self) -> None:
         self._chains: dict[tuple[int, int, int], tuple[list[WeightDistribution], Iterator[WeightDistribution]]] = {}
@@ -117,8 +117,7 @@ def _level1(ctx: SuiteContext, N: int) -> MomentTable:
     # the top powers of a read are those of lead^2 and nxt^2 = (a - d)^2 in
     # suite_recurrence; suite_stretch reads p <= 1 and suite_sanderson p = 0.
     # Degree 2 in a is what the chain's column sums carry, so the table costs
-    # no pass over entries, and the covariance suite's degree-2 reads of this
-    # chain are served by the same table.
+    # no pass over entries.
     return ctx.moments(_L0, 0, N, 4, 2)
 
 
@@ -175,8 +174,9 @@ _RECURRENCE_CLOSED_FORMS = (
 
 def suite_recurrence(max_N: int, ctx: SuiteContext) -> Checks:
     """Second-moment recurrences in N and the degree-moment closed forms."""
+    after = _level1(ctx, 2)
     for N in range(2, max_N + 1):
-        now, after = _level1(ctx, N), _level1(ctx, N + 1)
+        now, after = after, _level1(ctx, N + 1)
         c = N % 2
         lead, lead_sq, nxt_sq = _LEAD[c], _LEAD_SQ[c], _LEAD_SQ[1 - c]
         incr = after.expect(nxt_sq) - now.expect(nxt_sq)

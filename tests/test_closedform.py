@@ -1,5 +1,4 @@
 import os
-import pickle
 import subprocess
 import sys
 from itertools import islice
@@ -103,12 +102,12 @@ def test_level1_matches_recursion(chain41):
 
 def test_level1_carried_sums_equal_the_entry_tables():
     # the closed form carries its column sums from the area sums of [N k]_q;
-    # a pickled copy carries none, so its table is summed from the entries
+    # a rebuild from its entries carries none, so its table is summed from them
     for N in range(41):
         mu = level1_distribution(N)
-        copy = pickle.loads(pickle.dumps(mu))
-        assert mu.column_sums is not None and copy.column_sums is None and copy == mu
-        assert raw_moments(mu, 4, 2) == raw_moments(copy, 4, 2), N
+        rebuilt = WeightDistribution(mu.hw, dict(mu.items()))
+        assert mu.column_sums is not None and rebuilt.column_sums is None and rebuilt == mu
+        assert raw_moments(mu, 4, 2) == raw_moments(rebuilt, 4, 2), N
 
 
 def test_level1_chain_equals_the_closed_form_past_64_bit_slots():
@@ -120,8 +119,9 @@ def test_level1_chain_equals_the_closed_form_past_64_bit_slots():
 
 
 def test_closed_form_at_slot_width_edges():
-    # [N k]_q is built at q = 2^W with W = 64 at N = 62, 128 at N = 63 .. 125
-    # and 192 at N = 126, 127; both readers equal the list recurrence
+    # [N k]_q is built at q = 2^W with W = WeightDistribution.slot_width(2^N):
+    # 64 at N = 62, 128 at N = 63 .. 126 and 192 at N = 127; both readers
+    # equal the list recurrence
     widths = []
     for N in (62, 63, 64, 125, 126, 127):
         want = binomial_row(N, N)
@@ -129,7 +129,7 @@ def test_closed_form_at_slot_width_edges():
         widths.append(mu._width)
         assert [gaussian_binomial(N, k) for k in range(N + 1)] == list(map(tuple, want)), N
         assert {d: vals for d, (_, vals) in mu.columns()} == {k - N // 2: want[k] for k in range(N + 1)}, N
-    assert widths == [64, 128, 128, 128, 192, 192]
+    assert widths == [64, 128, 128, 128, 128, 192]
 
 
 def test_level1_column_geometry():

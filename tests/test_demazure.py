@@ -514,7 +514,7 @@ def test_every_route_stores_packed_columns_and_decodes_nothing(monkeypatch):
     routes = {
         "__init__": hand,
         "delta": WeightDistribution.delta(hw),
-        "from_columns": WeightDistribution.from_columns(hw, hand._packed, hand._width),
+        "from_columns": WeightDistribution.from_columns(hw, hand._packed, hand._width, None),
         "distribution_chain": snap,
         "copy": copy.copy(snap),
         "deepcopy": copy.deepcopy(snap),
@@ -534,6 +534,40 @@ def test_every_route_stores_packed_columns_and_decodes_nothing(monkeypatch):
     assert routes["from_columns"] == hand and dict(hand.items()) == {p: c for p, c in entries.items() if c}
     out = apply_demazure(0, hand)  # reads the input's entries to bound its slots
     assert out._lists is None and out == apply_demazure_pointwise(0, hand)
+
+
+def test_apply_demazure_leaves_its_input_untouched():
+    # at level 1 the mass passes 2^63 after mu_63, so D_1 on mu_63 needs
+    # 128-bit slots: the output holds them, and mu_63 keeps its 64-bit packing
+    mu = next(islice(distribution_chain(L0, 0), 63, None))
+    packed, state = mu._packed, (mu.hw, dict(mu._packed), mu._width, mu.column_sums)
+    assert mu._width == 64
+    out = apply_demazure(1, mu)
+    assert out._width == 128 and mu._width == 64 and mu._packed is packed
+    assert (mu.hw, mu._packed, mu._width, mu.column_sums) == state
+    assert out == level1_distribution(64)
+    # a signed input packed at 64 bits, whose slots widen from its entries' bound
+    cols = {1: (5, demazure._pack([2**62], 64)), 0: (5, demazure._pack([-(2**62)], 64))}
+    hand = WeightDistribution.from_columns(L0, cols, 64, None)
+    out = apply_demazure(1, hand)
+    assert out._width == 128 and hand._width == 64 and hand._packed is cols
+    assert out == apply_demazure_pointwise(1, hand)
+
+
+def test_copies_and_pickles_keep_column_sums_and_shared_vectors():
+    # the column sums are state, so every copy keeps them and reads its tables
+    # off them; mirrored columns share one decoded list in every copy, as the
+    # decode runs once per distinct int value, and pickle does not keep ints shared
+    for (m, n), first, N in (((4, 0), 0, 23), ((4, 0), 0, 22), ((2, 1), 1, 27), ((1, 0), 0, 30)):
+        hw = HighestWeight(m, n)
+        snap = next(islice(distribution_chain(hw, first), N, None))
+        copies = {"copy": copy.copy(snap), "deepcopy": copy.deepcopy(snap), "pickle": pickle.loads(pickle.dumps(snap))}
+        shared = len({id(vals) for _, (_, vals) in snap.columns()})
+        assert shared < len(list(snap.column_keys()))
+        for name, nu in copies.items():
+            assert nu.column_sums == snap.column_sums and nu.column_sums is not None, (hw, N, name)
+            assert nu == snap and nu._width == snap._width, (hw, N, name)
+            assert len({id(vals) for _, (_, vals) in nu.columns()}) == shared, (hw, N, name)
 
 
 @given(hw=_hws, entries=_entries, j=_js)

@@ -22,7 +22,6 @@ from demazure_sl2 import (
     covariance_matrix,
     distribution_chain,
     expectation,
-    finite_weight_functional,
     level1_distribution,
     marginal,
     pushforward,
@@ -31,7 +30,7 @@ from demazure_sl2 import (
     variance,
     weight_distribution,
 )
-from demazure_sl2 import moments
+from demazure_sl2 import demazure, moments
 from demazure_sl2.demazure import _pack
 from demazure_sl2.moments import (
     coordinate_covariance,
@@ -309,17 +308,38 @@ def test_raw_moments_degree4_match_pointwise_sums():
             moments.expect(A)
 
 
+def test_steps_from_a_pickled_snapshot_read_carried_sums_alone(monkeypatch):
+    # a pickled chain snapshot keeps its column sums, so the steps after it
+    # bound their slots off them and the covariance matrix reads them: no
+    # entry is decoded and no table sums entries, as from the original
+    chain = distribution_chain(HighestWeight(4, 0), 0)
+    snap = next(islice(chain, 20, None))
+    want = covariance_matrix(next(islice(chain, 3, None)))  # mu_24
+    calls = []
+
+    def counted(name, original):
+        return lambda *args: calls.append(name) or original(*args)
+
+    for module, name in ((moments, "_entry_sums"), (demazure, "_unpack")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    mu = pickle.loads(pickle.dumps(snap))
+    for j in (0, 1, 0, 1):
+        mu = demazure.apply_demazure(j, mu)
+    assert covariance_matrix(mu) == want
+    assert calls == []
+
+
 def test_raw_moments_agrees_on_shared_and_unshared_columns():
-    # raw_moments runs its column stage once per distinct list; columns that
-    # share a packed int share its decoded list, and differ in d and a0, so
+    # raw_moments runs its column stage once per distinct list; columns with
+    # equal packed ints share one decoded list, and differ in d and a0, so
     # everything after the stage stays per column.  The rebuild from entries
-    # shares nothing.
+    # packs each column apart, and its equal columns share one list too.
     vals = _pack([3, -1, 0, 2], 64)
     cols = {-2: (0, vals), 1: (5, vals), 4: (-3, vals), 0: (1, _pack([1, 4], 64)), 6: (2, _pack([3, -1], 64))}
-    mu = WeightDistribution.from_columns(HighestWeight(2, 1), cols, 64)
+    mu = WeightDistribution.from_columns(HighestWeight(2, 1), cols, 64, None)
     rebuilt = WeightDistribution(mu.hw, dict(mu.items()))
     assert rebuilt == mu
-    assert len({id(v) for _, (_, v) in rebuilt.columns()}) == len(cols)
+    assert len({id(v) for _, (_, v) in mu.columns()}) == len({id(v) for _, (_, v) in rebuilt.columns()}) == 3
     for degree in range(7):
         table = raw_moments(mu, degree)
         assert table == raw_moments(rebuilt, degree), degree
@@ -334,30 +354,17 @@ def test_raw_moments_rejects_a_negative_degree():
                 raw_moments(mu, degree)
 
 
-def test_raw_moments_keeps_its_highest_degree_table_on_the_distribution(monkeypatch):
-    # lower degrees are restrictions of the kept table; each equals a fresh
-    # table of a rebuilt distribution, which shares no memo
+def test_raw_moments_keeps_its_highest_degree_table_on_the_distribution():
+    # every degree's table equals a fresh table of a rebuilt distribution
     rng = random.Random(12)
     measures = [random_signed_measure(rng) for _ in range(20)] + [level1_distribution(9), WeightDistribution(L0, {})]
     for mu in measures:
         top = raw_moments(mu, 4)
-        assert raw_moments(mu, 4) is top and mu.moment_table is top
+        assert raw_moments(mu, 4) == top
         for degree in range(4):
             fresh = raw_moments(WeightDistribution(mu.hw, dict(mu.items())), degree)
             assert raw_moments(mu, degree) == fresh and fresh.degree == degree
-        assert mu.moment_table is top
-        assert mu == WeightDistribution(mu.hw, dict(mu.items()))  # == ignores the memo
-    # covariance_matrix and both expectations of an ellipse run the column stage once
-    stages = []
-    original = moments._power_sums
-    monkeypatch.setattr(moments, "_power_sums", lambda mu, *bounds: stages.append(bounds[0]) or original(mu, *bounds))
-    mu = level1_distribution(8)
-    covariance_matrix(mu)
-    expectation(mu, A)
-    expectation(mu, finite_weight_functional(mu.hw))
-    assert stages == [2]
-    raw_moments(mu, 3)
-    assert stages == [2, 3]
+        assert mu == WeightDistribution(mu.hw, dict(mu.items()))
 
 
 def test_a_restricted_table_keeps_its_degree_error():
@@ -376,14 +383,12 @@ def test_raw_moments_checks_the_degree_before_its_memo():
     for degree in (True, 1.0, 4.0, None):
         with pytest.raises(ValueError, match="^degree must be a nonnegative integer$"):
             raw_moments(mu, degree)
-    assert mu.moment_table.degree == 1
-
 
 
 def test_a_degree_tables_are_the_full_table_restricted():
     # every 0 <= a_degree <= degree <= 5 on random signed measures, whose
     # columns hold interior zeros, and on chains, whose mirrored columns
-    # share one vector; each table is computed afresh, not read off the memo
+    # share one vector
     rng = random.Random(29)
     measures = [random_signed_measure(rng) for _ in range(30)]
     for m, n, first in ((1, 0, 0), (2, 1, 1), (0, 3, 1)):
@@ -394,18 +399,17 @@ def test_a_degree_tables_are_the_full_table_restricted():
         full = raw_moments(mu, 5)
         for degree in range(6):
             for a_degree in range(degree + 1):
-                mu.moment_table = None
                 table = raw_moments(mu, degree, a_degree)
                 want = {(p, r): v for (p, r), v in full.sums.items() if p + r <= degree and p <= a_degree}
                 assert table.mass == full.mass and table.sums == want, (degree, a_degree)
                 assert (table.degree, table.a_degree) == (degree, a_degree)
-                assert mu.moment_table is table
 
 
 def test_carried_column_sums_give_the_per_entry_tables():
     # a chain's distributions carry their columns' sums of c * a^p, p <= 2,
-    # through the fold; a pickle round trip and copy.copy and copy.deepcopy
-    # drop them, so those tables are summed from the entries
+    # through the fold, and a pickle round trip, copy.copy and copy.deepcopy
+    # keep them; a rebuild from the entries has none, so its tables are
+    # summed from the entries
     rng = random.Random(30)
     weights = {(1, 0), (0, 1)}
     while len(weights) < 7:
@@ -414,16 +418,14 @@ def test_carried_column_sums_give_the_per_entry_tables():
     for m, n in sorted(weights):
         for first in (0, 1):
             for N, mu in enumerate(islice(distribution_chain(HighestWeight(m, n), first), 13)):
+                rebuilt = WeightDistribution(mu.hw, dict(mu.items()))
                 copies = (pickle.loads(pickle.dumps(mu)), copy.copy(mu), copy.deepcopy(mu))
-                assert mu.column_sums is not None
-                assert all(nu.column_sums is None and nu == mu for nu in copies)
+                assert mu.column_sums is not None and rebuilt.column_sums is None and rebuilt == mu
+                assert all(nu.column_sums == mu.column_sums and nu == mu for nu in copies)
                 for degree in range(5):
                     for a_degree in range(min(degree, 2) + 1):
-                        tables = []
-                        for nu in (mu, *copies):
-                            nu.moment_table = None
-                            tables.append(raw_moments(nu, degree, a_degree))
-                        assert tables[1:] == [tables[0]] * 3, (m, n, first, N, degree, a_degree)
+                        tables = [raw_moments(nu, degree, a_degree) for nu in (mu, rebuilt, *copies)]
+                        assert tables[1:] == [tables[0]] * 4, (m, n, first, N, degree, a_degree)
 
 
 @pytest.mark.parametrize(
@@ -433,20 +435,21 @@ def test_carried_column_sums_give_the_per_entry_tables():
 def test_carried_column_sums_past_64_bit_slots(m, n, first, Ns):
     # at levels 2-4 the multiplicities of these snapshots need 128-bit slots;
     # the sums carried through D_0 flips (n > 0) and D_1 folds there still
-    # equal the table a pickled copy sums from its entries
+    # equal the table a rebuild from the entries sums from them
     chain = distribution_chain(HighestWeight(m, n), first)
     for N, mu in enumerate(islice(chain, max(Ns) + 1)):
         if N in Ns:
             assert mu._width == 128 and mu.column_sums is not None, N
-            assert raw_moments(mu, 2) == raw_moments(pickle.loads(pickle.dumps(mu)), 2), N
+            rebuilt = WeightDistribution(mu.hw, dict(mu.items()))
+            assert rebuilt.column_sums is None and raw_moments(mu, 2) == raw_moments(rebuilt, 2), N
 
 
 def test_expectation_and_covariance_ask_for_the_degree_in_a_they_read(monkeypatch):
     # functionals of d = a - b alone have degree 0 in a, so a chain snapshot
     # serves them from its carried sums at any degree, with no pass over
-    # entries; a pickled copy carries none and sums its entries
+    # entries; a rebuild from the entries carries none and sums them
     mu = next(islice(distribution_chain(HighestWeight(4, 0), 0), 23, None))
-    copy_ = pickle.loads(pickle.dumps(mu))
+    copy_ = WeightDistribution(mu.hw, dict(mu.items()))
     d = A - B
     summed = []
     entry_sums = moments._entry_sums
@@ -455,30 +458,6 @@ def test_expectation_and_covariance_ask_for_the_degree_in_a_they_read(monkeypatc
     assert summed == []
     assert got == (covariance(copy_, d * d, d), expectation(copy_, d**3))
     assert summed != []
-
-
-def test_the_memo_serves_covered_bounds_and_grows_to_the_union_of_both(monkeypatch):
-    stages = []
-    original = moments._power_sums
-    monkeypatch.setattr(moments, "_power_sums", lambda mu, *bounds: stages.append(bounds) or original(mu, *bounds))
-    mu = level1_distribution(9)
-    held = raw_moments(mu, 4, 2)
-    assert raw_moments(mu, 4, 2) is held and mu.moment_table is held
-    # covered in both bounds: the held table restricted, and no new stage
-    for degree, a_degree in ((2, None), (3, 1), (4, 0), (1, 1), (0, 0)):
-        table = raw_moments(mu, degree, a_degree)
-        a_top = degree if a_degree is None else a_degree
-        assert table.sums == {(p, r): v for (p, r), v in held.sums.items() if p + r <= degree and p <= a_top}
-        assert table.mass == held.mass and mu.moment_table is held
-    assert stages == [(4, 2)]
-    del stages[:]
-    # above the held degree in a, below its degree: the union is (4, 3)
-    table = raw_moments(mu, 3, 3)
-    assert stages == [(4, 3)] and mu.moment_table.degree == 4 and mu.moment_table.a_degree == 3
-    assert (table.degree, table.a_degree) == (3, 3) and table.sums.items() <= mu.moment_table.sums.items()
-    # above the held degree, below its degree in a: the union is (5, 3)
-    assert raw_moments(mu, 5, 1).sums.items() <= raw_moments(mu, 5, 3).sums.items()
-    assert stages == [(4, 3), (5, 3)]
 
 
 def test_a_read_above_the_degree_in_a_names_that_degree():
@@ -502,7 +481,6 @@ def test_raw_moments_checks_the_degree_in_a():
             raw_moments(mu, 2, a_degree)
     with pytest.raises(ValueError, match="^a_degree must not exceed degree$"):
         raw_moments(mu, 2, 3)
-    assert mu.moment_table is None
 
 
 _MU3 = level1_distribution(3)

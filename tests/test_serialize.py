@@ -187,7 +187,7 @@ def test_each_distinct_vector_is_formatted_once_across_all_writers(monkeypatch):
     monkeypatch.setattr(demazure, "_unpack", lambda *args: list(map(Mult, unpack(*args))))
     vals, flat = [1, 3, 0, 2], [5]
     x, y = _pack(vals, 64), _pack(flat, 64)
-    mu = WeightDistribution.from_columns(HighestWeight(1, 2), {-1: (0, x), 2: (3, x), 0: (1, y), 1: (2, x)}, 64)
+    mu = WeightDistribution.from_columns(HighestWeight(1, 2), {-1: (0, x), 2: (3, x), 0: (1, y), 1: (2, x)}, 64, None)
     plain = WeightDistribution(mu.hw, {p: int(c) for p, c in mu.items()})
     expected = [oracle(plain) for _, oracle in _writers(mu)]
     del calls[:]

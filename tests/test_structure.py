@@ -152,6 +152,30 @@ def test_packed_columns_are_the_one_storage_form():
     assert found[0][2] == "None" and "_unpack" in found[1][2]
 
 
+def test_a_distribution_state_is_set_once():
+    # hw, the packed columns, their width and the column sums are set by
+    # WeightDistribution._init alone, on every route to a distribution, and
+    # no moment table is kept: the only writes after construction are the
+    # decoded views
+    state = {"hw", "_packed", "_width", "column_sums"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert "moment_table" not in source, path.name
+        tree = ast.parse(source)
+        funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                leaves = [leaf for t in targets for leaf in ast.walk(t) if isinstance(leaf, ast.Attribute)]
+                if any(leaf.attr in state for leaf in leaves):
+                    owner = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                    found.append((path.name, owner[-1] if owner else "<module>"))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in {"setattr", "delattr"}:
+                found.append((path.name, ast.unparse(node)))
+    assert found == [("demazure.py", "_init")]
+
+
 def test_asymptotics_walks_the_chain_and_reads_a_distribution_in_one_place_each():
     # rescaled_summary, wlln_series and conjecture_check share one chain
     # walk, _walk, which is also the one reader of a distribution, so a

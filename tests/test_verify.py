@@ -114,7 +114,7 @@ def test_suite_context_caches_and_extends_chains():
     mass, table = t4
     assert mass == 16
     assert table[(0, 0)] == 16
-    assert ctx.moments(hw, 0, 4, 2) is t4
+    assert ctx.moments(hw, 0, 4, 2) == t4
 
 
 def test_suite_context_applies_each_operator_once(monkeypatch):
@@ -145,19 +145,21 @@ def test_suite_context_applies_each_operator_once(monkeypatch):
 
 
 def test_run_all_sums_each_table_at_the_bounds_its_suites_read(monkeypatch):
-    # the level-1 suites read degree 4 and degree 2 in a of mu_1..mu_13 (the
-    # recurrence suite reads mu_{N+1}); the covariance suite's degree-2 reads
-    # of that L0 chain are restrictions of those tables, so (2, 2) tables are
-    # summed for the L1 chain and the conjecture suite's chains alone.  Every
-    # table read is of a chain snapshot, whose column sums were carried
-    # through the fold, so no table makes a pass over entries
+    # the level-1 suites read degree 4 and degree 2 in a, each suite building
+    # the tables it reads once: sanderson mu_1..mu_12, stretch mu_2..mu_12
+    # and recurrence mu_2..mu_13 (it reads mu_{N+1} and reuses it at N + 1),
+    # 12 + 11 + 12 tables.  The covariance suite reads (2, 2) tables of both
+    # fundamental chains at N = 1..12, and the conjecture suite one per
+    # level 2-4 at N = 2, 4, ..., 10: 24 + 15.  Every table read is of a
+    # chain snapshot, whose column sums were carried through the fold, so no
+    # table makes a pass over entries
     stages, entry_passes = [], []
     original, entry_stage = moments._power_sums, moments._entry_sums
     monkeypatch.setattr(moments, "_power_sums", lambda mu, *bounds: stages.append(bounds) or original(mu, *bounds))
     monkeypatch.setattr(moments, "_entry_sums", lambda mu, *bounds: entry_passes.append(mu) or entry_stage(mu, *bounds))
     assert all(r.passed for r in run_suite("all", 12))
     assert set(stages) == {(4, 2), (2, 2)}
-    assert stages.count((4, 2)) == 13
+    assert stages.count((4, 2)) == 35 and stages.count((2, 2)) == 39
     assert entry_passes == []
 
 
@@ -218,7 +220,7 @@ def test_suite_context_checks_degrees_and_first_letters_before_its_caches():
     # them the entry cached for 1, where a fresh context raises
     ctx = SuiteContext()
     hw = HighestWeight.fundamental(0)
-    assert ctx.moments(hw, 1, 3, 1) is ctx.moments(hw, 1, 3, 1)
+    assert ctx.moments(hw, 1, 3, 1) == ctx.moments(hw, 1, 3, 1)
     for degree in (True, 1.0, -1):
         with pytest.raises(ValueError, match="^degree must be a nonnegative integer$"):
             ctx.moments(hw, 1, 3, degree)
