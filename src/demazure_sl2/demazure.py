@@ -96,9 +96,10 @@ class WeylWord(ValidatedTuple, namedtuple("WeylWord", "length first")):
 # after a pickle round trip, which does not keep ints shared.  A D_j
 # output is s_j-invariant and holds one int per mirrored pair: after D_1
 # columns d and -n - d, after D_0 columns d and m - d, and in
-# closedform.level1_distribution strings k and N - k.  moments.raw_moments
-# (to sum each shared list once), WeightDistribution.canonical_pieces and
-# render.heatmap (to format or shade each shared list once) rely on this.
+# closedform.level1_distribution strings k and N - k.  moments.raw_moments,
+# moments.pushforward and moments.pushforward_covariance (to sum each shared
+# list once), WeightDistribution.canonical_pieces and render.heatmap (to
+# format or shade each shared list once) rely on this.
 # A distribution's columns never change after construction, so memos keyed
 # by id(vals) on the distribution stay valid while it lives; __reduce__
 # drops them, so a copy or an unpickled distribution starts with none.
@@ -132,22 +133,23 @@ def _slot_bias(n: int, width: int, half: int) -> int:
     return int.from_bytes(half.to_bytes(width // 8, "little") * n, "little")
 
 
-def _words(raw: memoryview, fmt: str) -> list[int]:
-    """The 64-bit words of raw, least significant first: signed for fmt "q", unsigned for "Q"."""
-    words = raw.cast(fmt).tolist()
+def _plane(words: memoryview, t: int, k: int) -> list[int]:
+    """Word t (0 the least significant) of each k-word slot of words, lowest slot first, sliced before it is listed."""
     if byteorder == "big":  # int.to_bytes wrote the most significant word first
-        words.reverse()
-    return words
+        return words[len(words) - 1 - t :: -k].tolist()
+    return words[t::k].tolist()
 
 
 def _unpack(x: int, width: int, signed: bool) -> list[int]:
-    """The entries of packed column x, lowest row first, decoded in C.
+    """The entries of packed column x, lowest row first.
 
     With no negative entry the slots are the bytes of x.  Otherwise adding
     2^(W-1) to every slot leaves each in [0, 2^W), so no carry crosses a
     slot, and xor-ing it back leaves each entry's W-bit two's complement.
-    At W = 64 one signed cast reads them, and a wider slot is put together
-    from its 64-bit words, the top one signed.
+    At W = 64 one signed cast reads them, in C.  A wider slot is put
+    together from its 64-bit words: the plane of each slot's top word, read
+    signed, is shifted up by 64 bits and or-ed with the next plane down,
+    read unsigned (its bits are below the shift), once per lower word.
     """
     n = _length(x, width)
     if signed:
@@ -155,11 +157,11 @@ def _unpack(x: int, width: int, signed: bool) -> list[int]:
         x = (x + bias) ^ bias
     raw = memoryview(x.to_bytes(n * width // 8, byteorder))
     k = width // 64
-    vals = _words(raw, "q")
+    vals = _plane(raw.cast("q"), k - 1, k)
     if k > 1:
-        words, vals = _words(raw, "Q"), vals[k - 1 :: k]
+        low = raw.cast("Q")
         for t in range(k - 2, -1, -1):
-            vals = list(map(int.__add__, map((1 << 64).__mul__, vals), words[t::k]))
+            vals = [hi << 64 | lo for hi, lo in zip(vals, _plane(low, t, k))]
     return vals
 
 

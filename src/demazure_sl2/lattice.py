@@ -187,26 +187,31 @@ class Functional:
             self._numerators = q, tuple(sorted(zip(self._terms, ns)))
         return self._numerators
 
-    def on_column(self, d: int, rows: range) -> int | Iterator[int]:
+    def on_column(self, d: int, rows: range) -> int | range | Iterator[int]:
         """q * f(a, d) for a in rows, with q = numerators()[0], the lcm of the denominators.
 
         On the column of fixed d, f is a polynomial in a whose coefficients are
-        read from the numerators at d, and it is evaluated in ints by Horner's
-        rule over all rows at once.  Zero top coefficients are dropped; where
-        f is constant on the column the result is that one int instead of an
-        iterator over the rows.  The caller reads q once from numerators().
+        read from the numerators at d; zero top coefficients are dropped.
+        Where f is constant on the column the result is that one int, and
+        where it is linear in a, c1 * a + c0 with c1 != 0, it is the range
+        of those values, an exact arithmetic progression that C code reads
+        and that hashes and compares by value.  A higher degree is evaluated
+        in ints by Horner's rule over all rows at once, starting from that
+        range, into an iterator.  The caller reads q once from numerators().
         """
         nums = self.numerators()[1]
         poly = [0] * (nums[-1][0][0] + 1 if nums else 1)  # sorted, so the last term has the top power of a
         for (p, r), n in nums:
             poly[p] += n * d**r
-        while len(poly) > 1 and not poly[-1]:
-            poly.pop()
-        if len(poly) == 1:
-            return poly[0]
-        vals = repeat(poly.pop(), len(rows))
-        for p in reversed(poly):
-            vals = map(add, map(mul, vals, rows), repeat(p))
+        top = poly.pop()
+        while poly and not top:
+            top = poly.pop()
+        if not poly:
+            return top
+        c0 = poly.pop()
+        vals = range(top * rows.start + c0, top * rows.stop + c0, top * rows.step)
+        while poly:
+            vals = map(add, map(mul, vals, rows), repeat(poly.pop()))
         return vals
 
     def __add__(self, other: "Functional | Scalar") -> "Functional":

@@ -35,8 +35,20 @@ one vector (see the Column storage comment in demazure.py), so each pair
 is summed once.  Either way powers of d are one number per column.
 pushforward(mu, *fs), the one image routine (marginal reads it for one
 functional), and pushforward_covariance are the package's only readers of
-Functional.on_column.  reference_formula
-exposes the catalog of closed-form values the identity suites compare against.
+Functional.on_column, and its only per-entry functional readers: they read
+the decoded entries, never column_sums or a MomentTable, so the identity
+suites' pushforward route checks the table route independently.
+on_column gives one int where a functional is constant on a column, a
+range where it is linear in a, and an iterator otherwise, so the work per
+entry is C-level map and sum over the entries and those values.
+pushforward sums the mass of a column on which every functional is
+constant once per distinct column vector, keyed by id(vals);
+pushforward_covariance sums each distinct (column vector, non-constant
+values) pair once per call, keyed by id(vals) and the range or tuple of
+values, and reuses the sums for every column that repeats it: mirrored
+columns share their vector, and for the level-1 lead coordinate their
+values too.  reference_formula exposes the catalog of closed-form values
+the identity suites compare against.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import factorial
 from operator import add, mul, sub
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .demazure import CARRIED_A_DEGREE, WeightDistribution
 from .lattice import (
@@ -253,17 +265,22 @@ def pushforward(mu: WeightDistribution, *fs: Functional) -> dict[tuple[Scalar, .
     Summed over int numerators from Functional.on_column: with q the lcm of
     a functional's denominators, the image is first taken along q * f, and
     a column on which every functional is constant adds its total mass to
-    one key.  Then each key's axes are divided by their q; an axis whose
+    one key, summed once per distinct column vector (mirrored columns share
+    one).  Then each key's axes are divided by their q; an axis whose
     functional has int coefficients keeps int values.
     """
     qs = [instance_of(f, Functional, "functional").numerators()[0] for f in fs]
     acc: dict[tuple[int, ...], int] = {}
     get = acc.get
+    masses: dict[int, int] = {}  # id(vals) -> sum(vals); mu keeps every vals alive
     for d, (a0, vals) in instance_of(mu, WeightDistribution, "distribution").columns():
         rows = range(a0, a0 + len(vals))
         nums = tuple(f.on_column(d, rows) for f in fs)
         if all(type(n) is int for n in nums):
-            acc[nums] = get(nums, 0) + sum(vals)
+            m = masses.get(id(vals))
+            if m is None:
+                m = masses[id(vals)] = sum(vals)
+            acc[nums] = get(nums, 0) + m
             continue
         for key, c in zip(zip(*(repeat(n) if type(n) is int else n for n in nums)), vals):
             acc[key] = get(key, 0) + c
@@ -278,26 +295,51 @@ def marginal(mu: WeightDistribution, f: Functional) -> dict[Scalar, int]:
 def pushforward_covariance(mu: WeightDistribution, x: Functional, y: Functional) -> Fraction:
     """coordinate_covariance(pushforward(mu, x, y)), summed per column without building the image.
 
-    On each column Functional.on_column gives q * x and q * y as ints (one
-    int where constant), so mass, sum(c*x), sum(c*y) and sum(c*x*y) take at
-    most three dot products.  Covariance is linear in the measure, so equal
-    image points need not be merged first.
+    On each column Functional.on_column gives q * x and q * y as one int
+    where constant, a range where linear in a, and an iterator otherwise.
+    A constant is a factor of the column's sums, so the entries are summed
+    per distinct (column vector, non-constant values), an iterator read into
+    a tuple: mass and the sums of c times the non-constant axes and their
+    product, in C-level map and sum passes, once for all columns that repeat
+    the pair.  It reads the entries alone, never column_sums or a
+    MomentTable, so it checks those independently.  Covariance is linear in
+    the measure, so equal image points need not be merged first.
     """
     qx, qy = (instance_of(h, Functional, "functional").numerators()[0] for h in (x, y))
+    # (id(vals), x's and y's values or None where constant) -> _column_moments;
+    # mu keeps every vals alive
+    memo: dict[tuple[int, object, object], tuple[int, int, int, int]] = {}
     mass = sx = sy = sxy = 0
     for d, (a0, vals) in instance_of(mu, WeightDistribution, "distribution").columns():
         rows = range(a0, a0 + len(vals))
-        xs, ys = x.on_column(d, rows), y.on_column(d, rows)
-        m = sum(vals)
-        if type(xs) is int:
-            cy = ys * m if type(ys) is int else sum(map(mul, vals, ys))
-            cx, cxy = xs * m, xs * cy
-        else:
-            cxs = list(map(mul, vals, xs))
-            ys = [ys] * len(vals) if type(ys) is int else list(ys)
-            cx, cy, cxy = sum(cxs), sum(map(mul, vals, ys)), sum(map(mul, cxs, ys))
-        mass, sx, sy, sxy = mass + m, sx + cx, sy + cy, sxy + cxy
+        (kx, xs), (ky, ys) = _factor(x.on_column(d, rows)), _factor(y.on_column(d, rows))
+        key = id(vals), xs, ys
+        s = memo.get(key)
+        if s is None:
+            s = memo[key] = _column_moments(vals, xs, ys)
+        m, cx, cy, cxy = s
+        mass, sx, sy, sxy = mass + m, sx + kx * cx, sy + ky * cy, sxy + kx * ky * cxy
     return _covariance(qx, qy, mass, sx, sy, sxy)
+
+
+def _factor(values: int | range | Iterator[int]) -> tuple[int, range | tuple[int, ...] | None]:
+    """(k, vs) with values = k * vs on the column: (n, None) for a constant n, else 1 and the values, hashable."""
+    if type(values) is int:
+        return values, None
+    return 1, values if type(values) is range else tuple(values)
+
+
+def _column_moments(
+    vals: list[int], xs: range | tuple[int, ...] | None, ys: range | tuple[int, ...] | None
+) -> tuple[int, int, int, int]:
+    """sum(c), sum(c * x), sum(c * y), sum(c * x * y) over one column, where None stands for x = 1 or y = 1."""
+    m = sum(vals)
+    cxs = vals if xs is None else list(map(mul, vals, xs))
+    cx = m if xs is None else sum(cxs)
+    if ys is None:
+        return m, cx, m, cx
+    cy = sum(map(mul, vals, ys))
+    return m, cx, cy, cy if xs is None else sum(map(mul, cxs, ys))
 
 
 def coordinate_covariance(measure: Mapping[tuple[Scalar, Scalar], int]) -> Fraction:

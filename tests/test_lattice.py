@@ -154,8 +154,8 @@ def test_evaluation_is_ring_homomorphism(f, g, p):
 def test_numerators_and_on_column_are_f_in_column_coordinates(f, p):
     # q * f(a, b) = sum(n * a^p * (a - b)^r) over the numerators, and
     # on_column reads them on the column d = a - b; f + (a - b)^2 - a varies
-    # along most columns (an iterator over rows), (a - b)^2 + c along none
-    # (one int)
+    # along most columns (a range or an iterator over rows), (a - b)^2 + c
+    # along none (one int)
     a, d = p[0], p[0] - p[1]
     for g in (f + (A - B) ** 2 - A, (A - B) ** 2 + f.evaluate(p)):
         q, nums = g.numerators()
@@ -164,6 +164,42 @@ def test_numerators_and_on_column_are_f_in_column_coordinates(f, p):
         assert sum(n * a**i * d**r for (i, r), n in nums) == value
         vals = g.on_column(d, range(a, a + 1))  # q * g, with q read from numerators() alone
         assert ([vals] if type(vals) is int else list(vals)) == [value]
+
+
+def test_on_column_is_an_int_a_range_or_an_iterator_by_the_degree_in_a():
+    # on the column of fixed d, q * f is one int where f is constant in a, a
+    # range exactly where it is linear in a, and an iterator otherwise; the
+    # degree in a is read off finite differences of evaluate alone.  a * d
+    # and a^2 * d vanish at d = 0, where a^2 * d + a is linear.
+    half = Fraction(1, 2)
+    fs = (
+        Functional(),
+        Functional.constant(half),
+        (A - B) ** 2 + 3,
+        A,
+        B,
+        A - Fraction(7, 8),
+        A * (A - B),
+        half * A * B,
+        A * A - A,
+        A * A * (A - B),
+        A * A * (A - B) + A,
+        (A - 2) ** 3 - B,
+    )
+    for f in fs:
+        q = f.numerators()[0]
+        for d in range(-3, 4):
+            values = [q * f.evaluate(LatticePoint(a, a - d)) for a in range(-4, 4)]
+            degree = 0
+            while len(set(values)) > 1:
+                values = [v - u for u, v in zip(values, values[1:])]
+                degree += 1
+            for rows in (range(-2, 3), range(5, 6), range(-7, -1)):
+                got = f.on_column(d, rows)
+                want = [q * f.evaluate(LatticePoint(a, a - d)) for a in rows]
+                kind = type(got) if type(got) in (int, range) else "iterator"
+                assert kind == (int if degree == 0 else range if degree == 1 else "iterator"), (f, d)
+                assert ([got] * len(rows) if degree == 0 else list(got)) == want, (f, d, rows)
 
 
 def test_lattice_point_validation():

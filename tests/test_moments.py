@@ -187,6 +187,42 @@ def test_pushforward_covariance_builds_no_image(mu6, monkeypatch):
     assert got == reference_formula("stretch_covariance", 6)
 
 
+def test_per_entry_readers_agree_with_the_oracles_on_shared_and_repeated_columns():
+    # pushforward sums a constant column's mass once per distinct column
+    # vector, and pushforward_covariance sums once per distinct (column
+    # vector, values) and reuses it for every column that repeats the pair:
+    # mirrored columns of a D_1 and a D_0 output share their vector, an
+    # unpickled copy shares it again, and the hand-built measure has equal
+    # lists on different rows (a = 0..2 at d = 0, a = 3..5 at d = 3), where
+    # B and (a - b)^2 - 3(a - b) agree and A does not.  Neither reader reads
+    # column sums: wrong ones change no value.
+    lv2 = list(islice(distribution_chain(HighestWeight(2, 1), 1), 8))
+    d1, d0 = lv2[6], lv2[7]  # the word (N, first=1) ends with D_1 for even N and D_0 for odd N
+    hand = WeightDistribution(L0, {(0, 0): 1, (1, 1): 2, (2, 2): 3, (3, 0): 1, (4, 1): 2, (5, 2): 3})
+    wrong = WeightDistribution.from_columns(d1.hw, d1._packed, d1._width, dict.fromkeys(d1._packed, (0, 0, 0)))
+    diff = A - B
+    pairs = (
+        (diff * diff - diff, B),
+        (diff * diff - 3 * diff, B),
+        (Functional.constant(1), B),
+        (diff, A),
+        (Fraction(1, 3) * A * B, A * A - Fraction(1, 2)),
+    )
+    for mu in (d1, d0, pickle.loads(pickle.dumps(d0)), hand, wrong):
+        rebuilt = WeightDistribution(mu.hw, dict(mu.items()))
+        assert rebuilt.column_sums is None and rebuilt == mu
+        for x, y in pairs:
+            want = brute_pushforward(mu, (x, y))
+            cov = coordinate_covariance(want)
+            for nu in (mu, rebuilt):
+                assert _with_key_types(pushforward(nu, x, y)) == _with_key_types(want)
+                assert pushforward_covariance(nu, x, y) == cov
+            marg = {v: c for (v,), c in brute_pushforward(mu, (x,)).items()}
+            assert marginal(mu, x) == marginal(rebuilt, x) == marg
+    assert pushforward(hand, Functional.constant(1), B) == {(1, 0): 2, (1, 1): 4, (1, 2): 6}
+    assert raw_moments(wrong, 1).mass == 0  # the table does read the wrong sums
+
+
 def test_coordinate_statistics():
     table = {(0, 0): 1, (2, 1): 1}
     assert coordinate_covariance(table) == Fraction(1, 2)
