@@ -18,37 +18,41 @@ functionals off a distribution (images, marginals, moments) are in moments.
 Implementation note: a measure is stored as columns of fixed d = a - b
 over consecutive degrees a.  Both pairings depend on d alone, so D_j maps
 whole columns: a D_1 string is a row of fixed a, a D_0 string one of fixed
-b.  With s = d (j = 1), or s = -d and rows indexed by b (j = 0), the
-pairing is k = 2s - C for C = -n resp. -m, and output column e (2e >= C),
-equal to output column C - e, is
+b.  With s = d (j = 1), or s = -d and rows b (j = 0), the pairing is
+k = 2s - C for C = -n resp. -m, and output column e (2e >= C), equal to
+output column C - e, is
 
     sum of columns s >= e with k >= 0  minus  sum of columns s <= C - 1 - e with k <= -2.
 
 Each column is packed into one int, its entries in fixed-width W-bit slots
 from its lowest row up, so a whole column is added or subtracted in one
-big-int operation.  One downward sweep over 2e >= C keeps that difference
-as one running int over the input's rows, out[e] = out[e + 1] + column e -
-column C - 1 - e, each column shifted to its rows: in that range column e
-is always dominant and column C - 1 - e always antidominant, so the sweep
-reads both straight from the input.  Output column e is the running int
-shifted down to its lowest nonzero slot.  One application costs a few
-big-int additions and shifts per input column, running in C over the
-digits of the ints, with no Python object per entry.  Every distribution
-holds its columns packed, however it was built, and the entries as lists
-are a view decoded on the first read that needs them (columns, items, the
-writers, ==), also in C; copies and pickles carry the packing and the
-column sums and decode nothing.  The definitional per-point expansion is
-kept in the test suite as an independent oracle.
+big-int operation.  One downward sweep over 2e >= C serves both letters.
+It keeps that difference as one running int, out[e] = out[e + 1] +
+column e - column C - 1 - e: in that range column e is always dominant and
+column C - 1 - e always antidominant, so it reads both straight from the
+input.  D_0 reads column -s at its a rows shifted by s, which are its b
+rows, so nothing is re-keyed.  The running int is held from its lowest
+row: a column that starts below it shifts it up once, any other is shifted
+onto it, and output column e is the running int itself, shifted down only
+when its bottom rows cancel.  One application costs a few big-int
+additions and shifts per input column, running in C over the digits of
+the ints, with no Python object per entry.  Every distribution holds its
+columns packed, however it was built, and the entries as lists are a view
+decoded on the first read that needs them (columns, items, the writers,
+==), also in C; copies and pickles carry the packing and the column sums
+and decode nothing.  The definitional per-point expansion is kept in the
+test suite as an independent oracle.
 
 The rows of a column do not move, so each step of the same sweep also
 moves three running power sums sum(c * r^p) over the rows r, and output
 column e stores its sums where it stores its int: the distributions of
 distribution_chain carry them in the a rows, for p <= CARRIED_A_DEGREE, at
-three int additions per input column, and D_0 moves them binomially to the
-b rows and back.  That costs O(columns) per application, and
-moments.raw_moments reads every table of degree <= 2 in a of a chain
-snapshot off them with no pass over entries.  The slot width reads them
-too: the mass bounds every entry of the next application.
+three int additions per input column; D_0 moves a column's sums
+binomially to its b rows as it reads it, and the output's back as it
+stores it.  That costs O(columns) per application, and moments.raw_moments
+reads every table of degree <= 2 in a of a chain snapshot off them with no
+pass over entries.  The slot width reads them too: the mass bounds every
+entry of the next application.
 """
 
 from __future__ import annotations
@@ -95,7 +99,8 @@ class WeylWord(ValidatedTuple, namedtuple("WeylWord", "length first")):
 # distinct value, so columns with equal ints share one decoded list, also
 # after a pickle round trip, which does not keep ints shared.  A D_j
 # output is s_j-invariant and holds one int per mirrored pair: after D_1
-# columns d and -n - d, after D_0 columns d and m - d, and in
+# columns d and -n - d, after D_0 columns d and m - d (D_0 reads and stores
+# column d at its b rows, from a0 - d, and re-keys no column), and in
 # closedform.level1_distribution strings k and N - k.  moments.raw_moments,
 # moments.pushforward and moments.pushforward_covariance (to sum each shared
 # list once), WeightDistribution.canonical_pieces and render.heatmap (to
@@ -116,7 +121,7 @@ PackedColumn = tuple[int, int]
 # The degree in a of the power sums a distribution of the chain carries per
 # column: 2, the largest that any moment reader of the package asks for
 # (covariance_matrix, the level-1 suites, asymptotics' walk).  The sweep of
-# _fold and _flip are written out for it.
+# _fold is written out for it.
 CARRIED_A_DEGREE = 2
 # d -> (sum(c * a^p) over column d for p = 0..CARRIED_A_DEGREE), keyed as the
 # columns are; mirrored columns of a D_1 output share one tuple.
@@ -196,8 +201,10 @@ def _recode(cols: dict, code: Callable) -> dict:
     out = {}
     for d, (a0, v) in cols.items():
         bucket = done.setdefault((v.bit_length(), v & 0xFFFFFFFFFFFFFFFF), [])
-        r = next((r for w, r in bucket if w == v), None)
-        if r is None:
+        for w, r in bucket:
+            if w == v:
+                break
+        else:
             r = code(v)
             bucket.append((v, r))
         out[d] = a0, r
@@ -423,78 +430,71 @@ def _fold_input(mu: WeightDistribution) -> tuple[dict[int, PackedColumn], int]:
     return mu._packed, narrow
 
 
-def _fold(
-    cols: dict[int, PackedColumn], sums: ColumnSums | None, C: int, width: int
-) -> tuple[dict[int, PackedColumn], ColumnSums | None]:
-    """D_j on packed columns keyed by string coordinate s, pairing k = 2s - C, and on their row power sums.
+def _fold(j: int, mu: WeightDistribution) -> tuple[dict[int, PackedColumn], int, ColumnSums | None]:
+    """D_j on mu's packed columns and on their row power sums: the output's columns, slot width and sums.
 
-    Columns run over rows that D_j does not move.  One downward sweep over
-    e > (C - 1)//2 reads input columns e, always dominant (k >= 0), and
-    C - 1 - e, always antidominant (k <= -2), so k = -1 columns are never
-    read.  One running int over the input's rows, slot r - lo for row r,
-    holds output column e: each step adds column e and subtracts column
-    C - 1 - e, each shifted to its rows, and the output is the running int
-    shifted down to its lowest nonzero slot, l (the lowest row some column
-    has reached) unless rows cancelled at the bottom.  As the rows do not
-    move, three running ints move the power sums in the same step, written
-    out for CARRIED_A_DEGREE = 2, and output column e stores its sums with
-    it: no pass over entries.  sums is None when the input carries none;
-    then it reads zeros and the output carries none.
+    The one sweep of the implementation note, for both letters, with the
+    running int held from its lowest row: over e > (C - 1)//2 it reads
+    string columns e (k >= 0) and C - 1 - e (k <= -2), never a k = -1
+    column.  For D_0, string column s is stored column -s, read at its b
+    rows, which start s rows above its a0; its sums move to those rows as
+    it is read, and output column e's back to a rows as it is stored under
+    keys -e and -(C - e), whose a0 lie e and C - e rows below its lowest b
+    row.  Sums are written out for CARRIED_A_DEGREE = 2; with none carried
+    the sweep reads zeros and the output carries none.
     """
+    (cols, width), sums = _fold_input(mu), mu.column_sums
     carried = sums if sums is not None else dict.fromkeys(cols, (0,) * (CARRIED_A_DEGREE + 1))
+    C, sign, up = (-mu.hw.n, 1, 0) if j else (-mu.hw.m, -1, 1)  # string column s: stored sign*s, rows from a0 + up*s
     out: dict[int, PackedColumn] = {}
     res: ColumnSums = {}
     stop = (C - 1) // 2  # the last e with 2e < C
-    top = max((max(s, C - 1 - s) for s in cols), default=stop)
-    lo = min((r0 for r0, _ in cols.values()), default=0)
+    top = max(max(s, C - 1 - s) for s in (sign * max(cols, default=0), sign * min(cols, default=0)))
     slot = (1 << width) - 1
-    run, l = 0, max((r0 for r0, _ in cols.values()), default=lo) - lo
-    s0 = s1 = s2 = 0
+    run = base = s0 = s1 = s2 = 0
     for e in range(top, stop, -1):
-        col = cols.get(e)
+        col = cols.get(sign * e)
         if col is not None:
-            run += col[1] << width * (col[0] - lo)
-            l = min(l, col[0] - lo)
-            p0, p1, p2 = carried[e]
-            s0, s1, s2 = s0 + p0, s1 + p1, s2 + p2
-        col = cols.get(C - 1 - e)
+            v = up * e
+            r0, x = col[0] + v, col[1]
+            if not run:
+                run, base = x, r0
+            elif r0 < base:
+                run, base = (run << width * (base - r0)) + x, r0
+            else:
+                run += x << width * (r0 - base)
+            p0, p1, p2 = carried[sign * e]
+            s0, s1, s2 = s0 + p0, s1 + p1 + v * p0, s2 + p2 + v * (2 * p1 + v * p0)
+        col = cols.get(sign * (C - 1 - e))
         if col is not None:
-            run -= col[1] << width * (col[0] - lo)
-            l = min(l, col[0] - lo)
-            p0, p1, p2 = carried[C - 1 - e]
-            s0, s1, s2 = s0 - p0, s1 - p1, s2 - p2
+            v = up * (C - 1 - e)
+            r0, x = col[0] + v, col[1]
+            if not run:
+                run, base = -x, r0
+            elif r0 < base:
+                run, base = (run << width * (base - r0)) - x, r0
+            else:
+                run -= x << width * (r0 - base)
+            p0, p1, p2 = carried[sign * (C - 1 - e)]
+            s0, s1, s2 = s0 - p0, s1 - p1 - v * p0, s2 - p2 - v * (2 * p1 + v * p0)
         if run:
-            r0, x = lo + l, run >> width * l
-            if not x & slot:  # the bottom rows cancelled
-                z = ((x & -x).bit_length() - 1) // width
-                r0, x = r0 + z, x >> width * z
-            out[e] = out[C - e] = r0, x
-            res[e] = res[C - e] = s0, s1, s2
-    return out, None if sums is None else res
-
-
-def _flip(cols: dict[int, PackedColumn], sums: ColumnSums | None) -> tuple[dict[int, PackedColumn], ColumnSums | None]:
-    """Re-key columns by -d and their rows by b = a - d, and back; the power sums move to the new rows.
-
-    Both ways a column keyed s moves to key -s and its rows by -s, so
-    sum(c * x^p) becomes sum(c * (x - s)^p), written out for CARRIED_A_DEGREE = 2.
-    """
-    flipped = {-s: (r0 - s, x) for s, (r0, x) in cols.items()}
-    if sums is None:
-        return flipped, None
-    return flipped, {-s: (p0, p1 - s * p0, p2 - s * (2 * p1 - s * p0)) for s, (p0, p1, p2) in sums.items()}
+            if not run & slot:  # the bottom rows cancelled
+                z = ((run & -run).bit_length() - 1) // width
+                run, base = run >> width * z, base + z
+            if up:
+                for f in (e, C - e):
+                    out[-f] = base - f, run
+                    res[-f] = s0, s1 - f * s0, s2 - f * (2 * s1 - f * s0)
+            else:
+                out[e] = out[C - e] = base, run
+                res[e] = res[C - e] = s0, s1, s2
+    return out, width, None if sums is None else res
 
 
 def apply_demazure(j: int, mu: WeightDistribution) -> WeightDistribution:
     """One application of D_j; mu is not modified.  The output carries sums when mu does."""
     mu = instance_of(mu, WeightDistribution, "distribution")
-    j = generator_index(j)
-    (cols, width), sums = _fold_input(mu), mu.column_sums
-    if j:
-        cols, sums = _fold(cols, sums, -mu.hw.n, width)
-    else:
-        cols, sums = _flip(*_fold(*_flip(cols, sums), -mu.hw.m, width))
-    return WeightDistribution.from_columns(mu.hw, cols, width, sums)
+    return WeightDistribution.from_columns(mu.hw, *_fold(generator_index(j), mu))
 
 
 def distribution_chain(hw: HighestWeight, first: int) -> Iterator[WeightDistribution]:

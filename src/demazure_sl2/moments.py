@@ -169,8 +169,9 @@ def raw_moments(mu: WeightDistribution, degree: int, a_degree: int | None = None
 
     takes them to s_p in `a_degree` rounds of one column-vector map per k,
     for all columns at once.  Stage 2, the one assembly: the table entry
-    (p, r) is the dot product of s_p with the per-column powers d^r, which
-    cost nothing per entry.  Nothing is kept: every call builds its table.
+    (p, r) is the sum over columns of s_p * d^r, each s_p multiplied by d
+    one r at a time, which costs nothing per entry.  Nothing is kept: every
+    call builds its table.
     """
     mu = instance_of(mu, WeightDistribution, "distribution")
     degree = moment_degree(degree)
@@ -181,7 +182,7 @@ def raw_moments(mu: WeightDistribution, degree: int, a_degree: int | None = None
 
 
 def _power_sums(mu: WeightDistribution, degree: int, a_degree: int) -> MomentTable:
-    """The MomentTable of raw_moments: per-column sums of c * a^p, then their dot products with the powers of d.
+    """The MomentTable of raw_moments: per-column sums of c * a^p, then their sums times each power of d.
 
     Stage 1 reads the sums off mu.column_sums when mu carries them and
     a_degree <= CARRIED_A_DEGREE, in O(columns), and sums the entries
@@ -193,10 +194,13 @@ def _power_sums(mu: WeightDistribution, degree: int, a_degree: int) -> MomentTab
         s = list(zip(*carried.values()))
     else:
         ds, s = _entry_sums(mu, a_degree)
-    powers = [[1] * len(ds)]
-    for _ in range(degree):
-        powers.append(list(map(mul, powers[-1], ds)))
-    sums = {(p, r): sum(map(mul, s[p], powers[r])) for p in range(a_degree + 1) for r in range(degree + 1 - p)}
+    sums = {}
+    for p in range(a_degree + 1):
+        row = s[p]
+        sums[(p, 0)] = sum(row)
+        for r in range(1, degree + 1 - p):
+            row = list(map(mul, row, ds))  # c * a^p * d^r per column
+            sums[(p, r)] = sum(row)
     return MomentTable(sums[(0, 0)], sums)
 
 

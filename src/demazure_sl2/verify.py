@@ -115,9 +115,8 @@ Checks = Iterator[tuple[str, int, str | Scalar, str | Scalar]]
 def _level1(ctx: SuiteContext, N: int) -> MomentTable:
     """Moment table of the level-1 word (N, first=0), of degree 4 and degree 2 in a."""
     # the top powers of a read are those of lead^2 and nxt^2 = (a - d)^2 in
-    # suite_recurrence; suite_stretch reads p <= 1 and suite_sanderson p = 0.
-    # Degree 2 in a is what the chain's column sums carry, so the table costs
-    # no pass over entries.
+    # suite_recurrence; suite_stretch reads p <= 1.  Degree 2 in a is what
+    # the chain's column sums carry, so the table costs no pass over entries.
     return ctx.moments(_L0, 0, N, 4, 2)
 
 
@@ -132,7 +131,7 @@ def suite_sanderson(max_N: int, ctx: SuiteContext) -> Checks:
         else:
             t = next(t for t in sorted(set(got) | set(want)) if got.get(t, 0) != want.get(t, 0))
             yield "binomial-marginal", N, f"{got.get(t, 0)} at t={t}", f"{want.get(t, 0)} at t={t}"
-        table = _level1(ctx, N)
+        table = ctx.moments(_L0, 0, N, 3, 0)  # cov((a - b)^2, a - b) reads d^3, and no power of a
         yield "var-weight-diff", N, table.cov(_DIFF, _DIFF), Fraction(N, 4)
         yield "cov-sqdiff-diff", N, table.cov(_SQ, _DIFF), Fraction((N % 2) * N, 4)
 

@@ -344,6 +344,35 @@ def test_running_sum_edge_cases_match_oracle():
     }
 
 
+def _string_column(j, s, r0, vals):
+    """Points of string column s from row r0 up: column d = s on rows a for D_1, column d = -s on rows b for D_0."""
+    d = s if j else -s
+    return {((r, r - d) if j else (r + d, r)): c for r, c in enumerate(vals, r0)}
+
+
+def test_running_int_restarts_after_cancelling_and_meets_rows_on_both_sides():
+    # at (2, 2) both letters pair k = 2s + 2 (C = -2), and the sweep runs
+    # e = 4..-1 over dominant string columns e and antidominant -3 - e.  At
+    # e = 3 column -6 cancels column 4, so the running int is 0 mid-sweep;
+    # then column -5 starts below row 5, the lowest row read so far, and
+    # each later step reads one column below every row read and one above
+    hw = HighestWeight(2, 2)
+    for big, width in ((2**60, 64), (2**124, 128)):
+        layout = [(4, 5, [big]), (-6, 5, [big]), (-5, 3, [2]), (1, 1, [big, 1]), (-4, 9, [1])]
+        layout += [(0, 6, [5]), (-3, 0, [1, 1]), (-1, 4, [3])]
+        for j in (0, 1):
+            entries = {}
+            for s, r0, vals in layout:
+                entries.update(_string_column(j, s, r0, vals))
+            mu = WeightDistribution(hw, entries)
+            out = apply_demazure(j, mu)
+            assert out == apply_demazure_pointwise(j, mu), (width, j)
+            assert out._width == width
+            keys = set(out.column_keys())
+            sign = 1 if j else -1
+            assert sign * 4 in keys and sign * 3 not in keys and sign * 2 in keys, (width, j)
+
+
 def test_matches_definitional_oracle_on_chains():
     # level 1 to N = 12; at higher levels several antidominant columns
     # overlap per step

@@ -223,6 +223,18 @@ def test_one_walk_along_the_alternating_word():
     assert letters_callers == set()
 
 
+def test_one_sweep_serves_both_letters():
+    # D_0 reads its columns at shifted rows in the sweep that serves D_1:
+    # no re-keyed copy of the columns (_flip) and one _fold call, on no branch
+    tree = ast.parse((PACKAGE / "demazure.py").read_text(encoding="utf-8"))
+    names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_fold" in names and "_flip" not in names
+    apply = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "apply_demazure")
+    calls = [n for n in ast.walk(apply) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_fold"]
+    branches = [n for n in ast.walk(apply) if isinstance(n, (ast.If, ast.IfExp, ast.Match, ast.BoolOp))]
+    assert len(calls) == 1 and branches == []
+
+
 def _modules_after(code: str) -> set[str]:
     """Names in sys.modules of a fresh interpreter, started in the repo root, after running code."""
     probe = code + "\nimport sys; sys.stderr.write(' '.join(sys.modules))"

@@ -145,21 +145,22 @@ def test_suite_context_applies_each_operator_once(monkeypatch):
 
 
 def test_run_all_sums_each_table_at_the_bounds_its_suites_read(monkeypatch):
-    # the level-1 suites read degree 4 and degree 2 in a, each suite building
-    # the tables it reads once: sanderson mu_1..mu_12, stretch mu_2..mu_12
-    # and recurrence mu_2..mu_13 (it reads mu_{N+1} and reuses it at N + 1),
-    # 12 + 11 + 12 tables.  The covariance suite reads (2, 2) tables of both
-    # fundamental chains at N = 1..12, and the conjecture suite one per
-    # level 2-4 at N = 2, 4, ..., 10: 24 + 15.  Every table read is of a
-    # chain snapshot, whose column sums were carried through the fold, so no
-    # table makes a pass over entries
+    # each suite builds the tables it reads once, at the bounds it reads:
+    # stretch mu_2..mu_12 and recurrence mu_2..mu_13 (it reads mu_{N+1} and
+    # reuses it at N + 1) read degree 4 and degree 2 in a, 11 + 12 tables;
+    # sanderson reads degree 3 and no power of a at mu_1..mu_12, 12 tables.
+    # The covariance suite reads (2, 2) tables of both fundamental chains at
+    # N = 1..12, and the conjecture suite one per level 2-4 at N = 2, 4, ...,
+    # 10: 24 + 15.  Every table read is of a chain snapshot, whose column
+    # sums were carried through the fold, so no table makes a pass over
+    # entries
     stages, entry_passes = [], []
     original, entry_stage = moments._power_sums, moments._entry_sums
     monkeypatch.setattr(moments, "_power_sums", lambda mu, *bounds: stages.append(bounds) or original(mu, *bounds))
     monkeypatch.setattr(moments, "_entry_sums", lambda mu, *bounds: entry_passes.append(mu) or entry_stage(mu, *bounds))
     assert all(r.passed for r in run_suite("all", 12))
-    assert set(stages) == {(4, 2), (2, 2)}
-    assert stages.count((4, 2)) == 35 and stages.count((2, 2)) == 39
+    assert set(stages) == {(4, 2), (3, 0), (2, 2)}
+    assert stages.count((4, 2)) == 23 and stages.count((3, 0)) == 12 and stages.count((2, 2)) == 39
     assert entry_passes == []
 
 
