@@ -29,19 +29,20 @@ from its lowest row up, so a whole column is added or subtracted in one
 big-int operation.  One downward sweep over 2e >= C serves both letters.
 It keeps that difference as one running int, out[e] = out[e + 1] +
 column e - column C - 1 - e: in that range column e is always dominant and
-column C - 1 - e always antidominant, so it reads both straight from the
-input.  D_0 reads column -s at its a rows shifted by s, which are its b
-rows, so nothing is re-keyed.  The running int is held from its lowest
-row: a column that starts below it shifts it up once, any other is shifted
-onto it, and output column e is the running int itself, shifted down only
-when its bottom rows cancel.  One application costs a few big-int
-additions and shifts per input column, running in C over the digits of
-the ints, with no Python object per entry.  Every distribution holds its
-columns packed, however it was built, and the entries as lists are a view
-decoded on the first read that needs them (columns, items, the writers,
-==), also in C; copies and pickles carry the packing and the column sums
-and decode nothing.  The definitional per-point expansion is kept in the
-test suite as an independent oracle.
+column C - 1 - e always antidominant, so one block, run once per input
+column, reads either straight from the input and differs between them
+only in adding or subtracting.  D_0 reads column -s at its a rows shifted
+by s, which are its b rows, so nothing is re-keyed.  The running int is
+held from its lowest row: a column that starts below it shifts it up once,
+any other is shifted onto it, and output column e is the running int
+itself, shifted down only when its bottom rows cancel.  One application
+costs a few big-int additions and shifts per input column, running in C
+over the digits of the ints, with no Python object per entry.  Every
+distribution holds its columns packed, however it was built, and the
+entries as lists are a view decoded on the first read that needs them
+(columns, items, the writers, ==), also in C; copies and pickles carry the
+packing and the column sums and decode nothing.  The definitional
+per-point expansion is kept in the test suite as an independent oracle.
 
 The rows of a column do not move, so each step of the same sweep also
 moves three running power sums sum(c * r^p) over the rows r, and output
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import accumulate, chain, compress, cycle, islice
-from operator import methodcaller, not_
+from operator import add, methodcaller, not_, sub
 from sys import byteorder
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -410,41 +411,39 @@ class WeightDistribution:
         return f"WeightDistribution(hw={self.hw}, support={len(self)}, mass={self.total_mass()})"
 
 
-def _fold_input(mu: WeightDistribution) -> tuple[dict[int, PackedColumn], int]:
-    """mu's packed columns at a slot width W wide enough for D_j on mu, and W; mu is not modified.
-
-    Every output entry of D_j, and every partial sum of its sweep, is a
-    signed sum of input entries of one row, so B = sum(|c|) over mu bounds
-    it, and W is WeightDistribution.slot_width(B).  Column sums are set on
-    Demazure characters alone, whose entries are multiplicities, so there B
-    is the mass, read off them in O(columns); any other input is decoded
-    and its |c| summed.  A packing narrower than W is returned widened.
-    """
-    if mu.column_sums is not None:
-        bound = sum(s[0] for s in mu.column_sums.values())
-    else:
-        bound = sum(sum(map(abs, vals)) for _, vals in mu._cols.values())
-    narrow, width = mu._width, WeightDistribution.slot_width(bound)
-    if narrow < width:
-        return _recode(mu._packed, lambda x: _widen(x, narrow, width)), width
-    return mu._packed, narrow
-
-
 def _fold(j: int, mu: WeightDistribution) -> tuple[dict[int, PackedColumn], int, ColumnSums | None]:
     """D_j on mu's packed columns and on their row power sums: the output's columns, slot width and sums.
 
     The one sweep of the implementation note, for both letters, with the
-    running int held from its lowest row: over e > (C - 1)//2 it reads
-    string columns e (k >= 0) and C - 1 - e (k <= -2), never a k = -1
-    column.  For D_0, string column s is stored column -s, read at its b
-    rows, which start s rows above its a0; its sums move to those rows as
-    it is read, and output column e's back to a rows as it is stored under
-    keys -e and -(C - e), whose a0 lie e and C - e rows below its lowest b
-    row.  Sums are written out for CARRIED_A_DEGREE = 2; with none carried
-    the sweep reads zeros and the output carries none.
+    running int held from its lowest row.  For each e > (C - 1)//2 one
+    block reads string column e (k >= 0) with op = add and string column
+    C - 1 - e (k <= -2) with op = sub, and no k = -1 column: it starts the
+    run, shifts it up or shifts the column onto it, and moves the column's
+    sums to string rows, the same for both.  For D_0, string column s is
+    stored column -s, read at its b rows, which start s rows above its a0;
+    its sums move to those rows as it is read, and output column e's back
+    to a rows as it is stored under keys -e and -(C - e), whose a0 lie e and
+    C - e rows below its lowest b row.  Sums are written out for
+    CARRIED_A_DEGREE = 2.
+
+    Every output entry, and every partial sum of the sweep, is a signed sum
+    of input entries of one row, so B = sum(|c|) over mu bounds it, and the
+    slot width is W = WeightDistribution.slot_width(B), or mu's own when
+    that is wider: a packing is never narrowed.  Column sums are set on
+    Demazure characters alone, whose entries are multiplicities, so there B
+    is the mass, read off them in O(columns), and the sums are carried; any
+    other input is decoded and its |c| summed, the sweep reads zeros for its
+    sums and the output carries none.
     """
-    (cols, width), sums = _fold_input(mu), mu.column_sums
-    carried = sums if sums is not None else dict.fromkeys(cols, (0,) * (CARRIED_A_DEGREE + 1))
+    sums = mu.column_sums
+    if sums is not None:
+        bound, carried = sum(s[0] for s in sums.values()), sums
+    else:
+        bound = sum(sum(map(abs, vals)) for _, vals in mu._cols.values())
+        carried = dict.fromkeys(mu._packed, (0,) * (CARRIED_A_DEGREE + 1))
+    narrow = mu._width
+    width = max(narrow, WeightDistribution.slot_width(bound))
+    cols = mu._packed if width == narrow else _recode(mu._packed, lambda x: _widen(x, narrow, width))
     C, sign, up = (-mu.hw.n, 1, 0) if j else (-mu.hw.m, -1, 1)  # string column s: stored sign*s, rows from a0 + up*s
     out: dict[int, PackedColumn] = {}
     res: ColumnSums = {}
@@ -453,30 +452,19 @@ def _fold(j: int, mu: WeightDistribution) -> tuple[dict[int, PackedColumn], int,
     slot = (1 << width) - 1
     run = base = s0 = s1 = s2 = 0
     for e in range(top, stop, -1):
-        col = cols.get(sign * e)
-        if col is not None:
-            v = up * e
-            r0, x = col[0] + v, col[1]
-            if not run:
-                run, base = x, r0
-            elif r0 < base:
-                run, base = (run << width * (base - r0)) + x, r0
-            else:
-                run += x << width * (r0 - base)
-            p0, p1, p2 = carried[sign * e]
-            s0, s1, s2 = s0 + p0, s1 + p1 + v * p0, s2 + p2 + v * (2 * p1 + v * p0)
-        col = cols.get(sign * (C - 1 - e))
-        if col is not None:
-            v = up * (C - 1 - e)
-            r0, x = col[0] + v, col[1]
-            if not run:
-                run, base = -x, r0
-            elif r0 < base:
-                run, base = (run << width * (base - r0)) - x, r0
-            else:
-                run -= x << width * (r0 - base)
-            p0, p1, p2 = carried[sign * (C - 1 - e)]
-            s0, s1, s2 = s0 - p0, s1 - p1 - v * p0, s2 - p2 - v * (2 * p1 + v * p0)
+        for t, op in ((e, add), (C - 1 - e, sub)):
+            col = cols.get(sign * t)
+            if col is not None:
+                v = up * t
+                r0, x = col[0] + v, col[1]
+                if not run:  # start a run at the column's lowest row
+                    base = r0
+                if r0 < base:  # shift the run up and add x unshifted: x << 0 would copy it
+                    run, base = op(run << width * (base - r0), x), r0
+                else:
+                    run = op(run, x << width * (r0 - base))
+                p0, p1, p2 = carried[sign * t]
+                s0, s1, s2 = op(s0, p0), op(s1, p1 + v * p0), op(s2, p2 + v * (2 * p1 + v * p0))
         if run:
             if not run & slot:  # the bottom rows cancelled
                 z = ((run & -run).bit_length() - 1) // width

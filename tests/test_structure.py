@@ -235,6 +235,21 @@ def test_one_sweep_serves_both_letters():
     assert len(calls) == 1 and branches == []
 
 
+def test_fold_reads_each_input_column_in_one_place():
+    # the dominant and the antidominant column of a sweep step share one
+    # block, so the row-start rule and the move of the sums to string rows are
+    # written once; _fold asks once whether its input carries column sums, and
+    # that answer picks both the slot-width bound and the carried sums
+    tree = ast.parse((PACKAGE / "demazure.py").read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_fold_input" not in funcs
+    fold = list(ast.walk(funcs["_fold"]))
+    gets = [n for n in fold if isinstance(n, ast.Call) and ast.unparse(n.func) == "cols.get"]
+    carried = [n for n in fold if isinstance(n, ast.Subscript) and ast.unparse(n.value) == "carried"]
+    sums = [n for n in fold if isinstance(n, ast.Attribute) and n.attr == "column_sums"]
+    assert (len(gets), len(carried), len(sums)) == (1, 1, 1)
+
+
 def _modules_after(code: str) -> set[str]:
     """Names in sys.modules of a fresh interpreter, started in the repo root, after running code."""
     probe = code + "\nimport sys; sys.stderr.write(' '.join(sys.modules))"
