@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .demazure import WeightDistribution
-from .lattice import HighestWeight, LatticePoint, instance_of, word_length
+from .lattice import HighestWeight, LatticePoint, instance_of, lattice_point, word_length
 
 
 def _binomial_row(N: int, top: int) -> tuple[int, list[int]]:
@@ -109,7 +109,8 @@ def string_symmetry_shift(N: int, p: LatticePoint) -> int:
     S = lowest + highest row of the string through (a, b), less 2a.
     """
     c = word_length(N) % 2
-    a, d = p[0], p[0] - p[1]
+    a, b = lattice_point(p)
+    d = a - b
     return d * d + (N * N - c) // 4 + c * d - 2 * a
 
 

@@ -64,7 +64,15 @@ from operator import add, methodcaller, not_, sub
 from sys import byteorder
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .lattice import HighestWeight, LatticePoint, ValidatedTuple, generator_index, instance_of, word_length
+from .lattice import (
+    HighestWeight,
+    LatticePoint,
+    ValidatedTuple,
+    generator_index,
+    instance_of,
+    lattice_point,
+    word_length,
+)
 
 
 class WeylWord(ValidatedTuple, namedtuple("WeylWord", "length first")):
@@ -316,7 +324,7 @@ class WeightDistribution:
         return self._packed.keys()
 
     def mass(self, p: tuple[int, int]) -> int:
-        a, b = p
+        a, b = lattice_point(p)
         a0, vals = self._cols.get(a - b, (a, ()))
         return vals[a - a0] if 0 <= a - a0 < len(vals) else 0
 

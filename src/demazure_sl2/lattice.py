@@ -94,6 +94,11 @@ class LatticePoint(ValidatedTuple, namedtuple("LatticePoint", "a b")):
         return super().__new__(cls, a, b)
 
 
+def lattice_point(p: tuple[int, int]) -> LatticePoint:
+    """p, checked to be a lattice point: a LatticePoint as it is, any other pair read through LatticePoint."""
+    return p if isinstance(p, LatticePoint) else LatticePoint(*p)
+
+
 def generator_index(j: int) -> int:
     """j, checked to be a generator index: the int 0 or 1, not a bool."""
     if type(j) is not int or j not in (0, 1):
@@ -117,8 +122,8 @@ def instance_of(value: T, cls: type[T], what: str) -> T:
 
 def coroot_pairing(j: int, hw: HighestWeight, p: LatticePoint) -> int:
     """<alpha_j^, lambda> for lambda = hw - a*alpha0 - b*alpha1."""
-    d = p[0] - p[1]
-    return hw.n + 2 * d if generator_index(j) else hw.m - 2 * d
+    hw, (a, b) = instance_of(hw, HighestWeight, "highest weight"), lattice_point(p)
+    return hw.n + 2 * (a - b) if generator_index(j) else hw.m - 2 * (a - b)
 
 
 def scaled_numerators(values: Collection[Scalar]) -> tuple[int, list[int]]:
@@ -170,7 +175,8 @@ class Functional:
         return max((i + j for i, j in self._terms), default=0)
 
     def evaluate(self, p: LatticePoint) -> Scalar:
-        a, d = p[0], p[0] - p[1]
+        a, b = lattice_point(p)
+        d = a - b
         acc: Scalar = 0
         for (i, r), c in self._terms.items():
             acc += c * a**i * d**r
@@ -295,4 +301,4 @@ def degree_functional() -> Functional:
 
 
 def finite_weight_functional(hw: HighestWeight) -> Functional:
-    return Functional({(0, 0): hw.n, (0, 1): 2})
+    return Functional({(0, 0): instance_of(hw, HighestWeight, "highest weight").n, (0, 1): 2})

@@ -10,8 +10,7 @@ Heatmap cells are fields of WeightDistribution.canonical_pieces, with grays per 
 vector and one shade string per gray level, memoised per call; data-mult is the bare decimal text
 the distribution keeps once per distinct column vector for the CSV and JSON writers too, so a
 cell's closing '"/>\n' opens the next cell's x-field and closes the last one.  _svg splices head
-and tail into that ""-padded list in place and joins it once.  Loading this module loads no sibling:
-heatmap and degree_histogram import the type they check their argument against inside the call.
+and tail into that ""-padded list in place and joins it once.
 """
 
 from __future__ import annotations
@@ -22,8 +21,10 @@ from itertools import chain, compress, repeat
 from operator import add, mul, or_, sub, truediv
 from typing import TYPE_CHECKING, NamedTuple
 
+from .demazure import WeightDistribution
+from .lattice import instance_of
+
 if TYPE_CHECKING:
-    from .demazure import WeightDistribution
     from .lattice import Scalar
     from .moments import CovarianceMatrix
 
@@ -70,9 +71,6 @@ def _svg(width: float, height: float, pieces: list[str]) -> str:
 
 def heatmap(mu: WeightDistribution) -> str:
     """One shaded cell per support point in the (a - b, a) plane."""
-    from .demazure import WeightDistribution  # imported in the call: loading this module loads no sibling
-    from .lattice import instance_of
-
     a_min, a_end = instance_of(mu, WeightDistribution, "distribution").degree_range()
     if a_min == a_end:
         return _svg(2 * PADDING, 2 * PADDING, [])
@@ -156,9 +154,6 @@ def degree_histogram(mu: WeightDistribution) -> str:
     Bars are scaled to the largest total, and drawn with height 0 when every
     total cancels to 0; a negative degree total raises ValueError.
     """
-    from .demazure import WeightDistribution  # imported in the call: loading this module loads no sibling
-    from .lattice import instance_of
-
     a_min, a_end = instance_of(mu, WeightDistribution, "distribution").degree_range()
     if a_min == a_end:
         return _svg(2 * PADDING, 2 * PADDING, [])

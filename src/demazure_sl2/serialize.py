@@ -19,10 +19,6 @@ copying no second list of the pieces.  JSON entry blocks are spliced into
 the "[]" of json.dumps(header, indent=2), byte-identical to json.dumps of
 the whole document with indent=2 but without its pure-Python encoder (the
 C one runs only without indent).
-
-The writers only read the objects they are given, so the types they take
-are imported for annotations and, to check an argument with
-lattice.instance_of, inside the call: loading this module loads no sibling.
 """
 
 from __future__ import annotations
@@ -31,9 +27,11 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from .demazure import WeightDistribution, WeylWord
+from .lattice import instance_of
+
 if TYPE_CHECKING:
     from .asymptotics import ConjectureReport, RescaledSummary
-    from .demazure import WeightDistribution, WeylWord
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -56,9 +54,6 @@ _JSON_FIELDS = (
 
 
 def distribution_json(mu: WeightDistribution, word: WeylWord) -> str:
-    from .demazure import WeightDistribution, WeylWord  # imported in the call: mu's own module has loaded both
-    from .lattice import instance_of
-
     mu, word = instance_of(mu, WeightDistribution, "distribution"), instance_of(word, WeylWord, "word")
     doc = {
         "highest_weight": {"m": mu.hw.m, "n": mu.hw.n},
@@ -76,9 +71,6 @@ def distribution_json(mu: WeightDistribution, word: WeylWord) -> str:
 
 
 def distribution_csv(mu: WeightDistribution) -> str:
-    from .demazure import WeightDistribution  # imported in the call, as in distribution_json
-    from .lattice import instance_of
-
     pieces = instance_of(mu, WeightDistribution, "distribution").canonical_pieces(_CSV_FIELDS)
     pieces.insert(0, "a,b,mult")  # the first a-field's "\n" ends the header
     pieces.append("\n")

@@ -33,8 +33,9 @@ A SuiteContext caches the operator chains only, so "all" pays for each
 distribution once; a chain is the list read so far from one live
 demazure.distribution_chain per (m, n, first).  Moment tables are not
 cached anywhere: a chain snapshot carries its column sums, so each table
-costs O(columns) and each suite builds the tables it reads (the recurrence
-suite reuses each N's table as the next N's).
+costs O(columns) and each suite builds the tables it reads, each with one
+raw_moments call on a chain snapshot (the recurrence suite reuses each N's
+table as the next N's).
 """
 
 from __future__ import annotations
@@ -49,14 +50,7 @@ from .asymptotics import CONJECTURED_DEGREE_VARIANCE, FitMismatchError, conjectu
 from .closedform import palindromicity_check
 from .demazure import WeightDistribution, distribution_chain
 from .lattice import A, B, HighestWeight, Scalar, generator_index, instance_of, word_length
-from .moments import (
-    CovarianceMatrix,
-    MomentTable,
-    marginal,
-    pushforward_covariance,
-    raw_moments,
-    reference_formula,
-)
+from .moments import CovarianceMatrix, marginal, pushforward_covariance, raw_moments, reference_formula
 from .serialize import format_rational
 
 
@@ -79,7 +73,10 @@ def format_check(c: CheckResult) -> str:
 
 
 class SuiteContext:
-    """Caches alternating-word chains across suites; moment tables are built on each read."""
+    """Caches alternating-word chains across suites.
+
+    Chains only; each suite builds its tables with raw_moments.
+    """
 
     def __init__(self) -> None:
         self._chains: dict[tuple[int, int, int], tuple[list[WeightDistribution], Iterator[WeightDistribution]]] = {}
@@ -94,10 +91,6 @@ class SuiteContext:
         cur.extend(islice(it, max(0, word_length(max_N) + 1 - len(cur))))
         return cur
 
-    def moments(self, hw: HighestWeight, first: int, N: int, degree: int, a_degree: int | None = None) -> MomentTable:
-        """raw_moments of mu_N of the word family (hw, first), of that degree and degree in a."""
-        return raw_moments(self.chain(hw, first, N)[N], degree, a_degree)
-
 
 _L0 = HighestWeight.fundamental(0)
 # the weight-difference coordinate a - b and its square
@@ -107,17 +100,15 @@ _SQ = _DIFF * _DIFF
 # Built once, each reuses its int numerators at every N.
 _LEAD, _LEAD_SQ = (A, B), (A * A, B * B)
 _STRETCH = tuple((_SQ - c * _DIFF - 2 * _LEAD[c], _SQ - c * _DIFF) for c in (0, 1))
+# degree and degree in a of the level-1 tables of suite_stretch and
+# suite_recurrence: the top powers of a read are those of lead^2 and
+# nxt^2 = (a - d)^2 in suite_recurrence; suite_stretch reads p <= 1.  Degree
+# 2 in a is what the chain's column sums carry, so a table costs no pass
+# over entries.
+_LEVEL1_BOUNDS = (4, 2)
 
 # one check of a suite: name, N and the two sides, each a text or a rational
 Checks = Iterator[tuple[str, int, str | Scalar, str | Scalar]]
-
-
-def _level1(ctx: SuiteContext, N: int) -> MomentTable:
-    """Moment table of the level-1 word (N, first=0), of degree 4 and degree 2 in a."""
-    # the top powers of a read are those of lead^2 and nxt^2 = (a - d)^2 in
-    # suite_recurrence; suite_stretch reads p <= 1.  Degree 2 in a is what
-    # the chain's column sums carry, so the table costs no pass over entries.
-    return ctx.moments(_L0, 0, N, 4, 2)
 
 
 def suite_sanderson(max_N: int, ctx: SuiteContext) -> Checks:
@@ -131,7 +122,7 @@ def suite_sanderson(max_N: int, ctx: SuiteContext) -> Checks:
         else:
             t = next(t for t in sorted(set(got) | set(want)) if got.get(t, 0) != want.get(t, 0))
             yield "binomial-marginal", N, f"{got.get(t, 0)} at t={t}", f"{want.get(t, 0)} at t={t}"
-        table = ctx.moments(_L0, 0, N, 3, 0)  # cov((a - b)^2, a - b) reads d^3, and no power of a
+        table = raw_moments(mu, 3, 0)  # cov((a - b)^2, a - b) reads d^3, and no power of a
         yield "var-weight-diff", N, table.cov(_DIFF, _DIFF), Fraction(N, 4)
         yield "cov-sqdiff-diff", N, table.cov(_SQ, _DIFF), Fraction((N % 2) * N, 4)
 
@@ -151,7 +142,7 @@ def suite_stretch(max_N: int, ctx: SuiteContext) -> Checks:
     """Squared-difference covariances and the pushforward route agreement."""
     for N in range(2, max_N + 1):
         mu = ctx.chain(_L0, 0, max_N)[N]
-        table = _level1(ctx, N)
+        table = raw_moments(mu, *_LEVEL1_BOUNDS)
         c = N % 2
         lead, (f, g) = _LEAD[c], _STRETCH[c]
         rhs = reference_formula("stretch_covariance", N)
@@ -173,9 +164,10 @@ _RECURRENCE_CLOSED_FORMS = (
 
 def suite_recurrence(max_N: int, ctx: SuiteContext) -> Checks:
     """Second-moment recurrences in N and the degree-moment closed forms."""
-    after = _level1(ctx, 2)
+    mus = ctx.chain(_L0, 0, max_N + 1)
+    after = raw_moments(mus[2], *_LEVEL1_BOUNDS)
     for N in range(2, max_N + 1):
-        now, after = after, _level1(ctx, N + 1)
+        now, after = after, raw_moments(mus[N + 1], *_LEVEL1_BOUNDS)
         c = N % 2
         lead, lead_sq, nxt_sq = _LEAD[c], _LEAD_SQ[c], _LEAD_SQ[1 - c]
         incr = after.expect(nxt_sq) - now.expect(nxt_sq)
@@ -197,23 +189,18 @@ def theorem_covariance_matrix(N: int, j: int) -> CovarianceMatrix:
     return CovarianceMatrix(var_degree + Fraction(e * N, 4), Fraction(e * N, 2), Fraction(N))
 
 
-# check-name tag and CovarianceMatrix field of each matrix entry, in line order
-_COVMAT_ENTRIES = (
-    ("var-degree", "var_degree"),
-    ("cross", "covariance"),
-    ("var-finweight", "var_finite_weight"),
-)
-
-
 def suite_covariance(max_N: int, ctx: SuiteContext) -> Checks:
     """Degree/finite-weight covariance matrices for both fundamental weights."""
     for j in (0, 1):
         hw = HighestWeight.fundamental(j)
         for N in range(1, max_N + 1):
-            got = ctx.moments(hw, j, N, 2).covariance_matrix(hw)
+            got = raw_moments(ctx.chain(hw, j, max_N)[N], 2).covariance_matrix(hw)
             want = theorem_covariance_matrix(N, j)
-            for tag, field in _COVMAT_ENTRIES:
-                yield f"covmat-j{j}-{tag}", N, getattr(got, field), getattr(want, field)
+            # one line per CovarianceMatrix field, in field order, the order in
+            # which a dataclass's __init__ sets them (dataclasses.astuple would
+            # deep-copy each field, at about 5 us a matrix)
+            for tag, lhs, rhs in zip(("var-degree", "cross", "var-finweight"), vars(got).values(), vars(want).values()):
+                yield f"covmat-j{j}-{tag}", N, lhs, rhs
 
 
 def suite_conjecture(max_N: int, ctx: SuiteContext) -> Checks:

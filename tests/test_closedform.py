@@ -196,6 +196,14 @@ def test_string_symmetry_shift_values():
         string_symmetry_shift(-1, LatticePoint(0, 0))
 
 
+def test_string_symmetry_shift_reads_points_through_lattice_point():
+    # a float coordinate would give a float shift, and a bool that of 1
+    assert string_symmetry_shift(4, (1, 0)) == string_symmetry_shift(4, LatticePoint(1, 0)) == 3
+    for p in ((1.5, 0), (True, 0)):
+        with pytest.raises(TypeError, match="^lattice coordinates must be integers$"):
+            string_symmetry_shift(4, p)
+
+
 def test_shift_is_involutive_on_support(chain41):
     # the mirror of the mirror is the original point
     for N in range(1, 21):

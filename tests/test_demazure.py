@@ -126,6 +126,15 @@ def test_empty_distribution():
     assert apply_demazure(0, WeightDistribution(L0, {(1, 0): 3, (5, 4): 1})) == empty
 
 
+def test_mass_reads_points_through_lattice_point():
+    # a bool coordinate would read the mass at 1, and a float one fail as a list index
+    mu = level1_distribution(4)
+    assert mu.mass((2, 2)) == mu.mass(LatticePoint(2, 2)) == 2
+    for p in ((1.5, 0), (True, 0), (1.0, 0)):
+        with pytest.raises(TypeError, match="^lattice coordinates must be integers$"):
+            mu.mass(p)
+
+
 def test_mass_outside_column_range_is_zero():
     mu = weight_distribution(L0, WeylWord(6, 0))
     for (a, b), c in mu.items():

@@ -14,7 +14,7 @@ from demazure_sl2 import (
     coroot_pairing,
     finite_weight_functional,
 )
-from demazure_sl2.lattice import degree_functional
+from demazure_sl2.lattice import degree_functional, lattice_point
 from oracles import column_numerators, step
 
 
@@ -58,6 +58,36 @@ def test_coroot_pairing_values():
     for j in (True, 1.0, False):
         with pytest.raises(ValueError, match="^generator index must be 0 or 1$"):
             coroot_pairing(j, hw, LatticePoint(0, 0))
+
+
+def test_coroot_pairing_reads_points_and_weights_through_their_types():
+    # a float or bool coordinate would pair to a float or to the pairing of 1,
+    # and a plain-tuple weight would fail on .m with an AttributeError
+    hw = HighestWeight(1, 0)
+    assert coroot_pairing(1, hw, (2, 1)) == coroot_pairing(1, hw, LatticePoint(2, 1)) == 2
+    for p in ((1.5, 0), (True, 0), (0, 0.5)):
+        with pytest.raises(TypeError, match="^lattice coordinates must be integers$"):
+            coroot_pairing(0, hw, p)
+    with pytest.raises(TypeError, match="^highest weight must be a HighestWeight, not tuple$"):
+        coroot_pairing(0, (1, 0), LatticePoint(0, 0))
+
+
+def test_evaluate_reads_points_through_lattice_point():
+    p = LatticePoint(3, 1)
+    assert lattice_point(p) is p  # a LatticePoint is not rebuilt
+    assert lattice_point((3, 1)) == p and type(lattice_point((3, 1))) is LatticePoint
+    f = A * A - 2 * B
+    assert f.evaluate((3, 1)) == f.evaluate(p) == 7
+    for q in ((1.5, 0), (True, 0)):
+        with pytest.raises(TypeError, match="^lattice coordinates must be integers$"):
+            f.evaluate(q)
+
+
+def test_finite_weight_functional_names_a_plain_tuple_weight():
+    assert finite_weight_functional(HighestWeight(0, 1)) == 1 + 2 * (A - B)
+    for bad, name in (((0, 1), "tuple"), (1, "int")):
+        with pytest.raises(TypeError, match=f"^highest weight must be a HighestWeight, not {name}$"):
+            finite_weight_functional(bad)
 
 
 def test_degree_and_finite_weight():

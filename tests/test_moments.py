@@ -390,8 +390,9 @@ def test_raw_moments_rejects_a_negative_degree():
                 raw_moments(mu, degree)
 
 
-def test_raw_moments_keeps_its_highest_degree_table_on_the_distribution():
-    # every degree's table equals a fresh table of a rebuilt distribution
+def test_raw_moments_of_every_degree_equal_those_of_a_rebuild_from_entries():
+    # no table is kept on the distribution: each read sums afresh, and every
+    # degree's table equals the table of a distribution rebuilt from entries
     rng = random.Random(12)
     measures = [random_signed_measure(rng) for _ in range(20)] + [level1_distribution(9), WeightDistribution(L0, {})]
     for mu in measures:
@@ -412,8 +413,8 @@ def test_a_restricted_table_keeps_its_degree_error():
         table.cov(A, A)
 
 
-def test_raw_moments_checks_the_degree_before_its_memo():
-    # True and 1.0 equal 1, but a memo read first would serve them the degree-1 table
+def test_raw_moments_rejects_a_degree_that_only_equals_an_int():
+    # True and 1.0 equal 1, and 4.0 equals 4, but none is an int degree
     mu = level1_distribution(4)
     raw_moments(mu, 1)
     for degree in (True, 1.0, 4.0, None):
@@ -535,6 +536,7 @@ _MU3 = level1_distribution(3)
         (lambda: raw_moments((1, 0), 2), "distribution must be a WeightDistribution, not tuple"),
         (lambda: pushforward_covariance((1, 0), A, B), "distribution must be a WeightDistribution, not tuple"),
         (lambda: pushforward((1, 0), A), "distribution must be a WeightDistribution, not tuple"),
+        (lambda: raw_moments(_MU3, 2).covariance_matrix((1, 0)), "highest weight must be a HighestWeight, not tuple"),
     ],
     ids=[
         "expectation",
@@ -547,6 +549,7 @@ _MU3 = level1_distribution(3)
         "raw_moments",
         "pushforward_covariance_mu",
         "pushforward_mu",
+        "table_covariance_matrix_hw",
     ],
 )
 def test_moment_readers_name_a_wrong_argument_in_one_line(read, what):

@@ -250,6 +250,29 @@ def test_fold_reads_each_input_column_in_one_place():
     assert (len(gets), len(carried), len(sums)) == (1, 1, 1)
 
 
+def test_suite_context_caches_chains_only():
+    # raw_moments is the one route to a moment table: SuiteContext holds the
+    # chains, and each suite calls raw_moments on a chain snapshot itself
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    ctx = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SuiteContext")
+    assert [n.name for n in ctx.body if isinstance(n, ast.FunctionDef)] == ["__init__", "chain"]
+    names = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    names |= {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign) for t in n.targets if isinstance(t, ast.Name)}
+    assert not names & {"_level1", "_COVMAT_ENTRIES"}
+
+
+def test_writers_import_at_module_level():
+    # every caller of a writer already holds a distribution, so the writers
+    # import the types they check once, with the module
+    offenders = []
+    for name in ("render.py", "serialize.py"):
+        for func in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))):
+            if isinstance(func, ast.FunctionDef):
+                imports = [n for n in ast.walk(func) if isinstance(n, (ast.Import, ast.ImportFrom))]
+                offenders += [f"{name}:{n.lineno} in {func.name}" for n in imports]
+    assert offenders == []
+
+
 def _modules_after(code: str) -> set[str]:
     """Names in sys.modules of a fresh interpreter, started in the repo root, after running code."""
     probe = code + "\nimport sys; sys.stderr.write(' '.join(sys.modules))"

@@ -64,6 +64,15 @@ def test_every_suite_passes_at_small_depth():
         assert all(r.suite == name for r in results)
 
 
+def test_each_suite_alone_prints_its_block_of_all():
+    # no suite reads a chain that an earlier suite extended: each one alone,
+    # on a fresh context, prints the lines it prints within "all" (the
+    # recurrence suite reads mu_{max_N + 1})
+    every = run_suite("all", 12)
+    for name in SUITE_NAMES:
+        assert run_suite(name, 12, SuiteContext()) == [r for r in every if r.suite == name], name
+
+
 def test_conjecture_suite_needs_five_lengths_up_to_max_N():
     # the suite samples the even N <= min(10, max_N) and needs five of them
     assert not [r for r in run_suite("all", 9) if r.suite == "conjecture"]
@@ -110,11 +119,11 @@ def test_suite_context_caches_and_extends_chains():
         assert c10 is c5 and len(c10) == 11
         for t in range(11):
             assert c10[t] == weight_distribution(other, WeylWord(t, first))
-    t4 = ctx.moments(hw, 0, 4, 2)
+    t4 = moments.raw_moments(ctx.chain(hw, 0, 4)[4], 2)
     mass, table = t4
     assert mass == 16
     assert table[(0, 0)] == 16
-    assert ctx.moments(hw, 0, 4, 2) == t4
+    assert moments.raw_moments(ctx.chain(hw, 0, 4)[4], 2) == t4
 
 
 def test_suite_context_applies_each_operator_once(monkeypatch):
@@ -205,29 +214,23 @@ def test_benchmark_counts_a_suite_fail_line_as_a_failed_job(monkeypatch):
 
 
 def test_suite_context_checks_word_lengths():
-    # a bool length would read the N = 1 table, a float one fail inside islice
+    # a bool length would read mu_1, a float one fail inside islice
     ctx = SuiteContext()
     hw = HighestWeight.fundamental(0)
     for N in (True, 2.0, -1):
-        with pytest.raises(ValueError, match="^word length must be a nonnegative integer$"):
-            ctx.moments(hw, 0, N, 2)
         with pytest.raises(ValueError, match="^word length must be a nonnegative integer$"):
             ctx.chain(hw, 0, N)
     assert len(ctx.chain(hw, 0, 0)) == 1
 
 
-def test_suite_context_checks_degrees_and_first_letters_before_its_caches():
+def test_suite_context_checks_first_letters_before_its_chain_cache():
     # True and 1.0 equal and hash as 1, so an unchecked cache key would serve
-    # them the entry cached for 1, where a fresh context raises
+    # them the chain cached for 1, where a fresh context raises; the degree
+    # rule is raw_moments' own (test_raw_moments_rejects_a_negative_degree)
     ctx = SuiteContext()
     hw = HighestWeight.fundamental(0)
-    assert ctx.moments(hw, 1, 3, 1) == ctx.moments(hw, 1, 3, 1)
-    for degree in (True, 1.0, -1):
-        with pytest.raises(ValueError, match="^degree must be a nonnegative integer$"):
-            ctx.moments(hw, 1, 3, degree)
+    assert ctx.chain(hw, 1, 3) is ctx.chain(hw, 1, 3)
     for first in (True, 1.0, 2):
-        with pytest.raises(ValueError, match="^generator index must be 0 or 1$"):
-            ctx.moments(hw, first, 3, 1)
         with pytest.raises(ValueError, match="^generator index must be 0 or 1$"):
             ctx.chain(hw, first, 3)
 
@@ -239,5 +242,3 @@ def test_suite_context_names_a_plain_tuple_before_its_cache():
     for bad, name in (((1, 0), "tuple"), (1, "int")):
         with pytest.raises(TypeError, match=f"^highest weight must be a HighestWeight, not {name}$"):
             ctx.chain(bad, 0, 3)
-        with pytest.raises(TypeError, match=f"^highest weight must be a HighestWeight, not {name}$"):
-            ctx.moments(bad, 0, 3, 2)
